@@ -30,8 +30,8 @@ from dataclasses import dataclass, field as dataclass_field
 from . import generators as gen
 from .dividedpower import DPElement
 from .errors import ShapeMismatch
-from .powerseries import SeriesElement
-from .scalars import FieldSpec, Scalar
+from .powerseries import MultiIndex, SeriesElement
+from .scalars import FieldSpec, Scalar, accumulate
 from .syntax import format_element
 from .zinbiel import ZinElement
 
@@ -186,11 +186,13 @@ class Morphism:
         if len(components) != target:
             raise ShapeMismatch(f"expected {target} components, "
                                 f"got {len(components)}")
+        shape = (source, theory.field)
+        discipline = (theory.cap, theory.series_reduced)
+        series_like = theory.series_like
         for c in components:
-            if c.arity != source or c.field != theory.field:
+            if (c.arity, c.field) != shape:
                 raise ShapeMismatch("component shape disagrees with morphism")
-            if theory.series_like and \
-                    (c.cap, c.reduced) != (theory.cap, theory.series_reduced):
+            if series_like and (c.cap, c.reduced) != discipline:
                 raise ShapeMismatch("component cap discipline disagrees "
                                     "with the theory")
         self.theory = theory
@@ -754,29 +756,26 @@ def check_all(theory: Theory, cfg: gen.GenConfig,
 
 def _mutant_zin_last_letter(f: ZinElement) -> ZinElement:
     n = f.arity
-    out = {}
+    out: dict = {}
     for w, c in f.coeffs.items():
-        key = w[:-1] + (n + w[-1],)
-        out[key] = out.get(key, c * 0) + c
-    return ZinElement(2 * n, f.field, {k: v for k, v in out.items() if v})
+        accumulate(out, w[:-1] + (n + w[-1],), c, f.field.p)
+    return ZinElement(2 * n, f.field, out)
 
 
 def _mutant_ps_drop_first(f: SeriesElement) -> SeriesElement:
     full = f.partial_combinator()
     n = f.arity
-    kept = {mi: c for mi, c in full.coeffs.items() if mi.exponent(n) == 0}
+    kept = {mi: c for mi, c in full.coeffs.items()
+            if MultiIndex.exponent(mi, n) == 0}
     return SeriesElement(2 * n, full.cap, full.reduced, f.field, kept)
 
 
 def _mutant_dp_binomial(f: DPElement) -> DPElement:
-    from .powerseries import MultiIndex, _accumulate as acc
-
     n = f.arity
     out: dict = {}
     for mi, c in f.coeffs.items():
-        for v, e in mi:
-            key = mi.decrement(v).mul(MultiIndex.single(n + v))
-            acc(out, key, c * e)
+        for v, e in MultiIndex.pairs(mi):
+            accumulate(out, MultiIndex.move(mi, v, n + v), c * e, f.field.p)
     return DPElement(2 * n, f.field, out)
 
 

@@ -7,7 +7,8 @@ in the syntax module; morphisms can be given as @file.json holding
 {"arity": n, "components": ["expr", ...]}.
 
 Exit codes: 0 on success (and all axioms passing), 1 when an axiom check
-fails, 2 on usage, parse, or shape errors.
+fails, 2 on usage, parse, shape, field or @file errors and on expansions
+past a size bound.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cdc
 from .errors import DiffmonadError
@@ -32,7 +32,10 @@ def _field_from_flag(text: str):
     m = re.fullmatch(r"F(\d+)", text)
     if m is None:
         raise DiffmonadError(f"unknown field {text!r}; use Q or F<p>")
-    return prime_field(int(m.group(1)))
+    try:
+        return prime_field(int(m.group(1)))
+    except ValueError as exc:
+        raise DiffmonadError(f"bad field {text!r}: {exc}") from None
 
 
 def _theory_from_args(args, default: str = "power") -> cdc.Theory:
@@ -65,16 +68,32 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _read_morphism_file(path: str) -> tuple[list[str], int]:
+    """(components, arity) of a JSON file {"arity": n, "components": [...]}."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        components, arity = data["components"], int(data["arity"])
+    except KeyError as exc:
+        raise DiffmonadError(f"{path} has no {exc} entry") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise DiffmonadError(f"cannot read a morphism from {path}: {exc}") \
+            from None
+    if not isinstance(components, list) or \
+            not all(isinstance(c, str) for c in components):
+        raise DiffmonadError(f"{path}: components must be a list of "
+                             "expressions")
+    return components, arity
+
+
 def _load_components(parts: list[str]) -> tuple[list[str], int | None]:
     """Expression strings from argv pieces; @file pulls a JSON morphism."""
     exprs: list[str] = []
     declared: int | None = None
     for part in parts:
         if part.startswith("@"):
-            with open(part[1:], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            exprs.extend(data["components"])
-            declared = int(data["arity"])
+            components, declared = _read_morphism_file(part[1:])
+            exprs.extend(components)
         else:
             exprs.extend(p for p in part.split(",") if p.strip())
     return exprs, declared
@@ -143,7 +162,11 @@ def _cmd_dpow(args) -> int:
     if arity is None:
         arity, _ = _infer_shape([args.expr])
     elem = parse_element(args.expr, theory, arity)
-    rendered = format_element(elem.divided_power(args.n), base_arity=arity)
+    try:
+        power = elem.divided_power(args.n)
+    except ValueError as exc:
+        raise DiffmonadError(str(exc)) from None
+    rendered = format_element(power, base_arity=arity)
     _emit(args, {"result": rendered, "arity": arity}, rendered)
     return 0
 
@@ -179,14 +202,8 @@ def _cmd_integrate(args) -> int:
 def _cmd_check(args) -> int:
     theory = _theory_from_args(args)
     cfg = GenConfig(seed=args.seed)
-    ids = cdc.axiom_ids()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(cdc.run_axiom, a, theory, cfg, args.trials)
-                       for a in ids]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [cdc.run_axiom(a, theory, cfg, args.trials) for a in ids]
+    reports = [cdc.run_axiom(a, theory, cfg, args.trials)
+               for a in cdc.axiom_ids()]
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -264,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1,
-                   help="thread count; output is identical for any value")
+                   help="accepted for compatibility and ignored: the checks "
+                        "run serially, because threads only add overhead "
+                        "to this pure-Python work")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock millis in JSON output")
     p.set_defaults(fn=_cmd_check)

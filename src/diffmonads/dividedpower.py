@@ -15,15 +15,19 @@ places structure constants enter:
 All of these are integers computed in Z and embedded afterwards.  Using the
 n! * a^[n] * b^[n] form of the product rule instead would spuriously vanish in
 characteristic p, which is why the a^{*n} * b^[n] form is used.
+
+Monomials use the packed keys of :mod:`diffmonads.powerseries` and
+coefficients are raw canonical values, as there.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import NotReduced, ShapeMismatch
-from .powerseries import MultiIndex, _accumulate
-from .scalars import FieldSpec, Scalar, dp_power_coeff, factorial, binomial, multinomial
+from .errors import NotReduced, ShapeMismatch, TooLarge
+from .powerseries import MAX_DEGREE, MultiIndex
+from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
+                      binomial, canonical, dp_power_coeff, multinomial)
 
 
 def _compositions(n: int, k: int):
@@ -40,62 +44,85 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def _monomial_mul(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
-    """Merge two divided monomials; the constant is a product of binomials."""
+def _merge_constant(pairs: tuple[tuple[int, int], ...], b: int) -> int:
+    """The integer constant of the product of the divided monomial with
+    ``pairs`` (from ``MultiIndex.pairs``) and the monomial ``b``: one binomial
+    C(e+f, e) per shared variable.  The product's key is the sum of keys."""
     coeff = 1
-    for v, e in a:
-        f = b.exponent(v)
+    for v, e in pairs:
+        f = MultiIndex.exponent(b, v)
         if f:
             coeff *= binomial(e + f, e)
-    return coeff, a.mul(b)
+    return coeff
 
 
-def _monomial_divided_power(mi: MultiIndex, n: int) -> tuple[int, MultiIndex]:
-    """n-th divided power of a single monomial: integer constant and index."""
+def _monomial_divided_power(key: int, n: int) -> tuple[int, int]:
+    """n-th divided power of a single monomial: integer constant and key."""
     if n == 1:
-        return 1, mi
-    exps = [e for _, e in mi]
+        return 1, key
+    powered = MultiIndex.power(key, n)
+    exps = [e for _, e in MultiIndex.pairs(key)]
     coeff = 1
     for e in exps[:-1]:
         coeff *= multinomial([e] * n)
     coeff *= dp_power_coeff(n, exps[-1])
-    return coeff, MultiIndex((v, e * n) for v, e in mi)
+    return coeff, powered
 
 
 class DPElement:
-    """Finitely supported Scalar combination of divided power monomials."""
+    """Finitely supported combination of divided power monomials, as a map
+    key -> nonzero raw coefficient."""
 
     __slots__ = ("arity", "field", "coeffs")
 
     def __init__(self, arity: int, field: FieldSpec, coeffs: dict):
+        """Public constructor: keys from MultiIndex, values Scalars of
+        ``field`` or ints (or Fractions over Q); zero values are dropped."""
+        raw = {}
+        for key, c in coeffs.items():
+            value = field.raw(c)
+            if value:
+                raw[MultiIndex.check(key)] = value
+        self._init(arity, field, raw)
+
+    def _init(self, arity, field, coeffs) -> None:
         self.arity = arity
         self.field = field
         self.coeffs = coeffs
-        for mi in coeffs:
-            if mi.max_var() >= arity:
-                raise ShapeMismatch(f"monomial {mi} exceeds arity {arity}")
-            if mi.degree() < 1:
+        bound = MultiIndex.bound(arity)
+        for key in coeffs:
+            if key >= bound:
+                raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
+                                    f"exceeds arity {arity}")
+            if not key:
                 raise NotReduced("constant term in a divided power polynomial")
+
+    @classmethod
+    def _make(cls, arity: int, field: FieldSpec, coeffs: dict) -> "DPElement":
+        """Internal constructor: ``coeffs`` is already canonical."""
+        self = cls.__new__(cls)
+        self._init(arity, field, coeffs)
+        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int, field: FieldSpec) -> "DPElement":
-        return cls(arity, field, {})
+        return cls._make(arity, field, {})
 
     @classmethod
     def generator(cls, i: int, arity: int, field: FieldSpec) -> "DPElement":
         """The monomial x_i^[1] (the monad unit on basis vectors)."""
         if not 0 <= i < arity:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls(arity, field, {MultiIndex.single(i): field.one()})
+        return cls._make(arity, field, {MultiIndex.single(i): 1})
 
     @classmethod
     def from_terms(cls, arity: int, field: FieldSpec,
-                   terms: Iterable[tuple[MultiIndex, Scalar]]) -> "DPElement":
+                   terms: Iterable[tuple[int, Scalar]]) -> "DPElement":
         coeffs: dict = {}
-        for mi, c in terms:
-            _accumulate(coeffs, mi, c)
+        for key, c in terms:
+            accumulate(coeffs, key, field.raw(c), field.p)
         return cls(arity, field, coeffs)
 
     # -- linear structure -----------------------------------------------------
@@ -107,33 +134,45 @@ class DPElement:
     def __add__(self, other: "DPElement") -> "DPElement":
         self._check_shape(other)
         out = dict(self.coeffs)
-        for mi, c in other.coeffs.items():
-            _accumulate(out, mi, c)
-        return DPElement(self.arity, self.field, out)
+        p = self.field.p
+        for key, c in other.coeffs.items():
+            accumulate(out, key, c, p)
+        return DPElement._make(self.arity, self.field, out)
 
     def __neg__(self) -> "DPElement":
-        return self.scale(self.field.embed(-1))
+        p = self.field.p
+        return DPElement._make(self.arity, self.field,
+                               {key: canonical(-c, p)
+                                for key, c in self.coeffs.items()})
 
     def __sub__(self, other: "DPElement") -> "DPElement":
         return self + (-other)
 
     def scale(self, s: Scalar) -> "DPElement":
+        s = self.field.raw(s)
         if not s:
-            return DPElement(self.arity, self.field, {})
-        return DPElement(self.arity, self.field,
-                         {mi: c * s for mi, c in self.coeffs.items()})
+            return DPElement._make(self.arity, self.field, {})
+        p = self.field.p
+        return DPElement._make(self.arity, self.field,
+                               {key: canonical(c * s, p)
+                                for key, c in self.coeffs.items()})
 
     # -- multiplication ---------------------------------------------------------
 
     def __mul__(self, other: "DPElement") -> "DPElement":
         self._check_shape(other)
+        p = self.field.p
         out: dict = {}
-        for mi, c in self.coeffs.items():
-            for mj, d in other.coeffs.items():
-                k, merged = _monomial_mul(mi, mj)
-                prod = c * d * self.field.embed(k)
-                _accumulate(out, merged, prod)
-        return DPElement(self.arity, self.field, out)
+        for ka, ca in self.coeffs.items():
+            room = MAX_DEGREE - (ka & MAX_DEGREE)
+            pairs = MultiIndex.pairs(ka)
+            for kb, cb in other.coeffs.items():
+                if kb & MAX_DEGREE > room:
+                    raise TooLarge("divided power product exceeds the "
+                                   f"degree limit {MAX_DEGREE}")
+                accumulate(out, ka + kb, ca * cb * _merge_constant(pairs, kb),
+                           p)
+        return DPElement._make(self.arity, self.field, out)
 
     def mul_int_power(self, n: int) -> "DPElement":
         """Plain n-fold product f * f * ... * f (n >= 1)."""
@@ -145,31 +184,38 @@ class DPElement:
     # -- divided powers ----------------------------------------------------------
 
     def divided_power(self, n: int) -> "DPElement":
-        """f^[n] for n >= 1, by composition-expansion over the support."""
+        """f^[n] for n >= 1, by composition-expansion over the support.
+
+        The expansion visits C(n+k-1, k-1) compositions for a support of k
+        terms; above ``ENUMERATION_LIMIT`` it raises TooLarge up front.
+        """
         if n < 1:
             raise ValueError("divided powers are defined for n >= 1")
         if n == 1:
             return self
         terms = list(self.coeffs.items())
+        count = binomial(n + len(terms) - 1, len(terms) - 1)
+        if count > ENUMERATION_LIMIT:
+            raise TooLarge(f"divided power expands over {count} compositions")
+        p = self.field.p
         out: dict = {}
         for parts in _compositions(n, len(terms)):
-            scalar = self.field.one()
-            mono: MultiIndex | None = None
-            const = 1
-            for (mi, c), nj in zip(terms, parts):
+            scalar = 1
+            mono: int | None = None
+            for (key, c), nj in zip(terms, parts):
                 if nj == 0:
                     continue
-                scalar = scalar * (c ** nj)
-                k, powered = _monomial_divided_power(mi, nj)
-                const *= k
+                scalar *= pow(c, nj, p) if p else c ** nj
+                k, powered = _monomial_divided_power(key, nj)
+                scalar *= k
                 if mono is None:
                     mono = powered
                 else:
-                    k2, mono = _monomial_mul(mono, powered)
-                    const *= k2
+                    scalar *= _merge_constant(MultiIndex.pairs(mono), powered)
+                    mono = MultiIndex.mul(mono, powered)
             if mono is not None:
-                _accumulate(out, mono, scalar * self.field.embed(const))
-        return DPElement(self.arity, self.field, out)
+                accumulate(out, mono, scalar, p)
+        return DPElement._make(self.arity, self.field, out)
 
     # -- substitution (the monad multiplication on tuples) -------------------------
 
@@ -187,17 +233,18 @@ class DPElement:
         for a in args:
             if (a.arity, a.field) != (out_arity, self.field):
                 raise ShapeMismatch("substitution arguments disagree in shape")
-        result = DPElement.zero(out_arity, self.field)
-        for mi, c in self.coeffs.items():
+        p = self.field.p
+        result: dict = {}
+        for key, c in self.coeffs.items():
             term: DPElement | None = None
-            for v, e in mi:
+            for v, e in MultiIndex.pairs(key):
                 factor = args[v].divided_power(e)
                 term = factor if term is None else term * factor
                 if term.is_zero():
                     break
-            assert term is not None
-            result = result + term.scale(c)
-        return result
+            for k, ck in term.coeffs.items():
+                accumulate(result, k, ck * c, p)
+        return DPElement._make(out_arity, self.field, result)
 
     # -- differentiation -------------------------------------------------------------
 
@@ -209,47 +256,54 @@ class DPElement:
         """
         if not 0 <= x < self.arity:
             raise ShapeMismatch(f"variable {x} out of range")
+        p = self.field.p
+        step = MultiIndex.single(x)
         out: dict = {}
-        const = self.field.zero()
-        for mi, c in self.coeffs.items():
-            e = mi.exponent(x)
-            if not e:
+        const = 0
+        for key, c in self.coeffs.items():
+            if not MultiIndex.exponent(key, x):
                 continue
-            lowered = mi.decrement(x)
+            lowered = key - step
             if lowered:
-                _accumulate(out, lowered, c)
+                accumulate(out, lowered, c, p)
             else:
-                const = const + c
-        return DPElement(self.arity, self.field, out), const
+                const += c
+        return (DPElement._make(self.arity, self.field, out),
+                Scalar(self.field, canonical(const, p)))
 
     def partial_combinator(self) -> "DPElement":
         """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable n+i."""
         n = self.arity
+        p = self.field.p
         out: dict = {}
-        for mi, c in self.coeffs.items():
-            for v, e in mi:
-                key = mi.decrement(v).mul(MultiIndex.single(n + v))
-                _accumulate(out, key, c)
-        return DPElement(2 * n, self.field, out)
+        for key, c in self.coeffs.items():
+            for v, _ in MultiIndex.pairs(key):
+                accumulate(out, MultiIndex.move(key, v, n + v), c, p)
+        return DPElement._make(2 * n, self.field, out)
 
     def counit(self) -> tuple[Scalar, ...]:
         """Coefficients of the degree-1 monomials x_i^[1]."""
-        out = [self.field.zero()] * self.arity
-        for mi, c in self.coeffs.items():
-            if mi.degree() == 1:
-                out[mi[0][0]] = c
-        return tuple(out)
+        out = [0] * self.arity
+        for key, c in self.coeffs.items():
+            if key & MAX_DEGREE == 1:
+                out[MultiIndex.pairs(key)[0][0]] = c
+        return tuple(Scalar(self.field, c) for c in out)
+
+    def terms(self) -> list[tuple[int, Scalar]]:
+        """The (key, coefficient) pairs with boxed coefficients."""
+        return [(key, Scalar(self.field, c)) for key, c in self.coeffs.items()]
 
     # -- shape utilities ---------------------------------------------------------------
 
     def extend_arity(self, new_arity: int, offset: int = 0) -> "DPElement":
         if offset < 0 or self.arity + offset > new_arity:
             raise ShapeMismatch("block does not fit in the new arity")
-        return DPElement(new_arity, self.field,
-                         {mi.shift(offset): c for mi, c in self.coeffs.items()})
+        return DPElement._make(new_arity, self.field,
+                               {MultiIndex.shift(key, offset): c
+                                for key, c in self.coeffs.items()})
 
     def degrees(self) -> list[int]:
-        return [mi.degree() for mi in self.coeffs]
+        return [key & MAX_DEGREE for key in self.coeffs]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -262,8 +316,3 @@ class DPElement:
 
     def __repr__(self) -> str:
         return f"<divided arity={self.arity} terms={len(self.coeffs)}>"
-
-
-def factorial_collapse(f: DPElement, n: int) -> DPElement:
-    """Characteristic-0 sanity form: n! * f^[n], comparable with f^{*n}."""
-    return f.divided_power(n).scale(f.field.embed(factorial(n)))

@@ -7,7 +7,8 @@ yields the same stream, so every recorded failure replays exactly.
 
 The oracles at the bottom recompute the interesting combinatorics by flat
 enumeration (position subsets, raw permutations, term-by-term convolution)
-and share nothing with the main implementations beyond the scalar type.
+and share nothing with the main implementations beyond the coefficient and
+key representations (`scalars.accumulate` and `MultiIndex`).
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from dataclasses import dataclass
 
 from .dividedpower import DPElement
 from .errors import TooLarge
-from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement, _accumulate
-from .scalars import binomial, factorial
+from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
+from .scalars import ENUMERATION_LIMIT, accumulate, binomial, canonical, \
+    factorial
 from .zinbiel import ZinElement
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-ENUMERATION_LIMIT = 10 ** 5
 
 
 def _finalize(z: int) -> int:
@@ -89,13 +89,15 @@ class GenConfig:
 
 
 def _random_coeff(rng: SplitMix64, cfg: GenConfig, field):
+    """A raw coefficient; draws of zero and of values that embed to zero are
+    retried."""
     while True:
         c = rng.randint(cfg.coeff_min, cfg.coeff_max)
         if c == 0:
             continue
-        s = field.embed(c)
-        if s:
-            return s
+        value = canonical(c, field.p)
+        if value:
+            return value
 
 
 def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
@@ -114,8 +116,9 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     if theory.series_cap is not None:
         deg = min(deg, theory.series_cap)
     kind = theory.kind
+    field = theory.field
     while True:
-        terms = []
+        coeffs: dict = {}
         for _ in range(rng.randint(1, tmax)):
             if kind == "trivial":
                 d = 1
@@ -123,24 +126,21 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
                 d = rng.randint(0, deg)
             else:
                 d = rng.randint(1, deg)
-            coeff = _random_coeff(rng, cfg, theory.field)
+            coeff = _random_coeff(rng, cfg, field)
             if kind == "zinbiel":
                 key = tuple(rng.randint(0, n - 1) for _ in range(d))
             else:
                 key = MultiIndex.make((rng.randint(0, n - 1), 1)
                                       for _ in range(d))
-                if not key:
-                    key = EMPTY_INDEX
-            terms.append((key, coeff))
+            accumulate(coeffs, key, coeff, field.p)
+        if not coeffs:
+            continue
         if kind == "zinbiel":
-            out = ZinElement.from_terms(n, theory.field, terms)
-        elif kind == "dividedpower":
-            out = DPElement.from_terms(n, theory.field, terms)
-        else:
-            out = SeriesElement.from_terms(n, theory.field, theory.series_cap,
-                                           theory.series_reduced, terms)
-        if not out.is_zero():
-            return out
+            return ZinElement._make(n, field, coeffs)
+        if kind == "dividedpower":
+            return DPElement._make(n, field, coeffs)
+        return SeriesElement._make(n, theory.series_cap,
+                                   theory.series_reduced, field, coeffs)
 
 
 def random_morphism(theory, cfg: GenConfig, source: int, target: int,
@@ -198,7 +198,7 @@ def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     degrees = range(0 if kind == "polynomial" else 1, max_degree + 1)
     for d in degrees:
         for vec in _exponent_vectors(arity, d):
-            mi = MultiIndex((v, e) for v, e in enumerate(vec) if e)
+            mi = MultiIndex.make(enumerate(vec))
             if kind == "dividedpower":
                 out.append(DPElement(arity, field, {mi: field.one()}))
             else:
@@ -229,12 +229,13 @@ def interleavings(u: tuple, w: tuple) -> dict:
 
 def half_shuffle_oracle(a: ZinElement, b: ZinElement) -> ZinElement:
     """Head-fixed shuffle, recomputed from raw position subsets."""
+    p = a.field.p
     out: dict = {}
     for v, cv in a.coeffs.items():
         for w, cw in b.coeffs.items():
             c = cv * cw
             for word, count in interleavings(v[1:], w).items():
-                _accumulate(out, (v[0],) + word, c * count)
+                accumulate(out, (v[0],) + word, c * count, p)
     return ZinElement(a.arity, a.field, out)
 
 
@@ -244,11 +245,12 @@ def symmetrized_expand_oracle(f: DPElement) -> ZinElement:
     Every distinct arrangement of the letter multiset must occur exactly
     prod(r_i!) times among all permutations; the exact division is asserted.
     """
+    p = f.field.p
     out: dict = {}
     for mi, c in f.coeffs.items():
         letters = []
         repeat = 1
-        for v, e in mi:
+        for v, e in MultiIndex.pairs(mi):
             letters.extend([v] * e)
             repeat *= factorial(e)
         if len(letters) > 8:
@@ -260,34 +262,37 @@ def symmetrized_expand_oracle(f: DPElement) -> ZinElement:
             q, r = divmod(count, repeat)
             if r or q != 1:
                 raise AssertionError("permutation counting is inconsistent")
-            _accumulate(out, word, c)
+            accumulate(out, word, c, p)
     return ZinElement(f.arity, f.field, out)
 
 
 def naive_substitute_oracle(f: SeriesElement, args) -> SeriesElement:
     """Substitution by literal term-by-term convolution, truncated at the end."""
 
+    p = f.field.p
+
     def naive_mul(d1: dict, d2: dict) -> dict:
         out: dict = {}
         for m1, c1 in d1.items():
             for m2, c2 in d2.items():
-                _accumulate(out, m1.mul(m2), c1 * c2)
+                accumulate(out, MultiIndex.mul(m1, m2), c1 * c2, p)
         return out
 
     out_arity = args[0].arity if args else f.arity
     total: dict = {}
     size = 0
     for mi, c in f.coeffs.items():
-        term = {EMPTY_INDEX: f.field.one()}
-        for v, e in mi:
+        term = {EMPTY_INDEX: 1}
+        for v, e in MultiIndex.pairs(mi):
             for _ in range(e):
                 term = naive_mul(term, args[v].coeffs)
                 size += len(term)
                 if size > ENUMERATION_LIMIT:
                     raise TooLarge("naive expansion exceeds the size bound")
         for mk, ck in term.items():
-            _accumulate(total, mk, ck * c)
+            accumulate(total, mk, ck * c, p)
     if f.cap is not None:
-        total = {mi: c for mi, c in total.items() if mi.degree() <= f.cap}
+        total = {mi: c for mi, c in total.items()
+                 if MultiIndex.degree(mi) <= f.cap}
     reduced = f.reduced and all(a.reduced for a in args)
     return SeriesElement(out_arity, f.cap, reduced, f.field, total)

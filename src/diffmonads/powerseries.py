@@ -13,104 +13,203 @@ Two regimes share one representation:
 Single partial derivatives can produce constant terms, so they lower the cap
 by one and clear the reduced flag; the differential combinator multiplies each
 partial by a fresh dual variable, which keeps everything reduced at full cap.
+
+Monomial keys are packed exponent vectors (Monagan & Pearce, *Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors*, CASC
+2007).  A key is one plain ``int`` made of ``WIDTH``-bit fields: the lowest
+field holds the total degree, and the field above it at position ``v + 1``
+holds the exponent of variable ``v``::
+
+    key = deg + (e_0 << WIDTH) + (e_1 << 2*WIDTH) + ...
+
+so equal monomials have equal keys, a product of monomials is one integer
+add, and the degree is one mask.  Every exponent is at most the total degree,
+so no field can overflow while the degree is at most ``MAX_DEGREE``
+(``2**WIDTH - 1``).  Products check the degree before adding: it is the cap
+test in the capped regime, and a product past ``MAX_DEGREE`` that the cap
+does not discard raises ``TooLarge`` instead of producing a wrong key; this
+holds for a cap above ``MAX_DEGREE`` too.  Variable ``v`` occurs in a
+key below ``1 << WIDTH * (arity + 1)`` only if ``v < arity``, so the arity
+check is one comparison.
+
+Coefficients are raw canonical values (see :mod:`diffmonads.scalars`).
+:class:`MultiIndex` builds and reads keys; ``SeriesElement(...)`` and
+``from_terms`` are the public constructors and check everything, while
+internal results go through ``_make``, whose checks read only the degree
+field and the key's size.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import NonReducedArgument, NotReduced, ShapeMismatch
-from .scalars import FieldSpec, Scalar
+from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge
+from .scalars import FieldSpec, Scalar, accumulate, canonical
+
+WIDTH = 16
+MAX_DEGREE = (1 << WIDTH) - 1
 
 
-class MultiIndex(tuple):
-    """A commutative exponent vector: sorted ((var, exp), ...) with exp >= 1."""
+def _too_large(degree: int) -> TooLarge:
+    return TooLarge(f"monomial degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+class MultiIndex:
+    """Builds and reads packed monomial keys; a key is a plain ``int``."""
 
     @classmethod
-    def make(cls, pairs: Iterable[tuple[int, int]]) -> "MultiIndex":
-        merged: dict[int, int] = {}
+    def make(cls, pairs: Iterable[tuple[int, int]]) -> int:
+        """The key of the monomial prod x_var^exp; repeated variables add."""
+        key = 0
+        degree = 0
         for var, exp in pairs:
-            if exp:
-                merged[var] = merged.get(var, 0) + exp
-        return cls(sorted((v, e) for v, e in merged.items() if e != 0))
+            if var < 0 or exp < 0:
+                raise ValueError("variables and exponents must be nonnegative")
+            key += exp << (WIDTH * (var + 1))
+            degree += exp
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        return key + degree
 
     @classmethod
-    def single(cls, var: int, exp: int = 1) -> "MultiIndex":
-        return cls(((var, exp),))
+    def single(cls, var: int, exp: int = 1) -> int:
+        return cls.make(((var, exp),))
 
-    def degree(self) -> int:
-        return sum(e for _, e in self)
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        """The key of the product of two monomials."""
+        degree = (a & MAX_DEGREE) + (b & MAX_DEGREE)
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        return a + b
 
-    def exponent(self, var: int) -> int:
-        for v, e in self:
-            if v == var:
-                return e
-        return 0
+    @staticmethod
+    def power(key: int, n: int) -> int:
+        """The key of the n-th power of a monomial (n >= 0)."""
+        degree = (key & MAX_DEGREE) * n
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        return key * n
 
-    def mul(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex.make(list(self) + list(other))
+    @staticmethod
+    def degree(key: int) -> int:
+        return key & MAX_DEGREE
 
-    def decrement(self, var: int) -> "MultiIndex":
-        """Lower the exponent of ``var`` by one (it must be present)."""
+    @staticmethod
+    def exponent(key: int, var: int) -> int:
+        return (key >> (WIDTH * (var + 1))) & MAX_DEGREE
+
+    @staticmethod
+    def pairs(key: int) -> tuple[tuple[int, int], ...]:
+        """The sorted ((var, exp), ...) pairs with exp >= 1."""
         out = []
-        for v, e in self:
-            if v == var:
-                if e > 1:
-                    out.append((v, e - 1))
-            else:
-                out.append((v, e))
-        return MultiIndex(out)
+        key >>= WIDTH
+        var = 0
+        while key:
+            exp = key & MAX_DEGREE
+            if exp:
+                out.append((var, exp))
+            key >>= WIDTH
+            var += 1
+        return tuple(out)
 
-    def shift(self, offset: int) -> "MultiIndex":
-        return MultiIndex((v + offset, e) for v, e in self)
+    @staticmethod
+    def shift(key: int, offset: int) -> int:
+        """Relabel every variable v as v + offset."""
+        return ((key >> WIDTH) << (WIDTH * (offset + 1))) | (key & MAX_DEGREE)
 
-    def max_var(self) -> int:
-        return max((v for v, _ in self), default=-1)
+    @staticmethod
+    def move(key: int, var: int, to: int) -> int:
+        """Move one unit of exponent from ``var`` (present in ``key``) to
+        ``to``; the degree is unchanged."""
+        return key - (1 << (WIDTH * (var + 1))) + (1 << (WIDTH * (to + 1)))
+
+    @staticmethod
+    def bound(arity: int) -> int:
+        """Every key over ``arity`` variables, and no other, is below this."""
+        return 1 << (WIDTH * (arity + 1))
+
+    @classmethod
+    def check(cls, key) -> int:
+        """``key`` itself when it is a canonical key, else ShapeMismatch."""
+        if type(key) is not int or key < 0 or \
+                sum(e for _, e in cls.pairs(key)) != key & MAX_DEGREE:
+            raise ShapeMismatch(f"{key!r} is not a monomial key")
+        return key
 
 
-EMPTY_INDEX = MultiIndex(())
+EMPTY_INDEX = 0
 
 
-def _accumulate(dst: dict, key, coeff: Scalar) -> None:
-    cur = dst.get(key)
-    if cur is None:
-        if coeff:
-            dst[key] = coeff
-        return
-    new = cur + coeff
-    if new:
-        dst[key] = new
-    else:
-        del dst[key]
+def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
+    """Product of two coefficient dicts, truncated above ``cap``.
+
+    A product degree past ``min(cap, MAX_DEGREE)`` is dropped when it is past
+    the cap and raises TooLarge otherwise, so a cap above ``MAX_DEGREE``
+    cannot let a degree carry into the exponent fields.
+    """
+    limit = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
+    out: dict = {}
+    for ka, ca in a.items():
+        room = limit - (ka & MAX_DEGREE)
+        for kb, cb in b.items():
+            if kb & MAX_DEGREE > room:
+                degree = (ka & MAX_DEGREE) + (kb & MAX_DEGREE)
+                if cap is None or degree <= cap:
+                    raise _too_large(degree)
+                continue
+            accumulate(out, ka + kb, ca * cb, p)
+    return out
 
 
 class SeriesElement:
-    """A finitely supported map MultiIndex -> nonzero Scalar with shape tags."""
+    """A finitely supported map key -> nonzero raw coefficient, with shape
+    tags."""
 
     __slots__ = ("arity", "cap", "reduced", "field", "coeffs")
 
     def __init__(self, arity: int, cap: int | None, reduced: bool,
                  field: FieldSpec, coeffs: dict):
+        """Public constructor: keys from MultiIndex, values Scalars of
+        ``field`` or ints (or Fractions over Q); zero values are dropped."""
+        raw = {}
+        for key, c in coeffs.items():
+            value = field.raw(c)
+            if value:
+                raw[MultiIndex.check(key)] = value
+        self._init(arity, cap, reduced, field, raw)
+
+    def _init(self, arity, cap, reduced, field, coeffs) -> None:
         self.arity = arity
         self.cap = cap
         self.reduced = reduced
         self.field = field
         self.coeffs = coeffs
-        for mi in coeffs:
-            deg = mi.degree()
-            if mi.max_var() >= arity:
-                raise ShapeMismatch(f"monomial {mi} exceeds arity {arity}")
+        bound = MultiIndex.bound(arity)
+        for key in coeffs:
+            deg = key & MAX_DEGREE
+            if key >= bound:
+                raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
+                                    f"exceeds arity {arity}")
             if reduced and deg < 1:
                 raise NotReduced("constant term in a reduced series")
             if cap is not None and deg > cap:
                 raise ShapeMismatch(f"degree {deg} exceeds cap {cap}")
+
+    @classmethod
+    def _make(cls, arity: int, cap: int | None, reduced: bool,
+              field: FieldSpec, coeffs: dict) -> "SeriesElement":
+        """Internal constructor: ``coeffs`` is already canonical."""
+        self = cls.__new__(cls)
+        self._init(arity, cap, reduced, field, coeffs)
+        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int, field: FieldSpec, cap: int | None,
              reduced: bool = True) -> "SeriesElement":
-        return cls(arity, cap, reduced, field, {})
+        return cls._make(arity, cap, reduced, field, {})
 
     @classmethod
     def generator(cls, i: int, arity: int, field: FieldSpec, cap: int | None,
@@ -118,15 +217,16 @@ class SeriesElement:
         """The degree-1 monomial x_i (the monad unit on basis vectors)."""
         if not 0 <= i < arity:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls(arity, cap, reduced, field, {MultiIndex.single(i): field.one()})
+        return cls._make(arity, cap, reduced, field,
+                         {MultiIndex.single(i): 1})
 
     @classmethod
     def from_terms(cls, arity: int, field: FieldSpec, cap: int | None,
-                   reduced: bool, terms: Iterable[tuple[MultiIndex, Scalar]]
+                   reduced: bool, terms: Iterable[tuple[int, Scalar]]
                    ) -> "SeriesElement":
         coeffs: dict = {}
-        for mi, c in terms:
-            _accumulate(coeffs, mi, c)
+        for key, c in terms:
+            accumulate(coeffs, key, field.raw(c), field.p)
         return cls(arity, cap, reduced, field, coeffs)
 
     # -- linear structure ---------------------------------------------------
@@ -136,40 +236,43 @@ class SeriesElement:
            (other.arity, other.cap, other.reduced, other.field):
             raise ShapeMismatch("series shapes differ")
 
+    def _like(self, coeffs: dict) -> "SeriesElement":
+        return SeriesElement._make(self.arity, self.cap, self.reduced,
+                                   self.field, coeffs)
+
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         self._check_shape(other)
         out = dict(self.coeffs)
-        for mi, c in other.coeffs.items():
-            _accumulate(out, mi, c)
-        return SeriesElement(self.arity, self.cap, self.reduced, self.field, out)
+        p = self.field.p
+        for key, c in other.coeffs.items():
+            accumulate(out, key, c, p)
+        return self._like(out)
 
     def __neg__(self) -> "SeriesElement":
-        return self.scale(self.field.embed(-1))
+        p = self.field.p
+        return self._like({key: canonical(-c, p)
+                           for key, c in self.coeffs.items()})
 
     def __sub__(self, other: "SeriesElement") -> "SeriesElement":
         return self + (-other)
 
     def scale(self, s: Scalar) -> "SeriesElement":
+        s = self.field.raw(s)
         if not s:
-            return SeriesElement(self.arity, self.cap, self.reduced, self.field, {})
-        return SeriesElement(self.arity, self.cap, self.reduced, self.field,
-                             {mi: c * s for mi, c in self.coeffs.items()})
+            return self._like({})
+        p = self.field.p
+        return self._like({key: canonical(c * s, p)
+                           for key, c in self.coeffs.items()})
 
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
         if (self.arity, self.cap, self.field) != (other.arity, other.cap, other.field):
             raise ShapeMismatch("series shapes differ")
-        out: dict = {}
-        cap = self.cap
-        for mi, c in self.coeffs.items():
-            di = mi.degree()
-            for mj, d in other.coeffs.items():
-                if cap is not None and di + mj.degree() > cap:
-                    continue
-                _accumulate(out, mi.mul(mj), c * d)
-        return SeriesElement(self.arity, cap, self.reduced and other.reduced,
-                             self.field, out)
+        out = _product(self.coeffs, other.coeffs, self.cap, self.field.p)
+        return SeriesElement._make(self.arity, self.cap,
+                                   self.reduced and other.reduced,
+                                   self.field, out)
 
     # -- substitution (the monad multiplication on tuples) -------------------
 
@@ -199,52 +302,37 @@ class SeriesElement:
                                          "constant-bearing argument")
             reduced_out = reduced_out and a.reduced
 
+        cap = self.cap
+        p = self.field.p
         powers: dict[tuple[int, int], dict] = {}
 
         def var_power(i: int, e: int) -> dict:
             key = (i, e)
             got = powers.get(key)
-            if got is not None:
-                return got
-            if e == 1:
-                out = dict(args[i].coeffs)
-            else:
-                prev = var_power(i, e - 1)
-                out = {}
-                for mi, c in prev.items():
-                    di = mi.degree()
-                    for mj, d in args[i].coeffs.items():
-                        if self.cap is not None and di + mj.degree() > self.cap:
-                            continue
-                        _accumulate(out, mi.mul(mj), c * d)
-            powers[key] = out
-            return out
+            if got is None:
+                if e == 1:
+                    got = args[i].coeffs
+                else:
+                    got = _product(var_power(i, e - 1), args[i].coeffs, cap, p)
+                powers[key] = got
+            return got
 
         result: dict = {}
-        for mi, c in self.coeffs.items():
+        for key, c in self.coeffs.items():
             term: dict | None = None
-            for v, e in mi:
+            for v, e in MultiIndex.pairs(key):
                 factor = var_power(v, e)
-                if term is None:
-                    term = factor
-                else:
-                    nxt: dict = {}
-                    for ma, ca in term.items():
-                        da = ma.degree()
-                        for mb, cb in factor.items():
-                            if self.cap is not None and da + mb.degree() > self.cap:
-                                continue
-                            _accumulate(nxt, ma.mul(mb), ca * cb)
-                    term = nxt
+                term = factor if term is None else _product(term, factor, cap, p)
                 if not term:
                     break
             if term is None:
                 # Degree-0 monomial of the polynomial regime: a constant.
-                _accumulate(result, EMPTY_INDEX, c)
+                accumulate(result, EMPTY_INDEX, c, p)
             else:
-                for mk, ck in term.items():
-                    _accumulate(result, mk, ck * c)
-        return SeriesElement(out_arity, self.cap, reduced_out, self.field, result)
+                for k, ck in term.items():
+                    accumulate(result, k, ck * c, p)
+        return SeriesElement._make(out_arity, cap, reduced_out, self.field,
+                                   result)
 
     # -- differentiation ------------------------------------------------------
 
@@ -252,13 +340,15 @@ class SeriesElement:
         """Formal partial derivative; caps drop by one, constants may appear."""
         if not 0 <= i < self.arity:
             raise ShapeMismatch(f"variable {i} out of range")
+        p = self.field.p
+        step = MultiIndex.single(i)
         out: dict = {}
-        for mi, c in self.coeffs.items():
-            e = mi.exponent(i)
+        for key, c in self.coeffs.items():
+            e = MultiIndex.exponent(key, i)
             if e:
-                _accumulate(out, mi.decrement(i), c * e)
+                accumulate(out, key - step, c * e, p)
         new_cap = None if self.cap is None else self.cap - 1
-        return SeriesElement(self.arity, new_cap, False, self.field, out)
+        return SeriesElement._make(self.arity, new_cap, False, self.field, out)
 
     def partial_combinator(self) -> "SeriesElement":
         """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i.
@@ -270,38 +360,47 @@ class SeriesElement:
         if self.cap is not None and not self.reduced:
             raise NotReduced("differential combinator needs a reduced series")
         n = self.arity
+        p = self.field.p
         out: dict = {}
-        for mi, c in self.coeffs.items():
-            for v, e in mi:
-                key = mi.decrement(v).mul(MultiIndex.single(n + v))
-                _accumulate(out, key, c * e)
-        return SeriesElement(2 * n, self.cap, self.reduced, self.field, out)
+        for key, c in self.coeffs.items():
+            for v, e in MultiIndex.pairs(key):
+                accumulate(out, MultiIndex.move(key, v, n + v), c * e, p)
+        return SeriesElement._make(2 * n, self.cap, self.reduced, self.field,
+                                   out)
 
     def counit(self) -> tuple[Scalar, ...]:
         """The degree-1 coefficient vector."""
-        out = [self.field.zero()] * self.arity
-        for mi, c in self.coeffs.items():
-            if mi.degree() == 1:
-                out[mi[0][0]] = c
-        return tuple(out)
+        out = [0] * self.arity
+        for key, c in self.coeffs.items():
+            if key & MAX_DEGREE == 1:
+                out[MultiIndex.pairs(key)[0][0]] = c
+        return tuple(Scalar(self.field, c) for c in out)
+
+    def terms(self) -> list[tuple[int, Scalar]]:
+        """The (key, coefficient) pairs with boxed coefficients."""
+        return [(key, Scalar(self.field, c)) for key, c in self.coeffs.items()]
 
     # -- shape utilities ------------------------------------------------------
 
     def truncate(self, new_cap: int) -> "SeriesElement":
         if self.cap is not None and new_cap > self.cap:
             raise ShapeMismatch("cannot raise a degree cap")
-        out = {mi: c for mi, c in self.coeffs.items() if mi.degree() <= new_cap}
-        return SeriesElement(self.arity, new_cap, self.reduced, self.field, out)
+        out = {key: c for key, c in self.coeffs.items()
+               if key & MAX_DEGREE <= new_cap}
+        return SeriesElement._make(self.arity, new_cap, self.reduced,
+                                   self.field, out)
 
     def extend_arity(self, new_arity: int, offset: int = 0) -> "SeriesElement":
         """Relabel into a wider variable block (the functor on an injection)."""
         if offset < 0 or self.arity + offset > new_arity:
             raise ShapeMismatch("block does not fit in the new arity")
-        return SeriesElement(new_arity, self.cap, self.reduced, self.field,
-                             {mi.shift(offset): c for mi, c in self.coeffs.items()})
+        return SeriesElement._make(
+            new_arity, self.cap, self.reduced, self.field,
+            {MultiIndex.shift(key, offset): c
+             for key, c in self.coeffs.items()})
 
     def degrees(self) -> list[int]:
-        return [mi.degree() for mi in self.coeffs]
+        return [key & MAX_DEGREE for key in self.coeffs]
 
     def is_zero(self) -> bool:
         return not self.coeffs

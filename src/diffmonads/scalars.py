@@ -1,5 +1,22 @@
 """Exact scalar arithmetic over Q or a prime field, plus integer combinatorics.
 
+Coefficients have two forms.  Inside the element dicts of the algebra modules
+they are raw Python numbers in canonical form:
+
+* over F_p, an ``int`` residue in ``[0, p)``;
+* over Q, an ``int`` when the value is integral and a ``Fraction`` only when
+  it is not.
+
+``int`` and ``Fraction`` compare and hash alike, and ``str(Fraction(6))`` is
+``"6"``, so the canonical form is invisible in equality and printing; it only
+keeps the common integral case off the slow ``Fraction`` path.  The inner
+loops multiply raw values directly and hand every sum or product to
+:func:`accumulate`, which brings it back to canonical form.
+
+:class:`Scalar` boxes a raw value together with its field.  It is the form
+seen at the API boundary: counits, the argument of ``scale``, the parser,
+and the public element constructors.
+
 Every structure constant used by the algebra modules (binomials, multinomials,
 iterated divided-power multiplicities) is computed over the integers by the
 helpers at the bottom of this module and only then embedded into the working
@@ -15,6 +32,10 @@ from functools import lru_cache
 from .errors import DivisionByZero, MixedFields, NonIntegralQuotient
 
 PRIME_LIMIT = 1 << 20
+
+# Size bound of every exhaustive expansion or enumeration; beyond it the
+# library raises TooLarge instead of running without limit.
+ENUMERATION_LIMIT = 10 ** 5
 
 
 def _is_prime(p: int) -> bool:
@@ -57,16 +78,25 @@ class FieldSpec:
 
     def embed(self, n: int) -> "Scalar":
         """Canonical image of the integer ``n`` in this field."""
-        if self.p is None:
-            return Scalar(self, Fraction(n))
-        return Scalar(self, n % self.p)
+        return Scalar(self, canonical(n, self.p))
 
     def from_fraction(self, num: int, den: int) -> "Scalar":
         if den == 0:
             raise DivisionByZero("fraction with zero denominator")
         if self.p is None:
-            return Scalar(self, Fraction(num, den))
+            return Scalar(self, canonical(Fraction(num, den), None))
         return self.embed(num) / self.embed(den)
+
+    def raw(self, x):
+        """The canonical raw value of ``x``: a Scalar of this field, an int,
+        or (over Q) a Fraction."""
+        if isinstance(x, Scalar):
+            if x.field != self:
+                raise MixedFields(f"cannot mix {self} and {x.field}")
+            return x.value
+        if isinstance(x, int) or (self.p is None and isinstance(x, Fraction)):
+            return canonical(x, self.p)
+        raise TypeError(f"{x!r} is not a scalar of {self!r}")
 
     def zero(self) -> "Scalar":
         return self.embed(0)
@@ -94,8 +124,37 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec(p)
 
 
+def canonical(value, p: int | None):
+    """The canonical raw form of an int (or, over Q, a Fraction) value."""
+    if p:
+        return value % p
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def accumulate(dst: dict, key, value, p: int | None) -> None:
+    """Add the raw ``value`` to ``dst[key]`` in canonical form; a sum that
+    vanishes removes the key, so the dict never stores a zero.
+
+    This is the innermost call of every product, so :func:`canonical` is
+    written out here instead of called.
+    """
+    cur = dst.get(key)
+    if cur is not None:
+        value += cur
+    if p:
+        value %= p
+    elif type(value) is Fraction and value.denominator == 1:
+        value = value.numerator
+    if value:
+        dst[key] = value
+    elif cur is not None:
+        del dst[key]
+
+
 class Scalar:
-    """An element of Q (stored as a reduced Fraction) or of F_p (a residue)."""
+    """An element of Q or of F_p: a field and a canonical raw value."""
 
     __slots__ = ("field", "value")
 
@@ -113,7 +172,7 @@ class Scalar:
         if isinstance(other, int):
             return self.field.embed(other)
         if isinstance(other, Fraction) and self.field.p is None:
-            return Scalar(self.field, other)
+            return Scalar(self.field, canonical(other, None))
         return NotImplemented
 
     # -- ring operations --------------------------------------------------
@@ -122,16 +181,13 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.p is None:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % self.field.p)
+        return Scalar(self.field,
+                      canonical(self.value + other.value, self.field.p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.p is None:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.p)
+        return Scalar(self.field, canonical(-self.value, self.field.p))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -149,9 +205,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.p is None:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % self.field.p)
+        return Scalar(self.field,
+                      canonical(self.value * other.value, self.field.p))
 
     __rmul__ = __mul__
 
@@ -159,7 +214,7 @@ class Scalar:
         if not self:
             raise DivisionByZero("inverse of zero")
         if self.field.p is None:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, canonical(1 / Fraction(self.value), None))
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other):

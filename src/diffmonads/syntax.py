@@ -173,15 +173,17 @@ def variable_name(i: int, base: int) -> str:
     return "d" * q + f"x{r + 1}"
 
 
-def format_scalar(s: Scalar) -> str:
-    return str(s.value)
+def _scalar_sign_split(value, p: int | None) -> tuple[bool, str]:
+    """(is_negative, magnitude) of a raw coefficient for joining with + and -
+    (Q only has signs)."""
+    if p is None and value < 0:
+        return True, str(-value)
+    return False, str(value)
 
 
-def _scalar_sign_split(s: Scalar) -> tuple[bool, str]:
-    """(is_negative, magnitude) for joining with + and - (Q only has signs)."""
-    if s.field.p is None and s.value < 0:
-        return True, str(-s.value)
-    return False, str(s.value)
+def _monomial_order(key: int) -> tuple:
+    """Degree first, then the sorted (var, exp) pairs."""
+    return MultiIndex.degree(key), MultiIndex.pairs(key)
 
 
 def format_element(elem, base_arity: int | None = None) -> str:
@@ -190,23 +192,23 @@ def format_element(elem, base_arity: int | None = None) -> str:
         keys = sorted(elem.coeffs, key=lambda w: (len(w), w))
         render = lambda w: ".".join(variable_name(i, base) for i in w)
     elif isinstance(elem, DPElement):
-        keys = sorted(elem.coeffs, key=lambda mi: (mi.degree(), tuple(mi)))
+        keys = sorted(elem.coeffs, key=_monomial_order)
         render = lambda mi: "*".join(f"{variable_name(v, base)}^[{e}]"
-                                     for v, e in mi)
+                                     for v, e in MultiIndex.pairs(mi))
     elif isinstance(elem, SeriesElement):
-        keys = sorted(elem.coeffs, key=lambda mi: (mi.degree(), tuple(mi)))
+        keys = sorted(elem.coeffs, key=_monomial_order)
 
         def render(mi):
             return "*".join(variable_name(v, base) +
                             (f"^{e}" if e > 1 else "")
-                            for v, e in mi)
+                            for v, e in MultiIndex.pairs(mi))
     else:
         raise ShapeMismatch(f"cannot format {type(elem).__name__}")
     if not keys:
         return "0"
     pieces = []
     for k, key in enumerate(keys):
-        neg, mag = _scalar_sign_split(elem.coeffs[key])
+        neg, mag = _scalar_sign_split(elem.coeffs[key], elem.field.p)
         body = render(key)
         if body == "":
             piece = mag

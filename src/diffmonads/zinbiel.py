@@ -14,6 +14,9 @@ The derivative reads off the first letter: d(x_1 ... x_n)/dx is the tail when
 x_1 = x and zero otherwise, with the one-letter word contributing to a
 separate constant component (the algebra is not unital).  The combinator form
 re-tags the first letter of every word into the dual block.
+
+Coefficients are raw canonical values (see :mod:`diffmonads.scalars`); the
+keys stay tuples.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Iterable, Sequence
 
 from .dividedpower import DPElement
 from .errors import ShapeMismatch
-from .powerseries import _accumulate
-from .scalars import FieldSpec, Scalar
+from .powerseries import MultiIndex
+from .scalars import FieldSpec, Scalar, accumulate, canonical
 
 Word = tuple  # nonempty tuple of variable indices
 
@@ -59,11 +62,22 @@ def _arrangements(counts: list[tuple[int, int]]):
 
 
 class ZinElement:
-    """Finitely supported Scalar combination of words."""
+    """Finitely supported combination of words, as a map word -> nonzero raw
+    coefficient."""
 
     __slots__ = ("arity", "field", "coeffs")
 
     def __init__(self, arity: int, field: FieldSpec, coeffs: dict):
+        """Public constructor: values Scalars of ``field`` or ints (or
+        Fractions over Q); zero values are dropped."""
+        raw = {}
+        for w, c in coeffs.items():
+            value = field.raw(c)
+            if value:
+                raw[w] = value
+        self._init(arity, field, raw)
+
+    def _init(self, arity, field, coeffs) -> None:
         self.arity = arity
         self.field = field
         self.coeffs = coeffs
@@ -73,25 +87,32 @@ class ZinElement:
             if max(w) >= arity:
                 raise ShapeMismatch(f"word {w} exceeds arity {arity}")
 
+    @classmethod
+    def _make(cls, arity: int, field: FieldSpec, coeffs: dict) -> "ZinElement":
+        """Internal constructor: ``coeffs`` is already canonical."""
+        self = cls.__new__(cls)
+        self._init(arity, field, coeffs)
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int, field: FieldSpec) -> "ZinElement":
-        return cls(arity, field, {})
+        return cls._make(arity, field, {})
 
     @classmethod
     def generator(cls, i: int, arity: int, field: FieldSpec) -> "ZinElement":
         """The one-letter word at variable i (the monad unit)."""
         if not 0 <= i < arity:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls(arity, field, {(i,): field.one()})
+        return cls._make(arity, field, {(i,): 1})
 
     @classmethod
     def from_terms(cls, arity: int, field: FieldSpec,
                    terms: Iterable[tuple[Word, Scalar]]) -> "ZinElement":
         coeffs: dict = {}
         for w, c in terms:
-            _accumulate(coeffs, w, c)
+            accumulate(coeffs, w, field.raw(c), field.p)
         return cls(arity, field, coeffs)
 
     # -- linear structure ---------------------------------------------------
@@ -103,34 +124,42 @@ class ZinElement:
     def __add__(self, other: "ZinElement") -> "ZinElement":
         self._check_shape(other)
         out = dict(self.coeffs)
+        p = self.field.p
         for w, c in other.coeffs.items():
-            _accumulate(out, w, c)
-        return ZinElement(self.arity, self.field, out)
+            accumulate(out, w, c, p)
+        return ZinElement._make(self.arity, self.field, out)
 
     def __neg__(self) -> "ZinElement":
-        return self.scale(self.field.embed(-1))
+        p = self.field.p
+        return ZinElement._make(self.arity, self.field,
+                                {w: canonical(-c, p)
+                                 for w, c in self.coeffs.items()})
 
     def __sub__(self, other: "ZinElement") -> "ZinElement":
         return self + (-other)
 
     def scale(self, s: Scalar) -> "ZinElement":
+        s = self.field.raw(s)
         if not s:
-            return ZinElement(self.arity, self.field, {})
-        return ZinElement(self.arity, self.field,
-                          {w: c * s for w, c in self.coeffs.items()})
+            return ZinElement._make(self.arity, self.field, {})
+        p = self.field.p
+        return ZinElement._make(self.arity, self.field,
+                                {w: canonical(c * s, p)
+                                 for w, c in self.coeffs.items()})
 
     # -- products -----------------------------------------------------------
 
     def half_shuffle(self, other: "ZinElement") -> "ZinElement":
         self._check_shape(other)
+        p = self.field.p
         out: dict = {}
         for v, cv in self.coeffs.items():
-            head, tail = v[0], v[1:]
+            head, tail = v[:1], v[1:]
             for w, cw in other.coeffs.items():
                 c = cv * cw
                 for s in _shuffles(tail, w):
-                    _accumulate(out, (head,) + s, c)
-        return ZinElement(self.arity, self.field, out)
+                    accumulate(out, head + s, c, p)
+        return ZinElement._make(self.arity, self.field, out)
 
     def __mul__(self, other: "ZinElement") -> "ZinElement":
         """The shuffle product a<b + b<a (commutative and associative)."""
@@ -151,11 +180,13 @@ class ZinElement:
         for a in args:
             if (a.arity, a.field) != (out_arity, self.field):
                 raise ShapeMismatch("substitution arguments disagree in shape")
-        result = ZinElement.zero(out_arity, self.field)
+        p = self.field.p
+        result: dict = {}
         for w, c in self.coeffs.items():
             term = right_nested([args[i] for i in w])
-            result = result + term.scale(c)
-        return result
+            for word, cw in term.coeffs.items():
+                accumulate(result, word, cw * c, p)
+        return ZinElement._make(out_arity, self.field, result)
 
     # -- differentiation --------------------------------------------------------
 
@@ -167,39 +198,45 @@ class ZinElement:
         """
         if not 0 <= x < self.arity:
             raise ShapeMismatch(f"variable {x} out of range")
+        p = self.field.p
         out: dict = {}
-        const = self.field.zero()
+        const = 0
         for w, c in self.coeffs.items():
             if w[0] != x:
                 continue
             if len(w) == 1:
-                const = const + c
+                const += c
             else:
-                _accumulate(out, w[1:], c)
-        return ZinElement(self.arity, self.field, out), const
+                accumulate(out, w[1:], c, p)
+        return (ZinElement._make(self.arity, self.field, out),
+                Scalar(self.field, canonical(const, p)))
 
     def partial_combinator(self) -> "ZinElement":
         """Move the first letter of every word into the dual block n+i."""
         n = self.arity
         out = {(n + w[0],) + w[1:]: c for w, c in self.coeffs.items()}
-        return ZinElement(2 * n, self.field, out)
+        return ZinElement._make(2 * n, self.field, out)
 
     def counit(self) -> tuple[Scalar, ...]:
         """Coefficients of the one-letter words."""
-        out = [self.field.zero()] * self.arity
+        out = [0] * self.arity
         for w, c in self.coeffs.items():
             if len(w) == 1:
                 out[w[0]] = c
-        return tuple(out)
+        return tuple(Scalar(self.field, c) for c in out)
+
+    def terms(self) -> list[tuple[Word, Scalar]]:
+        """The (word, coefficient) pairs with boxed coefficients."""
+        return [(w, Scalar(self.field, c)) for w, c in self.coeffs.items()]
 
     # -- shape utilities -----------------------------------------------------------
 
     def extend_arity(self, new_arity: int, offset: int = 0) -> "ZinElement":
         if offset < 0 or self.arity + offset > new_arity:
             raise ShapeMismatch("block does not fit in the new arity")
-        return ZinElement(new_arity, self.field,
-                          {tuple(i + offset for i in w): c
-                           for w, c in self.coeffs.items()})
+        return ZinElement._make(new_arity, self.field,
+                                {tuple(i + offset for i in w): c
+                                 for w, c in self.coeffs.items()})
 
     def degrees(self) -> list[int]:
         return [len(w) for w in self.coeffs]
@@ -233,11 +270,12 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
     algebra map for the shuffle product, but it does not commute with the
     differential combinators.
     """
+    p = f.field.p
     out: dict = {}
-    for mi, c in f.coeffs.items():
-        for w in _arrangements(list(mi)):
-            _accumulate(out, w, c)
-    return ZinElement(f.arity, f.field, out)
+    for key, c in f.coeffs.items():
+        for w in _arrangements(list(MultiIndex.pairs(key))):
+            accumulate(out, w, c, p)
+    return ZinElement._make(f.arity, f.field, out)
 
 
 def integral_candidate(g: ZinElement) -> ZinElement:
@@ -250,8 +288,9 @@ def integral_candidate(g: ZinElement) -> ZinElement:
     if g.arity % 2:
         raise ShapeMismatch("block folding needs an even arity")
     half = g.arity // 2
+    p = g.field.p
     out: dict = {}
     for w, c in g.coeffs.items():
         folded = tuple(i if i < half else i - half for i in w)
-        _accumulate(out, folded, c)
-    return ZinElement(half, g.field, out)
+        accumulate(out, folded, c, p)
+    return ZinElement._make(half, g.field, out)

@@ -126,3 +126,42 @@ def test_check_timing_flag_adds_millis():
     assert code == 0
     payload = json.loads(out)
     assert all("millis" in r for r in payload["reports"])
+
+
+def test_unknown_prime_field_exits_2():
+    code, _, err = run_cli("derive", "--theory", "power", "--field", "F4",
+                           "x1*x2")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_zeroth_divided_power_exits_2():
+    code, _, err = run_cli("dpow", "--", "x1^[2] + x2", "0")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_missing_morphism_file_exits_2(tmp_path):
+    code, _, err = run_cli("compose", "--theory", "power",
+                           f"@{tmp_path / 'missing.json'}", "/", "x1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_morphism_file_without_components_exits_2(tmp_path):
+    path = tmp_path / "no_components.json"
+    path.write_text(json.dumps({"arity": 1}))
+    code, _, err = run_cli("compose", "--theory", "power", f"@{path}", "/",
+                           "x1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unbounded_divided_power_exits_2_quickly():
+    import time
+
+    started = time.perf_counter()
+    code, _, err = run_cli("dpow", "x1+x2+x3+x4+x5+x6", "40")
+    assert code == 2
+    assert "compositions" in err
+    assert time.perf_counter() - started < 1.0

@@ -197,7 +197,7 @@ def _to_series(f: DPElement) -> SeriesElement:
     terms = {}
     for mi, c in f.coeffs.items():
         den = 1
-        for _, e in mi:
+        for _, e in MultiIndex.pairs(mi):
             den *= factorial(e)
         terms[mi] = c * Q.from_fraction(1, den)
     return SeriesElement(f.arity, None, False, Q, terms)
@@ -240,3 +240,11 @@ def test_substitution_monad_laws_random():
 def test_divided_power_rejects_bad_input():
     with pytest.raises(ValueError):
         dp("x1^[1]", 1).divided_power(0)
+
+
+def test_divided_power_expansion_is_bounded():
+    f = dp("x1 + x2 + x3 + x4 + x5 + x6", 6)
+    with pytest.raises(dm.TooLarge):
+        f.divided_power(40)
+    # a small expansion still runs: C(21, 1) compositions
+    assert not dp("x1 + x2", 2).divided_power(20).is_zero()

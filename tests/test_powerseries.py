@@ -122,7 +122,7 @@ def test_partial_combinator_dual_degree_is_one():
         f = dm.random_element(theory, cfg, rng, arity=3)
         df = f.partial_combinator()
         for mi in df.coeffs:
-            dual = sum(e for v, e in mi if v >= 3)
+            dual = sum(e for v, e in MultiIndex.pairs(mi) if v >= 3)
             assert dual == 1
         # every output term keeps the total degree of some source term
         assert set(df.degrees()) <= set(f.degrees())
@@ -170,3 +170,48 @@ def test_cap_cannot_be_raised():
     f = series("x1", 1, cap=3)
     with pytest.raises(ShapeMismatch):
         f.truncate(4)
+
+
+def test_packed_keys_round_trip_and_guard_the_degree():
+    key = MultiIndex.make([(2, 3), (0, 1), (2, 1)])
+    assert MultiIndex.pairs(key) == ((0, 1), (2, 4))
+    assert MultiIndex.degree(key) == 5
+    assert MultiIndex.exponent(key, 2) == 4 and MultiIndex.exponent(key, 1) == 0
+    assert MultiIndex.mul(key, MultiIndex.single(1)) == \
+        MultiIndex.make([(0, 1), (1, 1), (2, 4)])
+    assert MultiIndex.shift(key, 2) == MultiIndex.make([(2, 1), (4, 4)])
+    top = dm.powerseries.MAX_DEGREE
+    with pytest.raises(dm.TooLarge):
+        MultiIndex.make([(0, top), (1, 1)])
+    # a product past the degree limit raises instead of carrying into the
+    # next exponent field
+    big = poly(f"x1^{top // 2 + 1}", 2)
+    with pytest.raises(dm.TooLarge):
+        big * big
+
+
+def test_cap_above_the_degree_limit_still_guards_the_degree():
+    top = dm.powerseries.MAX_DEGREE
+    cap = top + 10
+    half = series(f"x1^{top // 2 + 1}", 2, cap=cap)
+    with pytest.raises(dm.TooLarge):
+        half * (half * series("x2", 2, cap=cap))
+    with pytest.raises(dm.TooLarge):
+        series("x1^2", 1, cap=cap).substitute([series(f"x1^{top // 2 + 1}", 1,
+                                                      cap=cap)])
+    # a product past the cap itself is still discarded
+    full = series(f"x1^{top}", 2, cap=cap)
+    assert (full * full).is_zero()
+    assert half * series("x2", 2, cap=cap) == \
+        series(f"x1^{top // 2 + 1}*x2", 2, cap=cap)
+
+
+def test_public_constructor_rejects_bad_keys():
+    with pytest.raises(ShapeMismatch):
+        SeriesElement(2, 4, True, Q, {(0, 1): Q.one()})
+    with pytest.raises(ShapeMismatch):
+        SeriesElement(2, 4, True, Q, {MultiIndex.single(0) + 1: Q.one()})
+    with pytest.raises(ShapeMismatch):
+        SeriesElement(2, 4, True, Q, {MultiIndex.single(2): Q.one()})
+    with pytest.raises(dm.MixedFields):
+        SeriesElement(1, 4, True, Q, {MultiIndex.single(0): F3.one()})
