@@ -7,7 +7,7 @@ Lawvere-style morphism layer, and exact checkers for the Cartesian
 differential category axioms.
 """
 
-from .cdc import (AxiomReport, Morphism, MutatedTheory, Theory,
+from .cdc import (THEORIES, AxiomReport, Morphism, MutatedTheory, Theory,
                   check_all, check_cd_axioms, check_dc_axioms,
                   check_monad_and_unit_laws, codiagonal, compose,
                   diagonal, differentiate, identity, injection,
@@ -15,6 +15,7 @@ from .cdc import (AxiomReport, Morphism, MutatedTheory, Theory,
                   make_theory, mutation_is_caught, pairing, product_map,
                   projection)
 from .dividedpower import DPElement
+from .element import Element
 from .errors import (ArityError, DiffmonadError, DivisionByZero, MixedFields,
                      NonIntegralQuotient, NonReducedArgument, NotReduced,
                      ParseError, ShapeMismatch, TooLarge)
@@ -24,8 +25,8 @@ from .generators import (GenConfig, SplitMix64, enumerate_basis,
                          random_morphism, stable_hash,
                          symmetrized_expand_oracle)
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, embed_int,
-                      factorial, multinomial, prime_field, rationals)
+from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, factorial,
+                      multinomial, prime_field, rationals)
 from .syntax import format_element, parse_element, variable_name
 from .zinbiel import (ZinElement, divided_to_zinbiel, integral_candidate,
                       right_nested)

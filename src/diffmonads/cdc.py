@@ -24,6 +24,7 @@ would otherwise blow up combinatorially.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -31,103 +32,113 @@ from . import generators as gen
 from .dividedpower import DPElement
 from .errors import ShapeMismatch
 from .powerseries import MultiIndex, SeriesElement
-from .scalars import FieldSpec, Scalar, accumulate
+from .scalars import FieldSpec, accumulate
 from .syntax import format_element
 from .zinbiel import ZinElement
 
-KINDS = ("polynomial", "powerseries", "dividedpower", "zinbiel", "trivial")
 
-_DISPLAY = {
-    "polynomial": "Polynomial",
-    "powerseries": "PowerSeries",
-    "dividedpower": "DividedPower",
-    "zinbiel": "Zinbiel",
-    "trivial": "Trivial",
+@dataclass(frozen=True)
+class TheorySpec:
+    """One row of :data:`THEORIES`: everything that tells theories apart
+    outside their element classes."""
+
+    name: str            # display name in reports
+    cli: str             # the --theory choice
+    element: type        # the element class
+    cap: int | None      # the degree cap, unless cap_option
+    cap_option: bool     # the cap comes from the caller and must be >= 1
+    reduced: bool        # elements have no constant term
+    bounds: dict         # composition depth -> (degree, terms) caps of draws
+    product: object      # (a, b) -> the algebra's product; None: linear forms
+
+
+_UNCAPPED_BOUNDS = {1: (3, 2), 2: (2, 2)}
+
+THEORIES = {
+    "polynomial": TheorySpec("Polynomial", "poly", SeriesElement, None, False,
+                             False, {1: (4, 3), 2: (3, 2)}, operator.mul),
+    "powerseries": TheorySpec("PowerSeries", "power", SeriesElement, None,
+                              True, True, {}, operator.mul),
+    "dividedpower": TheorySpec("DividedPower", "divided", DPElement, None,
+                               False, True, _UNCAPPED_BOUNDS, operator.mul),
+    "zinbiel": TheorySpec("Zinbiel", "zinbiel", ZinElement, None, False, True,
+                          _UNCAPPED_BOUNDS, lambda a, b: a.half_shuffle(b)),
+    "trivial": TheorySpec("Trivial", "trivial", SeriesElement, 1, False, True,
+                          {}, None),
 }
 
-_CLI_KIND = {
-    "poly": "polynomial",
-    "power": "powerseries",
-    "divided": "dividedpower",
-    "zinbiel": "zinbiel",
-    "trivial": "trivial",
-}
+_BY_CLI_NAME = {spec.cli: kind for kind, spec in THEORIES.items()}
+
+
+class _Shapes(dict):
+    """arity -> the shape of a theory's elements, one tuple per arity: the
+    arity followed by the theory's values of the element's ``SHAPE`` names."""
+
+    def __init__(self, tail: tuple):
+        super().__init__()
+        self.tail = tail
+
+    def __missing__(self, arity: int) -> tuple:
+        shape = self[arity] = (arity,) + self.tail
+        return shape
 
 
 class Theory:
-    """A differential theory: element constructors plus the monad structure.
+    """A differential theory: its row of :data:`THEORIES`, a field and a cap.
 
     The trivial theory is the identity monad; its elements are the linear
     forms, realized here as cap-1 reduced series (degree exactly one), for
     which substitution is linear substitution and the combinator relabels
-    into the dual block.
+    into the dual block.  It has no product, and its random elements draw no
+    degree.
     """
 
-    __slots__ = ("kind", "field", "cap")
+    __slots__ = ("kind", "spec", "element", "field", "cap", "shapes")
 
     def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
-        if kind not in KINDS:
+        spec = THEORIES.get(kind)
+        if spec is None:
             raise ShapeMismatch(f"unknown theory kind {kind!r}")
-        if kind == "powerseries":
-            if cap is None or cap < 1:
-                raise ShapeMismatch("power series need a degree cap >= 1")
-        elif kind == "trivial":
-            cap = 1
-        else:
-            cap = None
+        if not spec.cap_option:
+            cap = spec.cap
+        elif cap is None or cap < 1:
+            raise ShapeMismatch("power series need a degree cap >= 1")
         self.kind = kind
+        self.spec = spec
+        self.element = spec.element
         self.field = field
         self.cap = cap
+        self.shapes = _Shapes(tuple(getattr(self, name)
+                                    for name in self.element.SHAPE[1:]))
 
     @property
     def name(self) -> str:
-        return _DISPLAY[self.kind]
+        return self.spec.name
 
     @property
-    def series_like(self) -> bool:
-        return self.kind in ("powerseries", "polynomial", "trivial")
-
-    @property
-    def series_cap(self) -> int | None:
-        return self.cap
-
-    @property
-    def series_reduced(self) -> bool:
-        return self.kind != "polynomial"
+    def reduced(self) -> bool:
+        return self.spec.reduced
 
     # -- element constructors ----------------------------------------------
 
     def zero(self, arity: int):
-        if self.kind == "zinbiel":
-            return ZinElement.zero(arity, self.field)
-        if self.kind == "dividedpower":
-            return DPElement.zero(arity, self.field)
-        return SeriesElement.zero(arity, self.field, self.cap,
-                                  self.series_reduced)
+        return self.element._make(self.shapes[arity], {})
 
     def eta(self, i: int, arity: int):
-        """The monad unit on the i-th basis vector."""
-        if self.kind == "zinbiel":
-            return ZinElement.generator(i, arity, self.field)
-        if self.kind == "dividedpower":
-            return DPElement.generator(i, arity, self.field)
-        return SeriesElement.generator(i, arity, self.field, self.cap,
-                                       self.series_reduced)
+        """The monad unit on the i-th basis vector: the degree-1 element x_i."""
+        if not 0 <= i < arity:
+            raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
+        element = self.element
+        return element._make(self.shapes[arity], {element._key(((i, 1),)): 1})
 
     def eta_tuple(self, arity: int) -> tuple:
         return tuple(self.eta(i, arity) for i in range(arity))
 
-    # -- the monad and differential structure --------------------------------
-
-    def substitute(self, f, args, arity: int | None = None):
-        return f.substitute(args, arity=arity)
+    # -- the differential structure ------------------------------------------
 
     def partial(self, f):
         """The differential combinator transformation on elements."""
         return f.partial_combinator()
-
-    def counit(self, f) -> tuple[Scalar, ...]:
-        return f.counit()
 
     def eta_counit(self, f):
         """eta after counit: the degree-1 part of an element."""
@@ -136,10 +147,6 @@ class Theory:
             if c:
                 out = out + self.eta(i, f.arity).scale(c)
         return out
-
-    def apply_linear(self, f, images: list, arity: int):
-        """Functorial action of a linear map given by generator images."""
-        return f.substitute(images, arity=arity)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Theory):
@@ -151,23 +158,19 @@ class Theory:
         return hash((self.kind, self.field, self.cap))
 
     def __repr__(self) -> str:
-        cap = f", cap={self.cap}" if self.kind == "powerseries" else ""
+        cap = f", cap={self.cap}" if self.spec.cap_option else ""
         return f"Theory({self.name}, {self.field!r}{cap})"
 
 
 def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
-    """Build a theory and smoke-check that the unit tuple is the identity."""
-    kind = _CLI_KIND.get(kind, kind)
-    t = Theory(kind, field, cap)
+    """Build a theory from its kind or CLI name, and smoke-check that the unit
+    tuple is the identity."""
+    t = Theory(_BY_CLI_NAME.get(kind, kind), field, cap)
     n = 2
     sample = t.eta(0, n) + t.eta(1, n).scale(field.embed(2))
-    if kind == "zinbiel":
-        sample = sample + t.eta(0, n).half_shuffle(t.eta(1, n))
-    elif kind == "dividedpower":
-        sample = sample + t.eta(0, n) * t.eta(1, n)
-    elif kind != "trivial" and (t.cap is None or t.cap >= 2):
-        sample = sample + t.eta(0, n) * t.eta(1, n)
-    if t.substitute(sample, t.eta_tuple(n)) != sample:
+    if t.spec.product is not None:
+        sample = sample + t.spec.product(t.eta(0, n), t.eta(1, n))
+    if sample.substitute(t.eta_tuple(n)) != sample:
         raise ShapeMismatch("registration check failed: substitution along "
                             "the unit tuple is not the identity")
     return t
@@ -186,15 +189,10 @@ class Morphism:
         if len(components) != target:
             raise ShapeMismatch(f"expected {target} components, "
                                 f"got {len(components)}")
-        shape = (source, theory.field)
-        discipline = (theory.cap, theory.series_reduced)
-        series_like = theory.series_like
+        shape = theory.shapes[source]
         for c in components:
-            if (c.arity, c.field) != shape:
+            if c.shape != shape:
                 raise ShapeMismatch("component shape disagrees with morphism")
-            if series_like and (c.cap, c.reduced) != discipline:
-                raise ShapeMismatch("component cap discipline disagrees "
-                                    "with the theory")
         self.theory = theory
         self.source = source
         self.target = target
@@ -231,8 +229,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     if outer.source != inner.target:
         raise ShapeMismatch(f"cannot compose {inner.target} -> with "
                             f"source {outer.source}")
-    comps = tuple(outer.theory.substitute(c, inner.components,
-                                          arity=inner.source)
+    comps = tuple(c.substitute(inner.components, arity=inner.source)
                   for c in outer.components)
     return Morphism(outer.theory, inner.source, outer.target, comps)
 
@@ -383,21 +380,13 @@ _DEPTH = {
 
 
 def _bounds(theory: Theory, cfg: gen.GenConfig, axiom: str) -> tuple[int, int]:
-    depth = _DEPTH[axiom]
+    """(max degree, max terms) of the axiom's draws; a capped theory has no
+    caps in its row, because truncation bounds the blowup."""
     d, t = cfg.max_degree, cfg.max_terms
-    if theory.cap is not None:
-        return d, t  # truncation bounds the blowup
-    if theory.kind in ("dividedpower", "zinbiel"):
-        if depth == 1:
-            return min(d, 3), min(t, 2)
-        if depth == 2:
-            return min(d, 2), min(t, 2)
-    elif theory.kind == "polynomial":
-        if depth == 1:
-            return min(d, 4), min(t, 3)
-        if depth == 2:
-            return min(d, 3), min(t, 2)
-    return d, t
+    caps = theory.spec.bounds.get(_DEPTH[axiom])
+    if caps is None:
+        return d, t
+    return min(d, caps[0]), min(t, caps[1])
 
 
 def _rand_elem(theory, cfg, rng, arity, axiom):
@@ -413,11 +402,6 @@ def _rand_morphism(theory, cfg, rng, source, target, axiom):
 
 
 # -- the CD axioms on morphisms ---------------------------------------------------
-
-
-def _one_times(theory: Theory, n: int, images_second: Morphism) -> Morphism:
-    """1_n x g for a structural g whose source is 2n (used by CD.2)."""
-    return product_map(identity(theory, n), images_second)
 
 
 def _cd1(theory, cfg, rng):
@@ -441,9 +425,9 @@ def _cd2(theory, cfg, rng):
     m = rng.randint(1, cfg.arity)
     f = _rand_morphism(theory, cfg, rng, n, m, "CD.2")
     df = differentiate(f)
-    one_nabla = _one_times(theory, n, codiagonal(theory, n))
-    one_pi0 = _one_times(theory, n, projection(theory, n, n, 0))
-    one_pi1 = _one_times(theory, n, projection(theory, n, n, 1))
+    one_nabla = product_map(identity(theory, n), codiagonal(theory, n))
+    one_pi0 = product_map(identity(theory, n), projection(theory, n, n, 0))
+    one_pi1 = product_map(identity(theory, n), projection(theory, n, n, 1))
     lhs = compose(df, one_nabla)
     rhs = compose(df, one_pi0) + compose(df, one_pi1)
     if lhs != rhs:
@@ -545,7 +529,7 @@ def _dc1(theory, cfg, rng):
     t = _rand_elem(theory, cfg, rng, n, "dc.1")
     dt = theory.partial(t)
     spec = [[i] for i in range(n)] + [None] * n
-    lhs = theory.apply_linear(dt, _images(theory, spec, n), n)
+    lhs = dt.substitute(_images(theory, spec, n), arity=n)
     zero = theory.zero(n)
     if lhs != zero:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), "0"
@@ -560,9 +544,9 @@ def _dc2(theory, cfg, rng):
     delta = _images(theory, first + [[n + i, 2 * n + i] for i in range(n)], 3 * n)
     into0 = _images(theory, first + [[n + i] for i in range(n)], 3 * n)
     into1 = _images(theory, first + [[2 * n + i] for i in range(n)], 3 * n)
-    lhs = theory.apply_linear(dt, delta, 3 * n)
-    rhs = theory.apply_linear(dt, into0, 3 * n) + \
-        theory.apply_linear(dt, into1, 3 * n)
+    lhs = dt.substitute(delta, arity=3 * n)
+    rhs = dt.substitute(into0, arity=3 * n) + \
+        dt.substitute(into1, arity=3 * n)
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)
     return None
@@ -583,9 +567,9 @@ def _dc4(theory, cfg, rng):
     m = rng.randint(1, cfg.arity)
     f = _rand_elem(theory, cfg, rng, m, "dc.4")
     gs = [_rand_elem(theory, cfg, rng, n, "dc.4") for _ in range(m)]
-    lhs = theory.partial(theory.substitute(f, gs, arity=n))
+    lhs = theory.partial(f.substitute(gs, arity=n))
     args = [g.extend_arity(2 * n) for g in gs] + [theory.partial(g) for g in gs]
-    rhs = theory.substitute(theory.partial(f), args, arity=2 * n)
+    rhs = theory.partial(f).substitute(args, arity=2 * n)
     if lhs != rhs:
         inputs = {"f": _fmt(f, m)}
         for j, g in enumerate(gs):
@@ -600,7 +584,7 @@ def _dc5(theory, cfg, rng):
     ddt = theory.partial(theory.partial(t))
     spec = [[i] for i in range(n)] + [None] * (2 * n) + \
         [[n + i] for i in range(n)]
-    lhs = theory.apply_linear(ddt, _images(theory, spec, 2 * n), 2 * n)
+    lhs = ddt.substitute(_images(theory, spec, 2 * n), arity=2 * n)
     rhs = theory.partial(t)
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)
@@ -613,7 +597,7 @@ def _dc6(theory, cfg, rng):
     ddt = theory.partial(theory.partial(t))
     spec = [[i] for i in range(n)] + [[2 * n + i] for i in range(n)] + \
         [[n + i] for i in range(n)] + [[3 * n + i] for i in range(n)]
-    lhs = theory.apply_linear(ddt, _images(theory, spec, 4 * n), 4 * n)
+    lhs = ddt.substitute(_images(theory, spec, 4 * n), arity=4 * n)
     if lhs != ddt:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(ddt, n)
     return None
@@ -629,9 +613,8 @@ def _monad_assoc(theory, cfg, rng):
     f = _rand_elem(theory, cfg, rng, a, "monad.assoc")
     gs = [_rand_elem(theory, cfg, rng, b, "monad.assoc") for _ in range(a)]
     hs = [_rand_elem(theory, cfg, rng, c, "monad.assoc") for _ in range(b)]
-    lhs = theory.substitute(theory.substitute(f, gs, arity=b), hs, arity=c)
-    rhs = theory.substitute(
-        f, [theory.substitute(g, hs, arity=c) for g in gs], arity=c)
+    lhs = f.substitute(gs, arity=b).substitute(hs, arity=c)
+    rhs = f.substitute([g.substitute(hs, arity=c) for g in gs], arity=c)
     if lhs != rhs:
         inputs = {"f": _fmt(f, a)}
         for j, g in enumerate(gs):
@@ -647,7 +630,7 @@ def _monad_unit_left(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     i = rng.randint(0, m - 1)
     gs = [_rand_elem(theory, cfg, rng, n, "monad.unit-left") for _ in range(m)]
-    lhs = theory.substitute(theory.eta(i, m), gs, arity=n)
+    lhs = theory.eta(i, m).substitute(gs, arity=n)
     if lhs != gs[i]:
         inputs = {f"g{j + 1}": _fmt(g, n) for j, g in enumerate(gs)}
         inputs["i"] = str(i)
@@ -658,7 +641,7 @@ def _monad_unit_left(theory, cfg, rng):
 def _monad_unit_right(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     f = _rand_elem(theory, cfg, rng, n, "monad.unit-right")
-    lhs = theory.substitute(f, theory.eta_tuple(n))
+    lhs = f.substitute(theory.eta_tuple(n))
     if lhs != f:
         return {"f": _fmt(f, n)}, _fmt(lhs, n), _fmt(f, n)
     return None
@@ -667,7 +650,7 @@ def _monad_unit_right(theory, cfg, rng):
 def _du1(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     for i in range(n):
-        vec = theory.counit(theory.eta(i, n))
+        vec = theory.eta(i, n).counit()
         expected = tuple(theory.field.one() if j == i else theory.field.zero()
                          for j in range(n))
         if vec != expected:
@@ -682,7 +665,7 @@ def _du2(theory, cfg, rng):
     t = _rand_elem(theory, cfg, rng, n, "du.2")
     dt = theory.partial(t)
     spec = [None] * n + [[i] for i in range(n)]
-    lhs = theory.apply_linear(dt, _images(theory, spec, n), n)
+    lhs = dt.substitute(_images(theory, spec, n), arity=n)
     rhs = theory.eta_counit(t)
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)

@@ -143,8 +143,8 @@ def _cmd_compose(args) -> int:
 
 def _cmd_mul(args) -> int:
     theory = _theory_from_args(args)
-    if theory.kind == "trivial":
-        raise DiffmonadError("the trivial theory has no product")
+    if theory.spec.product is None:
+        raise DiffmonadError(f"the {theory.kind} theory has no product")
     arity = args.arity
     if arity is None:
         arity, _ = _infer_shape([args.left, args.right])
@@ -200,6 +200,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 1:
+        raise DiffmonadError(f"--trials must be at least 1, got {args.trials}")
     theory = _theory_from_args(args)
     cfg = GenConfig(seed=args.seed)
     reports = [cdc.run_axiom(a, theory, cfg, args.trials)
@@ -229,8 +231,7 @@ def _cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theory", default=None,
-                        choices=["poly", "power", "divided", "zinbiel",
-                                 "trivial"])
+                        choices=[spec.cli for spec in cdc.THEORIES.values()])
     common.add_argument("--field", default="Q", help="Q or F<p>")
     common.add_argument("--cap", type=int, default=6,
                         help="degree cap for power series")

@@ -22,12 +22,12 @@ coefficients are raw canonical values, as there.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotReduced, ShapeMismatch, TooLarge
-from .powerseries import MAX_DEGREE, MultiIndex
-from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
-                      binomial, canonical, dp_power_coeff, multinomial)
+from .powerseries import MAX_DEGREE, MonomialElement, MultiIndex
+from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, binomial,
+                      canonical, dp_power_coeff, multinomial)
 
 
 def _compositions(n: int, k: int):
@@ -69,93 +69,23 @@ def _monomial_divided_power(key: int, n: int) -> tuple[int, int]:
     return coeff, powered
 
 
-class DPElement:
+class DPElement(MonomialElement):
     """Finitely supported combination of divided power monomials, as a map
-    key -> nonzero raw coefficient."""
+    key -> nonzero raw coefficient, with shape (arity, field)."""
 
-    __slots__ = ("arity", "field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, arity: int, field: FieldSpec, coeffs: dict):
-        """Public constructor: keys from MultiIndex, values Scalars of
-        ``field`` or ints (or Fractions over Q); zero values are dropped."""
-        raw = {}
-        for key, c in coeffs.items():
-            value = field.raw(c)
-            if value:
-                raw[MultiIndex.check(key)] = value
-        self._init(arity, field, raw)
+    notation = ("*", "[", "]")
+    _tag = "divided"
 
-    def _init(self, arity, field, coeffs) -> None:
-        self.arity = arity
-        self.field = field
-        self.coeffs = coeffs
-        bound = MultiIndex.bound(arity)
-        for key in coeffs:
+    def _check_keys(self) -> None:
+        bound = MultiIndex.bound(self.arity)
+        for key in self.coeffs:
             if key >= bound:
                 raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
-                                    f"exceeds arity {arity}")
+                                    f"exceeds arity {self.arity}")
             if not key:
                 raise NotReduced("constant term in a divided power polynomial")
-
-    @classmethod
-    def _make(cls, arity: int, field: FieldSpec, coeffs: dict) -> "DPElement":
-        """Internal constructor: ``coeffs`` is already canonical."""
-        self = cls.__new__(cls)
-        self._init(arity, field, coeffs)
-        return self
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int, field: FieldSpec) -> "DPElement":
-        return cls._make(arity, field, {})
-
-    @classmethod
-    def generator(cls, i: int, arity: int, field: FieldSpec) -> "DPElement":
-        """The monomial x_i^[1] (the monad unit on basis vectors)."""
-        if not 0 <= i < arity:
-            raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls._make(arity, field, {MultiIndex.single(i): 1})
-
-    @classmethod
-    def from_terms(cls, arity: int, field: FieldSpec,
-                   terms: Iterable[tuple[int, Scalar]]) -> "DPElement":
-        coeffs: dict = {}
-        for key, c in terms:
-            accumulate(coeffs, key, field.raw(c), field.p)
-        return cls(arity, field, coeffs)
-
-    # -- linear structure -----------------------------------------------------
-
-    def _check_shape(self, other: "DPElement") -> None:
-        if (self.arity, self.field) != (other.arity, other.field):
-            raise ShapeMismatch("divided power shapes differ")
-
-    def __add__(self, other: "DPElement") -> "DPElement":
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        p = self.field.p
-        for key, c in other.coeffs.items():
-            accumulate(out, key, c, p)
-        return DPElement._make(self.arity, self.field, out)
-
-    def __neg__(self) -> "DPElement":
-        p = self.field.p
-        return DPElement._make(self.arity, self.field,
-                               {key: canonical(-c, p)
-                                for key, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DPElement") -> "DPElement":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "DPElement":
-        s = self.field.raw(s)
-        if not s:
-            return DPElement._make(self.arity, self.field, {})
-        p = self.field.p
-        return DPElement._make(self.arity, self.field,
-                               {key: canonical(c * s, p)
-                                for key, c in self.coeffs.items()})
 
     # -- multiplication ---------------------------------------------------------
 
@@ -172,7 +102,7 @@ class DPElement:
                                    f"degree limit {MAX_DEGREE}")
                 accumulate(out, ka + kb, ca * cb * _merge_constant(pairs, kb),
                            p)
-        return DPElement._make(self.arity, self.field, out)
+        return self._like(out)
 
     def mul_int_power(self, n: int) -> "DPElement":
         """Plain n-fold product f * f * ... * f (n >= 1)."""
@@ -215,24 +145,14 @@ class DPElement:
                     mono = MultiIndex.mul(mono, powered)
             if mono is not None:
                 accumulate(out, mono, scalar, p)
-        return DPElement._make(self.arity, self.field, out)
+        return self._like(out)
 
     # -- substitution (the monad multiplication on tuples) -------------------------
 
     def substitute(self, args: Sequence["DPElement"],
                    arity: int | None = None) -> "DPElement":
         """Monomial y_1^[r_1]...y_j^[r_j] maps to the product of args^[r]."""
-        if len(args) != self.arity:
-            raise ShapeMismatch(f"{self.arity} arguments expected, got {len(args)}")
-        if args:
-            out_arity = args[0].arity
-        elif arity is not None:
-            out_arity = arity
-        else:
-            raise ShapeMismatch("target arity required for nullary substitution")
-        for a in args:
-            if (a.arity, a.field) != (out_arity, self.field):
-                raise ShapeMismatch("substitution arguments disagree in shape")
+        out_arity = self._target(args, arity)
         p = self.field.p
         result: dict = {}
         for key, c in self.coeffs.items():
@@ -244,7 +164,7 @@ class DPElement:
                     break
             for k, ck in term.coeffs.items():
                 accumulate(result, k, ck * c, p)
-        return DPElement._make(out_arity, self.field, result)
+        return DPElement._make((out_arity, self.field), result)
 
     # -- differentiation -------------------------------------------------------------
 
@@ -268,8 +188,7 @@ class DPElement:
                 accumulate(out, lowered, c, p)
             else:
                 const += c
-        return (DPElement._make(self.arity, self.field, out),
-                Scalar(self.field, canonical(const, p)))
+        return self._like(out), Scalar(self.field, canonical(const, p))
 
     def partial_combinator(self) -> "DPElement":
         """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable n+i."""
@@ -279,40 +198,4 @@ class DPElement:
         for key, c in self.coeffs.items():
             for v, _ in MultiIndex.pairs(key):
                 accumulate(out, MultiIndex.move(key, v, n + v), c, p)
-        return DPElement._make(2 * n, self.field, out)
-
-    def counit(self) -> tuple[Scalar, ...]:
-        """Coefficients of the degree-1 monomials x_i^[1]."""
-        out = [0] * self.arity
-        for key, c in self.coeffs.items():
-            if key & MAX_DEGREE == 1:
-                out[MultiIndex.pairs(key)[0][0]] = c
-        return tuple(Scalar(self.field, c) for c in out)
-
-    def terms(self) -> list[tuple[int, Scalar]]:
-        """The (key, coefficient) pairs with boxed coefficients."""
-        return [(key, Scalar(self.field, c)) for key, c in self.coeffs.items()]
-
-    # -- shape utilities ---------------------------------------------------------------
-
-    def extend_arity(self, new_arity: int, offset: int = 0) -> "DPElement":
-        if offset < 0 or self.arity + offset > new_arity:
-            raise ShapeMismatch("block does not fit in the new arity")
-        return DPElement._make(new_arity, self.field,
-                               {MultiIndex.shift(key, offset): c
-                                for key, c in self.coeffs.items()})
-
-    def degrees(self) -> list[int]:
-        return [key & MAX_DEGREE for key in self.coeffs]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DPElement):
-            return NotImplemented
-        return (self.arity, self.field) == (other.arity, other.field) and \
-            self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"<divided arity={self.arity} terms={len(self.coeffs)}>"
+        return DPElement._make((2 * n, self.field), out)

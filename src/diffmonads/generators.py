@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .dividedpower import DPElement
 from .errors import TooLarge
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import ENUMERATION_LIMIT, accumulate, binomial, canonical, \
-    factorial
+from .scalars import ENUMERATION_LIMIT, accumulate, canonical, factorial
 from .zinbiel import ZinElement
 
 MASK64 = (1 << 64) - 1
@@ -100,47 +99,41 @@ def _random_coeff(rng: SplitMix64, cfg: GenConfig, field):
             return value
 
 
+def _degree_range(theory, max_degree: int) -> range:
+    """The degrees of basis elements up to ``max_degree`` and the cap."""
+    if theory.cap is not None:
+        max_degree = min(max_degree, theory.cap)
+    return range(1 if theory.reduced else 0, max_degree + 1)
+
+
 def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
                    arity: int | None = None, max_degree: int | None = None,
                    max_terms: int | None = None):
     """A random nonzero element within the bounds, canonical and reduced.
 
-    Coefficients are drawn from the configured range, skipping values that
-    embed to zero; a draw whose terms cancel is retried, so the result is
-    never the zero element.
+    Each term draws its degree (none in the linear theory, whose terms have
+    degree one), then its coefficient, then its letters.  Coefficients are
+    drawn from the configured range, skipping values that embed to zero; a
+    draw whose terms cancel is retried, so the result is never the zero
+    element.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = arity if arity is not None else cfg.arity
-    deg = max_degree if max_degree is not None else cfg.max_degree
     tmax = max_terms if max_terms is not None else cfg.max_terms
-    if theory.series_cap is not None:
-        deg = min(deg, theory.series_cap)
-    kind = theory.kind
+    degrees = _degree_range(theory, max_degree if max_degree is not None
+                            else cfg.max_degree)
+    linear = theory.spec.product is None
+    element = theory.element
     field = theory.field
     while True:
         coeffs: dict = {}
         for _ in range(rng.randint(1, tmax)):
-            if kind == "trivial":
-                d = 1
-            elif kind == "polynomial":
-                d = rng.randint(0, deg)
-            else:
-                d = rng.randint(1, deg)
+            d = 1 if linear else rng.randint(degrees.start, degrees.stop - 1)
             coeff = _random_coeff(rng, cfg, field)
-            if kind == "zinbiel":
-                key = tuple(rng.randint(0, n - 1) for _ in range(d))
-            else:
-                key = MultiIndex.make((rng.randint(0, n - 1), 1)
-                                      for _ in range(d))
+            key = element._key((rng.randint(0, n - 1), 1) for _ in range(d))
             accumulate(coeffs, key, coeff, field.p)
-        if not coeffs:
-            continue
-        if kind == "zinbiel":
-            return ZinElement._make(n, field, coeffs)
-        if kind == "dividedpower":
-            return DPElement._make(n, field, coeffs)
-        return SeriesElement._make(n, theory.series_cap,
-                                   theory.series_reduced, field, coeffs)
+        if coeffs:
+            return element._make(theory.shapes[n], coeffs)
 
 
 def random_morphism(theory, cfg: GenConfig, source: int, target: int,
@@ -159,53 +152,21 @@ def random_morphism(theory, cfg: GenConfig, source: int, target: int,
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _exponent_vectors(arity: int, degree: int):
-    """All dense exponent vectors over `arity` variables of exact `degree`."""
-    if arity == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _exponent_vectors(arity - 1, degree - first):
-            yield (first,) + rest
-
-
 def basis_count(theory, arity: int, max_degree: int) -> int:
-    kind = theory.kind
-    if kind == "trivial":
-        return arity
-    if kind == "zinbiel":
-        return sum(arity ** d for d in range(1, max_degree + 1))
-    total = sum(binomial(arity + d - 1, d) for d in range(1, max_degree + 1))
-    if kind == "polynomial":
-        total += 1
-    return total
+    count = theory.element._count
+    return sum(count(arity, d) for d in _degree_range(theory, max_degree))
 
 
 def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     """Complete, duplicate-free basis up to the degree bound."""
-    if theory.series_cap is not None:
-        max_degree = min(max_degree, theory.series_cap)
     if basis_count(theory, arity, max_degree) > ENUMERATION_LIMIT:
         raise TooLarge("basis enumeration exceeds the size bound")
-    kind = theory.kind
-    field = theory.field
-    out = []
-    if kind == "zinbiel":
-        for d in range(1, max_degree + 1):
-            for word in itertools.product(range(arity), repeat=d):
-                out.append(ZinElement(arity, field, {word: field.one()}))
-        return out
-    degrees = range(0 if kind == "polynomial" else 1, max_degree + 1)
-    for d in degrees:
-        for vec in _exponent_vectors(arity, d):
-            mi = MultiIndex.make(enumerate(vec))
-            if kind == "dividedpower":
-                out.append(DPElement(arity, field, {mi: field.one()}))
-            else:
-                out.append(SeriesElement(arity, theory.series_cap,
-                                         theory.series_reduced, field,
-                                         {mi: field.one()}))
-    return out
+    element = theory.element
+    shape = theory.shapes[arity]
+    one = theory.field.one()
+    return [element(*shape, {element._key((v, 1) for v in letters): one})
+            for d in _degree_range(theory, max_degree)
+            for letters in element._letters(range(arity), d)]
 
 
 # -- independent oracles ------------------------------------------------------

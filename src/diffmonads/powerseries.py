@@ -33,18 +33,20 @@ key below ``1 << WIDTH * (arity + 1)`` only if ``v < arity``, so the arity
 check is one comparison.
 
 Coefficients are raw canonical values (see :mod:`diffmonads.scalars`).
-:class:`MultiIndex` builds and reads keys; ``SeriesElement(...)`` and
-``from_terms`` are the public constructors and check everything, while
-internal results go through ``_make``, whose checks read only the degree
-field and the key's size.
+:class:`MultiIndex` builds and reads keys, and :class:`MonomialElement` gives
+:class:`diffmonads.element.Element` its key hooks for them.  The element
+checks of ``SeriesElement._check_keys`` read only the degree field and the
+key's size.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
+from .element import Element
 from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge
-from .scalars import FieldSpec, Scalar, accumulate, canonical
+from .scalars import FieldSpec, accumulate, binomial
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -162,31 +164,52 @@ def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
     return out
 
 
-class SeriesElement:
-    """A finitely supported map key -> nonzero raw coefficient, with shape
-    tags."""
+class MonomialElement(Element):
+    """The key hooks of :class:`Element` for packed monomial keys, shared by
+    series and divided powers."""
 
-    __slots__ = ("arity", "cap", "reduced", "field", "coeffs")
+    __slots__ = ()
+
+    _check_key = staticmethod(MultiIndex.check)
+    _pairs = staticmethod(MultiIndex.pairs)
+    _degree = staticmethod(MAX_DEGREE.__and__)
+    _shift = staticmethod(MultiIndex.shift)
+    _letters = staticmethod(itertools.combinations_with_replacement)
+
+    @staticmethod
+    def _key(pairs) -> int:
+        # Looked up per call, so that a wrapper put on MultiIndex.make (to
+        # count key constructions) sees these too.
+        return MultiIndex.make(pairs)
+
+    @staticmethod
+    def _count(arity: int, degree: int) -> int:
+        return binomial(arity + degree - 1, degree)
+
+    @staticmethod
+    def _order(key: int) -> tuple:
+        return key & MAX_DEGREE, MultiIndex.pairs(key)
+
+
+class SeriesElement(MonomialElement):
+    """A finitely supported map key -> nonzero raw coefficient, with shape
+    (arity, cap, reduced, field)."""
+
+    __slots__ = ()
+
+    SHAPE = ("arity", "cap", "reduced", "field")
+    notation = ("*", "", "")
 
     def __init__(self, arity: int, cap: int | None, reduced: bool,
                  field: FieldSpec, coeffs: dict):
         """Public constructor: keys from MultiIndex, values Scalars of
         ``field`` or ints (or Fractions over Q); zero values are dropped."""
-        raw = {}
-        for key, c in coeffs.items():
-            value = field.raw(c)
-            if value:
-                raw[MultiIndex.check(key)] = value
-        self._init(arity, cap, reduced, field, raw)
+        self._build((arity, cap, reduced, field), coeffs)
 
-    def _init(self, arity, cap, reduced, field, coeffs) -> None:
-        self.arity = arity
-        self.cap = cap
-        self.reduced = reduced
-        self.field = field
-        self.coeffs = coeffs
+    def _check_keys(self) -> None:
+        arity, cap, reduced, _ = self.shape
         bound = MultiIndex.bound(arity)
-        for key in coeffs:
+        for key in self.coeffs:
             deg = key & MAX_DEGREE
             if key >= bound:
                 raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
@@ -196,73 +219,17 @@ class SeriesElement:
             if cap is not None and deg > cap:
                 raise ShapeMismatch(f"degree {deg} exceeds cap {cap}")
 
-    @classmethod
-    def _make(cls, arity: int, cap: int | None, reduced: bool,
-              field: FieldSpec, coeffs: dict) -> "SeriesElement":
-        """Internal constructor: ``coeffs`` is already canonical."""
-        self = cls.__new__(cls)
-        self._init(arity, cap, reduced, field, coeffs)
-        return self
+    @property
+    def cap(self) -> int | None:
+        return self.shape[1]
 
-    # -- constructors -------------------------------------------------------
+    @property
+    def reduced(self) -> bool:
+        return self.shape[2]
 
-    @classmethod
-    def zero(cls, arity: int, field: FieldSpec, cap: int | None,
-             reduced: bool = True) -> "SeriesElement":
-        return cls._make(arity, cap, reduced, field, {})
-
-    @classmethod
-    def generator(cls, i: int, arity: int, field: FieldSpec, cap: int | None,
-                  reduced: bool = True) -> "SeriesElement":
-        """The degree-1 monomial x_i (the monad unit on basis vectors)."""
-        if not 0 <= i < arity:
-            raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls._make(arity, cap, reduced, field,
-                         {MultiIndex.single(i): 1})
-
-    @classmethod
-    def from_terms(cls, arity: int, field: FieldSpec, cap: int | None,
-                   reduced: bool, terms: Iterable[tuple[int, Scalar]]
-                   ) -> "SeriesElement":
-        coeffs: dict = {}
-        for key, c in terms:
-            accumulate(coeffs, key, field.raw(c), field.p)
-        return cls(arity, cap, reduced, field, coeffs)
-
-    # -- linear structure ---------------------------------------------------
-
-    def _check_shape(self, other: "SeriesElement") -> None:
-        if (self.arity, self.cap, self.reduced, self.field) != \
-           (other.arity, other.cap, other.reduced, other.field):
-            raise ShapeMismatch("series shapes differ")
-
-    def _like(self, coeffs: dict) -> "SeriesElement":
-        return SeriesElement._make(self.arity, self.cap, self.reduced,
-                                   self.field, coeffs)
-
-    def __add__(self, other: "SeriesElement") -> "SeriesElement":
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        p = self.field.p
-        for key, c in other.coeffs.items():
-            accumulate(out, key, c, p)
-        return self._like(out)
-
-    def __neg__(self) -> "SeriesElement":
-        p = self.field.p
-        return self._like({key: canonical(-c, p)
-                           for key, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SeriesElement") -> "SeriesElement":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "SeriesElement":
-        s = self.field.raw(s)
-        if not s:
-            return self._like({})
-        p = self.field.p
-        return self._like({key: canonical(c * s, p)
-                           for key, c in self.coeffs.items()})
+    @property
+    def _tag(self) -> str:
+        return "poly" if self.cap is None else f"series(cap={self.cap})"
 
     # -- multiplication -----------------------------------------------------
 
@@ -270,9 +237,9 @@ class SeriesElement:
         if (self.arity, self.cap, self.field) != (other.arity, other.cap, other.field):
             raise ShapeMismatch("series shapes differ")
         out = _product(self.coeffs, other.coeffs, self.cap, self.field.p)
-        return SeriesElement._make(self.arity, self.cap,
-                                   self.reduced and other.reduced,
-                                   self.field, out)
+        return SeriesElement._make(
+            (self.arity, self.cap, self.reduced and other.reduced, self.field),
+            out)
 
     # -- substitution (the monad multiplication on tuples) -------------------
 
@@ -283,38 +250,31 @@ class SeriesElement:
         Capped series require every argument to be reduced; the polynomial
         regime (cap None) also accepts constant-bearing arguments.
         """
-        if len(args) != self.arity:
-            raise ShapeMismatch(f"{self.arity} arguments expected, got {len(args)}")
-        if self.cap is not None and not self.reduced:
+        out_arity = self._target(args, arity)
+        _, cap, reduced_out, field = self.shape
+        if cap is not None and not reduced_out:
             raise NotReduced("capped substitution needs a reduced series")
-        if args:
-            out_arity = args[0].arity
-        elif arity is not None:
-            out_arity = arity
-        else:
-            raise ShapeMismatch("target arity required for nullary substitution")
-        reduced_out = self.reduced
         for a in args:
-            if (a.arity, a.cap, a.field) != (out_arity, self.cap, self.field):
+            _, a_cap, a_reduced, _ = a.shape
+            if a_cap != cap:
                 raise ShapeMismatch("substitution arguments disagree in shape")
-            if self.cap is not None and not a.reduced:
+            if cap is not None and not a_reduced:
                 raise NonReducedArgument("capped series composed with a "
                                          "constant-bearing argument")
-            reduced_out = reduced_out and a.reduced
+            reduced_out = reduced_out and a_reduced
 
-        cap = self.cap
-        p = self.field.p
+        p = field.p
         powers: dict[tuple[int, int], dict] = {}
 
         def var_power(i: int, e: int) -> dict:
-            key = (i, e)
-            got = powers.get(key)
-            if got is None:
-                if e == 1:
-                    got = args[i].coeffs
-                else:
-                    got = _product(var_power(i, e - 1), args[i].coeffs, cap, p)
-                powers[key] = got
+            """args[i]^e, from the highest power of args[i] computed so far."""
+            k = e
+            while k > 1 and (i, k) not in powers:
+                k -= 1
+            got = powers.get((i, k), args[i].coeffs)
+            while k < e:
+                k += 1
+                got = powers[i, k] = _product(got, args[i].coeffs, cap, p)
             return got
 
         result: dict = {}
@@ -331,7 +291,7 @@ class SeriesElement:
             else:
                 for k, ck in term.items():
                     accumulate(result, k, ck * c, p)
-        return SeriesElement._make(out_arity, cap, reduced_out, self.field,
+        return SeriesElement._make((out_arity, cap, reduced_out, field),
                                    result)
 
     # -- differentiation ------------------------------------------------------
@@ -348,7 +308,8 @@ class SeriesElement:
             if e:
                 accumulate(out, key - step, c * e, p)
         new_cap = None if self.cap is None else self.cap - 1
-        return SeriesElement._make(self.arity, new_cap, False, self.field, out)
+        return SeriesElement._make((self.arity, new_cap, False, self.field),
+                                   out)
 
     def partial_combinator(self) -> "SeriesElement":
         """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i.
@@ -365,20 +326,7 @@ class SeriesElement:
         for key, c in self.coeffs.items():
             for v, e in MultiIndex.pairs(key):
                 accumulate(out, MultiIndex.move(key, v, n + v), c * e, p)
-        return SeriesElement._make(2 * n, self.cap, self.reduced, self.field,
-                                   out)
-
-    def counit(self) -> tuple[Scalar, ...]:
-        """The degree-1 coefficient vector."""
-        out = [0] * self.arity
-        for key, c in self.coeffs.items():
-            if key & MAX_DEGREE == 1:
-                out[MultiIndex.pairs(key)[0][0]] = c
-        return tuple(Scalar(self.field, c) for c in out)
-
-    def terms(self) -> list[tuple[int, Scalar]]:
-        """The (key, coefficient) pairs with boxed coefficients."""
-        return [(key, Scalar(self.field, c)) for key, c in self.coeffs.items()]
+        return SeriesElement._make((2 * n,) + self.shape[1:], out)
 
     # -- shape utilities ------------------------------------------------------
 
@@ -387,31 +335,5 @@ class SeriesElement:
             raise ShapeMismatch("cannot raise a degree cap")
         out = {key: c for key, c in self.coeffs.items()
                if key & MAX_DEGREE <= new_cap}
-        return SeriesElement._make(self.arity, new_cap, self.reduced,
-                                   self.field, out)
-
-    def extend_arity(self, new_arity: int, offset: int = 0) -> "SeriesElement":
-        """Relabel into a wider variable block (the functor on an injection)."""
-        if offset < 0 or self.arity + offset > new_arity:
-            raise ShapeMismatch("block does not fit in the new arity")
         return SeriesElement._make(
-            new_arity, self.cap, self.reduced, self.field,
-            {MultiIndex.shift(key, offset): c
-             for key, c in self.coeffs.items()})
-
-    def degrees(self) -> list[int]:
-        return [key & MAX_DEGREE for key in self.coeffs]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesElement):
-            return NotImplemented
-        return (self.arity, self.cap, self.reduced, self.field) == \
-               (other.arity, other.cap, other.reduced, other.field) and \
-               self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        kind = "poly" if self.cap is None else f"series(cap={self.cap})"
-        return f"<{kind} arity={self.arity} terms={len(self.coeffs)}>"
+            (self.arity, new_cap, self.reduced, self.field), out)

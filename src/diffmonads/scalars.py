@@ -257,10 +257,6 @@ class Scalar:
         return f"Scalar({self.field!r}, {self.value!r})"
 
 
-def embed_int(n: int, field: FieldSpec) -> Scalar:
-    return field.embed(n)
-
-
 # -- integer combinatorics -------------------------------------------------
 
 

@@ -20,12 +20,12 @@ joined with ``+`` and ``-``.  The zero element prints as ``0``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .dividedpower import DPElement
-from .errors import ArityError, ParseError, ShapeMismatch
-from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
+from .element import Element
+from .errors import ArityError, ParseError, ShapeMismatch, TooLarge
+from .powerseries import EMPTY_INDEX
 from .scalars import FieldSpec, Scalar
-from .zinbiel import ZinElement
 
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)|(?P<sym>[+\-*/^\[\].])")
 
@@ -37,25 +37,28 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", int(m.group()), pos))
-        elif m.lastgroup == "var":
-            name = m.group()
-            q = len(name) - len(name.lstrip("d"))
-            tokens.append(("var", (q, int(name[q + 1:])), pos))
-        elif m.lastgroup == "sym":
-            tokens.append((m.group(), None, pos))
+        try:
+            if m.lastgroup == "num":
+                tokens.append(("num", int(m.group()), pos))
+            elif m.lastgroup == "var":
+                name = m.group()
+                q = len(name) - len(name.lstrip("d"))
+                tokens.append(("var", (q, int(name[q + 1:])), pos))
+            elif m.lastgroup == "sym":
+                tokens.append((m.group(), None, pos))
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError("number too long", pos) from None
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, kind: str, field: FieldSpec,
+    def __init__(self, text: str, element: type, field: FieldSpec,
                  arity: int, base_arity: int):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.kind = kind
+        self.element = element
         self.field = field
         self.arity = arity
         self.base = base_arity
@@ -92,33 +95,31 @@ class _Parser:
         return self.field.embed(num)
 
     def basis(self):
-        """One monomial or word; returns a key or None for a bare scalar."""
-        if self.kind == "zinbiel":
-            letters = [self.var_index()]
-            while self.peek() == ".":
-                self.take()
-                letters.append(self.var_index())
-            return tuple(letters)
+        """One monomial or word, as a key.
+
+        Factors are joined by the element's separator; a monomial's factor
+        may carry an exponent in the element's brackets, and its separator
+        joins only when a variable follows.
+        """
+        sep, opening, closing = self.element.notation
         pairs = []
         while True:
             v = self.var_index()
             e = 1
-            if self.peek() == "^":
+            if opening is not None and self.peek() == "^":
                 self.take()
-                if self.kind == "dividedpower":
-                    self.take("[")
-                    e, pos = self.take("num")
-                    self.take("]")
-                else:
-                    e, pos = self.take("num")
+                if opening:
+                    self.take(opening)
+                e, pos = self.take("num")
+                if closing:
+                    self.take(closing)
                 if e < 1:
                     raise ParseError("exponents must be positive", pos)
             pairs.append((v, e))
-            if self.peek() == "*" and self.tokens[self.i + 1][0] == "var":
-                self.take()
-                continue
-            break
-        return MultiIndex.make(pairs)
+            if self.peek() != sep or (opening is not None and
+                                      self.tokens[self.i + 1][0] != "var"):
+                return self.element._key(pairs)
+            self.take()
 
     def term(self):
         if self.peek() == "num":
@@ -150,24 +151,20 @@ class _Parser:
 def parse_element(text: str, theory, arity: int, base_arity: int | None = None):
     """Parse an expression into the theory's element type over ``arity``."""
     base = base_arity if base_arity is not None else arity
-    parser = _Parser(text, theory.kind, theory.field, arity, base)
+    parser = _Parser(text, theory.element, theory.field, arity, base)
     terms = parser.expression()
-    constants_ok = theory.kind == "polynomial"
-    if not constants_ok and any(k is None for k, _ in terms):
+    if theory.reduced and any(k is None for k, _ in terms):
         raise ParseError("constant terms are only allowed in the polynomial "
                          "theory", 0)
-    if theory.kind == "zinbiel":
-        return ZinElement.from_terms(arity, theory.field, terms)
-    if theory.kind == "dividedpower":
-        return DPElement.from_terms(arity, theory.field, terms)
-    fixed = [(EMPTY_INDEX if k is None else k, c) for k, c in terms]
-    return SeriesElement.from_terms(arity, theory.field, theory.series_cap,
-                                    theory.series_reduced, fixed)
+    return theory.element.from_terms(
+        *theory.shapes[arity],
+        [(EMPTY_INDEX if k is None else k, c) for k, c in terms])
 
 
 # -- printing ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)  # printing asks for the same few names again
 def variable_name(i: int, base: int) -> str:
     q, r = divmod(i, base)
     return "d" * q + f"x{r + 1}"
@@ -176,34 +173,29 @@ def variable_name(i: int, base: int) -> str:
 def _scalar_sign_split(value, p: int | None) -> tuple[bool, str]:
     """(is_negative, magnitude) of a raw coefficient for joining with + and -
     (Q only has signs)."""
-    if p is None and value < 0:
-        return True, str(-value)
-    return False, str(value)
-
-
-def _monomial_order(key: int) -> tuple:
-    """Degree first, then the sorted (var, exp) pairs."""
-    return MultiIndex.degree(key), MultiIndex.pairs(key)
+    try:
+        if p is None and value < 0:
+            return True, str(-value)
+        return False, str(value)
+    except ValueError:  # past the interpreter's digit limit
+        raise TooLarge("a coefficient has too many digits to print") \
+            from None
 
 
 def format_element(elem, base_arity: int | None = None) -> str:
-    base = base_arity if base_arity is not None else elem.arity
-    if isinstance(elem, ZinElement):
-        keys = sorted(elem.coeffs, key=lambda w: (len(w), w))
-        render = lambda w: ".".join(variable_name(i, base) for i in w)
-    elif isinstance(elem, DPElement):
-        keys = sorted(elem.coeffs, key=_monomial_order)
-        render = lambda mi: "*".join(f"{variable_name(v, base)}^[{e}]"
-                                     for v, e in MultiIndex.pairs(mi))
-    elif isinstance(elem, SeriesElement):
-        keys = sorted(elem.coeffs, key=_monomial_order)
-
-        def render(mi):
-            return "*".join(variable_name(v, base) +
-                            (f"^{e}" if e > 1 else "")
-                            for v, e in MultiIndex.pairs(mi))
-    else:
+    """Terms by degree, then by their (variable, exponent) pairs; exponents
+    in brackets always, bare ones only above 1."""
+    if not isinstance(elem, Element):
         raise ShapeMismatch(f"cannot format {type(elem).__name__}")
+    base = base_arity if base_arity is not None else elem.arity
+    sep, opening, closing = elem.notation
+    pairs = elem._pairs
+    keys = sorted(elem.coeffs, key=elem._order)
+
+    def render(key):
+        return sep.join(variable_name(v, base) +
+                        (f"^{opening}{e}{closing}" if e > 1 or opening else "")
+                        for v, e in pairs(key))
     if not keys:
         return "0"
     pieces = []

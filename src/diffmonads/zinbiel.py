@@ -21,15 +21,22 @@ keys stay tuples.
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
-from typing import Iterable, Sequence
+from math import comb
+from operator import itemgetter
+from typing import Sequence
 
 from .dividedpower import DPElement
-from .errors import ShapeMismatch
+from .element import Element
+from .errors import ShapeMismatch, TooLarge
 from .powerseries import MultiIndex
-from .scalars import FieldSpec, Scalar, accumulate, canonical
+from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, canonical,
+                      multinomial)
 
 Word = tuple  # nonempty tuple of variable indices
+
+_variable = itemgetter(0)  # of a (variable, exponent) pair
 
 
 def _shuffles(u: Word, w: Word):
@@ -46,111 +53,80 @@ def _shuffles(u: Word, w: Word):
         yield (w[0],) + tail
 
 
-def _arrangements(counts: list[tuple[int, int]]):
-    """Distinct words using each variable with the given multiplicity."""
-    total = sum(c for _, c in counts)
-    if total == 0:
-        yield ()
-        return
-    for k, (var, c) in enumerate(counts):
-        if c == 0:
-            continue
-        rest = list(counts)
-        rest[k] = (var, c - 1)
-        for tail in _arrangements(rest):
-            yield (var,) + tail
+def _arrangements(letters: list[int]):
+    """Distinct words using each of ``letters`` once, in lexicographic order
+    (the next-permutation algorithm, so long words need no recursion)."""
+    word = sorted(letters)
+    last = len(word) - 1
+    while True:
+        yield tuple(word)
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
-class ZinElement:
+class ZinElement(Element):
     """Finitely supported combination of words, as a map word -> nonzero raw
-    coefficient."""
+    coefficient, with shape (arity, field)."""
 
-    __slots__ = ("arity", "field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, arity: int, field: FieldSpec, coeffs: dict):
-        """Public constructor: values Scalars of ``field`` or ints (or
-        Fractions over Q); zero values are dropped."""
-        raw = {}
-        for w, c in coeffs.items():
-            value = field.raw(c)
-            if value:
-                raw[w] = value
-        self._init(arity, field, raw)
+    notation = (".", None, None)
+    _tag = "zinbiel"
+    _degree = staticmethod(len)
 
-    def _init(self, arity, field, coeffs) -> None:
-        self.arity = arity
-        self.field = field
-        self.coeffs = coeffs
-        for w in coeffs:
+    def _check_keys(self) -> None:
+        arity = self.arity
+        for w in self.coeffs:
             if len(w) < 1:
                 raise ShapeMismatch("empty word")
             if max(w) >= arity:
                 raise ShapeMismatch(f"word {w} exceeds arity {arity}")
 
-    @classmethod
-    def _make(cls, arity: int, field: FieldSpec, coeffs: dict) -> "ZinElement":
-        """Internal constructor: ``coeffs`` is already canonical."""
-        self = cls.__new__(cls)
-        self._init(arity, field, coeffs)
-        return self
+    @staticmethod
+    def _key(pairs) -> Word:
+        return tuple(map(_variable, pairs))
 
-    # -- constructors -------------------------------------------------------
+    @staticmethod
+    def _pairs(w: Word):
+        return zip(w, itertools.repeat(1))
 
-    @classmethod
-    def zero(cls, arity: int, field: FieldSpec) -> "ZinElement":
-        return cls._make(arity, field, {})
+    @staticmethod
+    def _shift(w: Word, offset: int) -> Word:
+        return tuple(i + offset for i in w)
 
-    @classmethod
-    def generator(cls, i: int, arity: int, field: FieldSpec) -> "ZinElement":
-        """The one-letter word at variable i (the monad unit)."""
-        if not 0 <= i < arity:
-            raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        return cls._make(arity, field, {(i,): 1})
+    @staticmethod
+    def _letters(variables, degree: int):
+        return itertools.product(variables, repeat=degree)
 
-    @classmethod
-    def from_terms(cls, arity: int, field: FieldSpec,
-                   terms: Iterable[tuple[Word, Scalar]]) -> "ZinElement":
-        coeffs: dict = {}
-        for w, c in terms:
-            accumulate(coeffs, w, field.raw(c), field.p)
-        return cls(arity, field, coeffs)
+    @staticmethod
+    def _count(arity: int, degree: int) -> int:
+        return arity ** degree
 
-    # -- linear structure ---------------------------------------------------
-
-    def _check_shape(self, other: "ZinElement") -> None:
-        if (self.arity, self.field) != (other.arity, other.field):
-            raise ShapeMismatch("word algebra shapes differ")
-
-    def __add__(self, other: "ZinElement") -> "ZinElement":
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        p = self.field.p
-        for w, c in other.coeffs.items():
-            accumulate(out, w, c, p)
-        return ZinElement._make(self.arity, self.field, out)
-
-    def __neg__(self) -> "ZinElement":
-        p = self.field.p
-        return ZinElement._make(self.arity, self.field,
-                                {w: canonical(-c, p)
-                                 for w, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ZinElement") -> "ZinElement":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "ZinElement":
-        s = self.field.raw(s)
-        if not s:
-            return ZinElement._make(self.arity, self.field, {})
-        p = self.field.p
-        return ZinElement._make(self.arity, self.field,
-                                {w: canonical(c * s, p)
-                                 for w, c in self.coeffs.items()})
+    @staticmethod
+    def _order(w: Word) -> tuple:
+        return len(w), w
 
     # -- products -----------------------------------------------------------
 
     def half_shuffle(self, other: "ZinElement") -> "ZinElement":
+        """Sum of v < w over the term pairs.
+
+        Words of lengths n and m have C(n-1+m, m) interleavings; above
+        ``ENUMERATION_LIMIT`` of them in all it raises TooLarge up front.
+        """
         self._check_shape(other)
+        count = sum(comb(len(v) - 1 + len(w), len(w))
+                    for v in self.coeffs for w in other.coeffs)
+        if count > ENUMERATION_LIMIT:
+            raise TooLarge(f"half-shuffle expands over {count} interleavings")
         p = self.field.p
         out: dict = {}
         for v, cv in self.coeffs.items():
@@ -159,7 +135,7 @@ class ZinElement:
                 c = cv * cw
                 for s in _shuffles(tail, w):
                     accumulate(out, head + s, c, p)
-        return ZinElement._make(self.arity, self.field, out)
+        return self._like(out)
 
     def __mul__(self, other: "ZinElement") -> "ZinElement":
         """The shuffle product a<b + b<a (commutative and associative)."""
@@ -169,24 +145,14 @@ class ZinElement:
 
     def substitute(self, args: Sequence["ZinElement"],
                    arity: int | None = None) -> "ZinElement":
-        if len(args) != self.arity:
-            raise ShapeMismatch(f"{self.arity} arguments expected, got {len(args)}")
-        if args:
-            out_arity = args[0].arity
-        elif arity is not None:
-            out_arity = arity
-        else:
-            raise ShapeMismatch("target arity required for nullary substitution")
-        for a in args:
-            if (a.arity, a.field) != (out_arity, self.field):
-                raise ShapeMismatch("substitution arguments disagree in shape")
+        out_arity = self._target(args, arity)
         p = self.field.p
         result: dict = {}
         for w, c in self.coeffs.items():
             term = right_nested([args[i] for i in w])
             for word, cw in term.coeffs.items():
                 accumulate(result, word, cw * c, p)
-        return ZinElement._make(out_arity, self.field, result)
+        return ZinElement._make((out_arity, self.field), result)
 
     # -- differentiation --------------------------------------------------------
 
@@ -208,50 +174,13 @@ class ZinElement:
                 const += c
             else:
                 accumulate(out, w[1:], c, p)
-        return (ZinElement._make(self.arity, self.field, out),
-                Scalar(self.field, canonical(const, p)))
+        return self._like(out), Scalar(self.field, canonical(const, p))
 
     def partial_combinator(self) -> "ZinElement":
         """Move the first letter of every word into the dual block n+i."""
         n = self.arity
         out = {(n + w[0],) + w[1:]: c for w, c in self.coeffs.items()}
-        return ZinElement._make(2 * n, self.field, out)
-
-    def counit(self) -> tuple[Scalar, ...]:
-        """Coefficients of the one-letter words."""
-        out = [0] * self.arity
-        for w, c in self.coeffs.items():
-            if len(w) == 1:
-                out[w[0]] = c
-        return tuple(Scalar(self.field, c) for c in out)
-
-    def terms(self) -> list[tuple[Word, Scalar]]:
-        """The (word, coefficient) pairs with boxed coefficients."""
-        return [(w, Scalar(self.field, c)) for w, c in self.coeffs.items()]
-
-    # -- shape utilities -----------------------------------------------------------
-
-    def extend_arity(self, new_arity: int, offset: int = 0) -> "ZinElement":
-        if offset < 0 or self.arity + offset > new_arity:
-            raise ShapeMismatch("block does not fit in the new arity")
-        return ZinElement._make(new_arity, self.field,
-                                {tuple(i + offset for i in w): c
-                                 for w, c in self.coeffs.items()})
-
-    def degrees(self) -> list[int]:
-        return [len(w) for w in self.coeffs]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZinElement):
-            return NotImplemented
-        return (self.arity, self.field) == (other.arity, other.field) and \
-            self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"<zinbiel arity={self.arity} terms={len(self.coeffs)}>"
+        return ZinElement._make((2 * n, self.field), out)
 
 
 def right_nested(elems: Sequence[ZinElement]) -> ZinElement:
@@ -268,14 +197,20 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
     A monomial x_1^[r_1]...x_p^[r_p] becomes the sum of all distinct words
     using x_i exactly r_i times, each with coefficient one.  This is an
     algebra map for the shuffle product, but it does not commute with the
-    differential combinators.
+    differential combinators.  A monomial with more than
+    ``ENUMERATION_LIMIT`` such words, the multinomial of its exponents,
+    raises TooLarge up front.
     """
     p = f.field.p
     out: dict = {}
     for key, c in f.coeffs.items():
-        for w in _arrangements(list(MultiIndex.pairs(key))):
+        pairs = MultiIndex.pairs(key)
+        count = multinomial(e for _, e in pairs)
+        if count > ENUMERATION_LIMIT:
+            raise TooLarge(f"a monomial expands into {count} words")
+        for w in _arrangements([v for v, e in pairs for _ in range(e)]):
             accumulate(out, w, c, p)
-    return ZinElement._make(f.arity, f.field, out)
+    return ZinElement._make(f.shape, out)
 
 
 def integral_candidate(g: ZinElement) -> ZinElement:
@@ -293,4 +228,4 @@ def integral_candidate(g: ZinElement) -> ZinElement:
     for w, c in g.coeffs.items():
         folded = tuple(i if i < half else i - half for i in w)
         accumulate(out, folded, c, p)
-    return ZinElement._make(half, g.field, out)
+    return ZinElement._make((half, g.field), out)

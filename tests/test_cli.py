@@ -1,8 +1,10 @@
 import io
 import json
 import contextlib
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import diffmonads as dm
 from diffmonads.cli import main
@@ -165,3 +167,117 @@ def test_unbounded_divided_power_exits_2_quickly():
     assert code == 2
     assert "compositions" in err
     assert time.perf_counter() - started < 1.0
+
+
+def test_high_powers_compose_without_recursion():
+    code, out, err = run_cli("compose", "--theory", "power", "--cap", "5000",
+                             "x1^2000", "/", "x1")
+    assert (code, out.strip(), err) == (0, "x1^2000", "")
+    code, out, err = run_cli("compose", "--theory", "poly", "x1^3000", "/",
+                             "x1")
+    assert (code, out.strip(), err) == (0, "x1^3000", "")
+
+
+def test_long_word_product_exits_2_quickly():
+    word = ".".join(f"x{i % 3 + 1}" for i in range(24))
+    started = time.perf_counter()
+    code, _, err = run_cli("mul", "--theory", "zinbiel", word, word)
+    assert code == 2
+    assert err.startswith("error:") and "interleavings" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_large_conversion_exits_2_quickly():
+    started = time.perf_counter()
+    code, _, err = run_cli("convert", "x1^[12]*x2^[12]")
+    assert code == 2
+    assert err.startswith("error:") and "words" in err
+    assert time.perf_counter() - started < 1.0
+    code, out, _ = run_cli("convert", "x1^[9]*x2^[9]")
+    assert code == 0 and len(out.split(" + ")) == 48620
+    code, out, _ = run_cli("convert", "x1^[3000]")
+    assert code == 0 and out.strip() == ".".join(["x1"] * 3000)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_check_needs_at_least_one_trial(trials):
+    code, out, err = run_cli("check", "--theory", "trivial", "--trials",
+                             trials)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+# -- fuzz: any argv from a small grammar exits 0, 1 or 2 ----------------------
+
+_MALFORMED = ("x0", "x1^", "x1^[2", "x1..x2", "1/0", "+", "x1^0", "3*",
+              "x1*3", "dx", "@missing.json", "/", "--cap", "-3", "#", "")
+
+
+@st.composite
+def _expression(draw, big: bool | None = None):
+    """Sums of small terms in any notation, one high power of a variable
+    (exponents up to 3000), or a word of up to 24 letters."""
+    shape = draw(st.sampled_from(("small", "big", "word"))) if big is None \
+        else ("big" if big else "small")
+    var = st.integers(1, 3).map(lambda k: f"x{k}")
+    if shape == "word":
+        return ".".join(draw(st.lists(var, min_size=1, max_size=24)))
+    if shape == "big":
+        e = draw(st.integers(1, 3000))
+        return draw(var) + draw(st.sampled_from((f"^{e}", f"^[{e}]")))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [draw(var) + draw(st.sampled_from(
+            ("", "^2", "^3", "^[1]", "^[2]", ".x1", ".x2.x3")))
+            for _ in range(draw(st.integers(1, 2)))]
+        coeff = draw(st.sampled_from(("", "2*", "3/2*", "-1*")))
+        terms.append(coeff + "*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ("derive", "compose", "mul", "dpow", "convert", "integrate", "check")))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += ["--theory",
+                 draw(st.sampled_from([s.cli for s in dm.THEORIES.values()]))]
+    argv += ["--field", draw(st.sampled_from(("Q", "F2", "F5", "F4")))]
+    if draw(st.booleans()):
+        argv += ["--cap", str(draw(st.sampled_from((-1, 0, 1, 2, 4, 5000))))]
+    if draw(st.booleans()):
+        argv += ["--arity", str(draw(st.integers(0, 4)))]
+    if command == "check":
+        argv += ["--trials", str(draw(st.integers(-1, 2))),
+                 "--seed", str(draw(st.integers(0, 10 ** 6)))]
+        operands = []
+    elif command == "compose":
+        # A high outer power of a many-term inner sum has no size bound,
+        # so a high outer power gets one high power or variable inside.
+        outer = draw(_expression())
+        big = None if "^" not in outer or "*" in outer else True
+        operands = [outer, "/"] + [draw(_expression(big=big)) for _ in
+                                   range(draw(st.integers(1, 2)))]
+    elif command == "mul":
+        operands = [draw(_expression()), draw(_expression())]
+    elif command == "dpow":
+        operands = [draw(_expression()),
+                    str(draw(st.sampled_from((-1, 0, 1, 2, 3, 40))))]
+    else:
+        operands = [draw(_expression())]
+    if draw(st.integers(0, 3)) == 0:
+        operands.insert(draw(st.integers(0, len(operands))),
+                        draw(st.sampled_from(_MALFORMED)))
+    return argv + ["--"] + operands
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+@example(["dpow", "--field", "Q", "--", "x1^[69]", "40"])  # 4500 digits
+@example(["convert", "--", "x1^[2000]"])
+@example(["derive", "--theory", "poly", "--", "1" * 5000 + "*x1"])
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

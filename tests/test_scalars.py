@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
 from diffmonads import (DivisionByZero, MixedFields, Scalar, binomial,
-                        dp_power_coeff, embed_int, factorial, multinomial,
+                        dp_power_coeff, factorial, multinomial,
                         prime_field, rationals)
 
 Q = rationals()

@@ -41,7 +41,7 @@ def elements(draw, field, cap, reduced, arity, max_degree=3):
         else:
             c = field.embed(draw(st.integers(-4, 4)))
         terms.append((MultiIndex.make(enumerate(exps)), c))
-    return SeriesElement.from_terms(arity, field, cap, reduced, terms)
+    return SeriesElement.from_terms(arity, cap, reduced, field, terms)
 
 
 def to_sympy(elem, syms):
