@@ -2,8 +2,16 @@
 
 Morphisms n -> m are m-tuples of elements over n variables; composition is
 substitution.  Products of objects are sums of arities, which makes the
-structural maps (projections, injections, the sum map, the lift map ell and
-the interchange map c) tuples of variables, sums of variables, or zeros.
+structural maps (identities, projections, injections, the sum map, the lift
+map ell and the interchange map c) linear: each component is a sum of
+variables or zero.  A structural map carries that *linear spec*, the tuple of
+variables that each component sums, and its components are built once per
+theory and spec.  Composing along it rewrites the keys of the outer
+components directly (``substitute_linear``) where the theory's keys can follow
+the spec; packed monomials follow renamings, and a spec with sums (the sum
+map) takes the generic substitution of the memoized components.  The generic
+substitution, which the monad laws, CD.5, dc.4 and the registration check
+still exercise, is the oracle of the key rewrites.
 Differentiation applies the theory's combinator componentwise and doubles the
 source arity.
 
@@ -93,7 +101,8 @@ class Theory:
     degree.
     """
 
-    __slots__ = ("kind", "spec", "element", "field", "cap", "shapes")
+    __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
+                 "structural")
 
     def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
         spec = THEORIES.get(kind)
@@ -110,6 +119,7 @@ class Theory:
         self.cap = cap
         self.shapes = _Shapes(tuple(getattr(self, name)
                                     for name in self.element.SHAPE[1:]))
+        self.structural: dict = {}  # (source, spec) -> the components
 
     @property
     def name(self) -> str:
@@ -129,10 +139,34 @@ class Theory:
         if not 0 <= i < arity:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
         element = self.element
-        return element._make(self.shapes[arity], {element._key(((i, 1),)): 1})
+        return element._make(self.shapes[arity],
+                             {element._key_of_letters((i,)): 1})
 
     def eta_tuple(self, arity: int) -> tuple:
-        return tuple(self.eta(i, arity) for i in range(arity))
+        return self.linear_components(arity, _block(0, arity))
+
+    def linear_components(self, source: int, spec: tuple) -> tuple:
+        """The components of the structural map source -> len(spec): the i-th
+        is the sum of the variables in ``spec[i]`` (zero when it is empty).
+
+        Structural maps are immutable, so the components are built once per
+        theory and spec; ``spec`` is a tuple of tuples of variable indices.
+        The memo holds no morphism, which would refer back to the theory and
+        keep it alive until a garbage collection.
+        """
+        comps = self.structural.get((source, spec))
+        if comps is None:
+            comps = self.structural[source, spec] = tuple(
+                sum((self.eta(i, source) for i in variables), self.zero(source))
+                for variables in spec)
+        return comps
+
+    def linear_map(self, source: int, spec: tuple) -> "Morphism":
+        """The structural map source -> len(spec) of linear spec ``spec``."""
+        got = Morphism(self, source, len(spec),
+                       self.linear_components(source, spec))
+        got.linear = spec
+        return got
 
     # -- the differential structure ------------------------------------------
 
@@ -180,9 +214,13 @@ def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
 
 
 class Morphism:
-    """An m-tuple of elements over n variables: a map n -> m."""
+    """An m-tuple of elements over n variables: a map n -> m.
 
-    __slots__ = ("theory", "source", "target", "components")
+    ``linear`` is the linear spec of a structural map (see
+    :meth:`Theory.linear_map`) and None for every other morphism.
+    """
+
+    __slots__ = ("theory", "source", "target", "components", "linear")
 
     def __init__(self, theory: Theory, source: int, target: int, components):
         components = tuple(components)
@@ -197,11 +235,11 @@ class Morphism:
         self.source = source
         self.target = target
         self.components = components
+        self.linear = None
 
-    @classmethod
-    def zero(cls, theory: Theory, source: int, target: int) -> "Morphism":
-        return cls(theory, source, target,
-                   tuple(theory.zero(source) for _ in range(target)))
+    @staticmethod
+    def zero(theory: Theory, source: int, target: int) -> "Morphism":
+        return theory.linear_map(source, ((),) * target)
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if (self.theory, self.source, self.target) != \
@@ -223,20 +261,39 @@ class Morphism:
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner: substitute inner's components into outer's."""
+    """outer after inner: substitute inner's components into outer's, or,
+    when inner is a structural map, compose each along its spec (``_along``)."""
     if outer.theory != inner.theory:
         raise ShapeMismatch("morphisms from different theories")
     if outer.source != inner.target:
         raise ShapeMismatch(f"cannot compose {inner.target} -> with "
                             f"source {outer.source}")
-    comps = tuple(c.substitute(inner.components, arity=inner.source)
-                  for c in outer.components)
+    spec = inner.linear
+    if spec is None:
+        comps = tuple(c.substitute(inner.components, arity=inner.source)
+                      for c in outer.components)
+    else:
+        comps = tuple(_along(inner.theory, c, inner.source, spec)
+                      for c in outer.components)
     return Morphism(outer.theory, inner.source, outer.target, comps)
+
+
+def _along(theory: Theory, f, source: int, spec: tuple):
+    """The element f composed with the structural map source -> len(spec) of
+    linear spec ``spec``: its keys rewritten where the theory can follow the
+    spec, else the generic substitution of the map's memoized components."""
+    got = f.substitute_linear(spec, source)
+    if got is None:
+        got = f.substitute(theory.linear_components(source, spec),
+                           arity=source)
+    return got
 
 
 def pairing(p: Morphism, q: Morphism) -> Morphism:
     if p.theory != q.theory or p.source != q.source:
         raise ShapeMismatch("pairing needs a common source")
+    if p.linear is not None and q.linear is not None:
+        return p.theory.linear_map(p.source, p.linear + q.linear)
     return Morphism(p.theory, p.source, p.target + q.target,
                     p.components + q.components)
 
@@ -246,55 +303,72 @@ def product_map(p: Morphism, q: Morphism) -> Morphism:
     if p.theory != q.theory:
         raise ShapeMismatch("morphisms from different theories")
     src = p.source + q.source
+    if p.linear is not None and q.linear is not None:
+        shifted = tuple(tuple(p.source + i for i in variables)
+                        for variables in q.linear)
+        return p.theory.linear_map(src, p.linear + shifted)
     left = tuple(c.extend_arity(src, 0) for c in p.components)
     right = tuple(c.extend_arity(src, p.source) for c in q.components)
     return Morphism(p.theory, src, p.target + q.target, left + right)
 
 
+def _block(start: int, count: int) -> tuple:
+    """The spec of the variables start, ..., start + count - 1, one each."""
+    return tuple((i,) for i in range(start, start + count))
+
+
+def _injection_spec(n: int, m: int, which: int) -> tuple:
+    """The spec of iota_0 : n -> n + m or of iota_1 : m -> n + m."""
+    if which == 0:
+        return _block(0, n) + ((),) * m
+    return ((),) * n + _block(0, m)
+
+
+def _lift_spec(n: int) -> tuple:
+    """The spec of ell = iota_0 x iota_1 : n x n -> (n x n) x (n x n)."""
+    return _block(0, n) + ((),) * (2 * n) + _block(n, n)
+
+
+def _interchange_spec(n: int) -> tuple:
+    """The spec of c = <pi_0 x pi_0, pi_1 x pi_1>, which swaps the middle
+    blocks of (n x n) x (n x n)."""
+    return _block(0, n) + _block(2 * n, n) + _block(n, n) + _block(3 * n, n)
+
+
 def identity(theory: Theory, n: int) -> Morphism:
-    return Morphism(theory, n, n, theory.eta_tuple(n))
+    return theory.linear_map(n, _block(0, n))
 
 
 def projection(theory: Theory, n: int, m: int, which: int) -> Morphism:
     """pi_0 or pi_1 out of the product n x m = n + m."""
     if which == 0:
-        comps = tuple(theory.eta(i, n + m) for i in range(n))
-        return Morphism(theory, n + m, n, comps)
-    comps = tuple(theory.eta(n + i, n + m) for i in range(m))
-    return Morphism(theory, n + m, m, comps)
+        return theory.linear_map(n + m, _block(0, n))
+    return theory.linear_map(n + m, _block(n, m))
 
 
 def injection(theory: Theory, n: int, m: int, which: int) -> Morphism:
     """iota_0 = <1, 0> : n -> n + m or iota_1 = <0, 1> : m -> n + m."""
-    if which == 0:
-        comps = theory.eta_tuple(n) + tuple(theory.zero(n) for _ in range(m))
-        return Morphism(theory, n, n + m, comps)
-    comps = tuple(theory.zero(m) for _ in range(n)) + theory.eta_tuple(m)
-    return Morphism(theory, m, n + m, comps)
+    return theory.linear_map(n if which == 0 else m,
+                             _injection_spec(n, m, which))
 
 
 def diagonal(theory: Theory, n: int) -> Morphism:
-    comps = theory.eta_tuple(n)
-    return Morphism(theory, n, 2 * n, comps + comps)
+    return theory.linear_map(n, _block(0, n) * 2)
 
 
 def codiagonal(theory: Theory, n: int) -> Morphism:
     """The sum map pi_0 + pi_1 : n x n -> n."""
-    comps = tuple(theory.eta(i, 2 * n) + theory.eta(n + i, 2 * n)
-                  for i in range(n))
-    return Morphism(theory, 2 * n, n, comps)
+    return theory.linear_map(2 * n, tuple((i, n + i) for i in range(n)))
 
 
 def lift_map(theory: Theory, n: int) -> Morphism:
     """ell = iota_0 x iota_1 : n x n -> (n x n) x (n x n)."""
-    return product_map(injection(theory, n, n, 0), injection(theory, n, n, 1))
+    return theory.linear_map(2 * n, _lift_spec(n))
 
 
 def interchange_map(theory: Theory, n: int) -> Morphism:
     """c = <pi_0 x pi_0, pi_1 x pi_1>, swapping the middle blocks."""
-    p0 = projection(theory, n, n, 0)
-    p1 = projection(theory, n, n, 1)
-    return pairing(product_map(p0, p0), product_map(p1, p1))
+    return theory.linear_map(4 * n, _interchange_spec(n))
 
 
 def differentiate(p: Morphism) -> Morphism:
@@ -509,27 +583,11 @@ def _cd7(theory, cfg, rng):
 # -- the dc axioms on elements -------------------------------------------------
 
 
-def _images(theory, spec: list, arity: int) -> list:
-    """Generator images for a linear map; spec entries are None or target
-    indices (an iterable meaning a sum of variables)."""
-    out = []
-    for entry in spec:
-        if entry is None:
-            out.append(theory.zero(arity))
-        else:
-            elem = theory.zero(arity)
-            for i in entry:
-                elem = elem + theory.eta(i, arity)
-            out.append(elem)
-    return out
-
-
 def _dc1(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     t = _rand_elem(theory, cfg, rng, n, "dc.1")
     dt = theory.partial(t)
-    spec = [[i] for i in range(n)] + [None] * n
-    lhs = dt.substitute(_images(theory, spec, n), arity=n)
+    lhs = _along(theory, dt, n, _injection_spec(n, n, 0))
     zero = theory.zero(n)
     if lhs != zero:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), "0"
@@ -540,13 +598,11 @@ def _dc2(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     t = _rand_elem(theory, cfg, rng, n, "dc.2")
     dt = theory.partial(t)
-    first = [[i] for i in range(n)]
-    delta = _images(theory, first + [[n + i, 2 * n + i] for i in range(n)], 3 * n)
-    into0 = _images(theory, first + [[n + i] for i in range(n)], 3 * n)
-    into1 = _images(theory, first + [[2 * n + i] for i in range(n)], 3 * n)
-    lhs = dt.substitute(delta, arity=3 * n)
-    rhs = dt.substitute(into0, arity=3 * n) + \
-        dt.substitute(into1, arity=3 * n)
+    first = _block(0, n)
+    nabla = tuple((n + i, 2 * n + i) for i in range(n))
+    lhs = _along(theory, dt, 3 * n, first + nabla)
+    rhs = _along(theory, dt, 3 * n, first + _block(n, n)) + \
+        _along(theory, dt, 3 * n, first + _block(2 * n, n))
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)
     return None
@@ -582,9 +638,7 @@ def _dc5(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     t = _rand_elem(theory, cfg, rng, n, "dc.5")
     ddt = theory.partial(theory.partial(t))
-    spec = [[i] for i in range(n)] + [None] * (2 * n) + \
-        [[n + i] for i in range(n)]
-    lhs = ddt.substitute(_images(theory, spec, 2 * n), arity=2 * n)
+    lhs = _along(theory, ddt, 2 * n, _lift_spec(n))
     rhs = theory.partial(t)
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)
@@ -595,9 +649,7 @@ def _dc6(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     t = _rand_elem(theory, cfg, rng, n, "dc.6")
     ddt = theory.partial(theory.partial(t))
-    spec = [[i] for i in range(n)] + [[2 * n + i] for i in range(n)] + \
-        [[n + i] for i in range(n)] + [[3 * n + i] for i in range(n)]
-    lhs = ddt.substitute(_images(theory, spec, 4 * n), arity=4 * n)
+    lhs = _along(theory, ddt, 4 * n, _interchange_spec(n))
     if lhs != ddt:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(ddt, n)
     return None
@@ -664,8 +716,7 @@ def _du2(theory, cfg, rng):
     n = rng.randint(1, cfg.arity)
     t = _rand_elem(theory, cfg, rng, n, "du.2")
     dt = theory.partial(t)
-    spec = [None] * n + [[i] for i in range(n)]
-    lhs = dt.substitute(_images(theory, spec, n), arity=n)
+    lhs = _along(theory, dt, n, _injection_spec(n, n, 1))
     rhs = theory.eta_counit(t)
     if lhs != rhs:
         return {"t": _fmt(t, n)}, _fmt(lhs, n), _fmt(rhs, n)
@@ -695,8 +746,9 @@ def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
     fn = _AXIOM_FNS[axiom]
     started = time.perf_counter()
     failures = []
+    salt = gen.stable_hash(axiom)
     for k in range(trials):
-        seed = gen.mix(cfg.seed, gen.stable_hash(axiom), k)
+        seed = gen.mix(cfg.seed, salt, k)
         res = fn(theory, cfg, gen.SplitMix64(seed))
         if res is not None:
             inputs, lhs, rhs = res

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import NotReduced, ShapeMismatch, TooLarge
-from .powerseries import MAX_DEGREE, MonomialElement, MultiIndex
+from .powerseries import MAX_DEGREE, MonomialElement, MultiIndex, _charge
 from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, binomial,
                       canonical, dp_power_coeff, multinomial)
 
@@ -151,15 +151,24 @@ class DPElement(MonomialElement):
 
     def substitute(self, args: Sequence["DPElement"],
                    arity: int | None = None) -> "DPElement":
-        """Monomial y_1^[r_1]...y_j^[r_j] maps to the product of args^[r]."""
+        """Monomial y_1^[r_1]...y_j^[r_j] maps to the product of args^[r].
+
+        The products charge their len(a) * len(b) term pairs to one budget
+        of ``ENUMERATION_LIMIT``, past which TooLarge is raised.
+        """
         out_arity = self._target(args, arity)
         p = self.field.p
         result: dict = {}
+        spent = 0
         for key, c in self.coeffs.items():
             term: DPElement | None = None
             for v, e in MultiIndex.pairs(key):
                 factor = args[v].divided_power(e)
-                term = factor if term is None else term * factor
+                if term is None:
+                    term = factor
+                else:
+                    spent = _charge(spent, term.coeffs, factor.coeffs)
+                    term = term * factor
                 if term.is_zero():
                     break
             for k, ck in term.coeffs.items():

@@ -10,16 +10,18 @@ once, and every shape check is one tuple comparison.
 :class:`Element` owns the linear structure: the public constructor and
 ``from_terms`` (which check coefficients and keys), the internal ``_make``,
 sums, negation, scaling, equality, ``terms``, the counit, ``degrees``,
-``extend_arity`` and the argument checks of ``substitute``.  A subclass
-supplies its algebra (products, substitution, derivatives) and these hooks on
-its keys:
+``extend_arity`` and the argument checks of ``substitute`` and
+``substitute_linear``.  A subclass supplies its algebra (products,
+substitution, derivatives) and these hooks on its keys:
 
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
   (the only per-key work of ``_make``);
 * ``_check_key(key)``: ``key`` itself when the public constructor may take
   it, else ShapeMismatch;
 * ``_key(pairs)``: the key of the basis element with the given (variable,
-  exponent) pairs, such as drawn letters with exponent one;
+  exponent) pairs;
+* ``_key_of_letters(letters)``: the key of the product of the variables in
+  the sequence ``letters``, in that order, such as drawn letters;
 * ``_pairs(key)``: an iterable of the (variable, exponent) pairs of a key,
   in print order;
 * ``_order(key)``: the sort key of terms in print: the degree first, then
@@ -32,6 +34,13 @@ its keys:
 * ``notation``: (separator, opening and closing bracket of exponents) for
   :mod:`diffmonads.syntax`; words take no exponents and have None brackets;
 * ``_tag``: the name that opens the repr.
+
+Every subclass also has ``substitute_linear(spec, arity)``: ``substitute``
+along a linear map, given as its *spec*, the tuple of variables that each
+argument sums (an empty tuple is the zero argument).  It rewrites keys
+directly, or returns None for a spec that its keys cannot follow (packed
+monomials follow only renamings); ``substitute`` with the materialized sums
+is its oracle and the caller's fallback.
 """
 
 from __future__ import annotations
@@ -177,6 +186,19 @@ class Element:
             if (a.arity, a.field) != (arity, field):
                 raise ShapeMismatch("substitution arguments disagree in shape")
         return arity
+
+    def _linear_shape(self, spec: Sequence[tuple], arity: int) -> tuple:
+        """The shape of substituting along a linear map: the checks of
+        ``_target`` for a spec whose sums are over ``arity`` variables."""
+        if len(spec) != self.arity:
+            raise ShapeMismatch(f"{self.arity} arguments expected, "
+                                f"got {len(spec)}")
+        for variables in spec:
+            for v in variables:
+                if not 0 <= v < arity:
+                    raise ShapeMismatch(f"variable {v} out of range for "
+                                        f"arity {arity}")
+        return (arity,) + self.shape[1:]
 
     def __repr__(self) -> str:
         return f"<{self._tag} arity={self.arity} terms={len(self.coeffs)}>"

@@ -47,10 +47,15 @@ class SplitMix64:
         return _finalize(self.state)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi] by modulo reduction."""
+        """Uniform-ish integer in [lo, hi]: ``next_u64()`` by modulo
+        reduction, with ``next_u64`` and :func:`_finalize` written out,
+        because this is the innermost call of every random draw."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+        z = self.state = (self.state + _GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
@@ -123,17 +128,18 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     degrees = _degree_range(theory, max_degree if max_degree is not None
                             else cfg.max_degree)
     linear = theory.spec.product is None
-    element = theory.element
+    key_of_letters = theory.element._key_of_letters
     field = theory.field
+    randint = rng.randint
     while True:
         coeffs: dict = {}
-        for _ in range(rng.randint(1, tmax)):
-            d = 1 if linear else rng.randint(degrees.start, degrees.stop - 1)
+        for _ in range(randint(1, tmax)):
+            d = 1 if linear else randint(degrees.start, degrees.stop - 1)
             coeff = _random_coeff(rng, cfg, field)
-            key = element._key((rng.randint(0, n - 1), 1) for _ in range(d))
+            key = key_of_letters([randint(0, n - 1) for _ in range(d)])
             accumulate(coeffs, key, coeff, field.p)
         if coeffs:
-            return element._make(theory.shapes[n], coeffs)
+            return theory.element._make(theory.shapes[n], coeffs)
 
 
 def random_morphism(theory, cfg: GenConfig, source: int, target: int,
@@ -164,7 +170,7 @@ def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     element = theory.element
     shape = theory.shapes[arity]
     one = theory.field.one()
-    return [element(*shape, {element._key((v, 1) for v in letters): one})
+    return [element(*shape, {element._key_of_letters(letters): one})
             for d in _degree_range(theory, max_degree)
             for letters in element._letters(range(arity), d)]
 

@@ -37,16 +37,23 @@ Coefficients are raw canonical values (see :mod:`diffmonads.scalars`).
 :class:`diffmonads.element.Element` its key hooks for them.  The element
 checks of ``SeriesElement._check_keys`` read only the degree field and the
 key's size.
+
+Substitution along a linear map (``substitute_linear``) rewrites keys only
+for a *renaming*, a map that sends every variable to one variable or to zero
+and no two variables to the same one: it moves runs of exponent fields and
+keeps the coefficients, and never truncates.  For every other linear map it
+returns None, and the caller substitutes the materialized sums.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .element import Element
 from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge
-from .scalars import FieldSpec, accumulate, binomial
+from .scalars import ENUMERATION_LIMIT, FieldSpec, accumulate, binomial
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -164,9 +171,45 @@ def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
     return out
 
 
+def _charge(spent: int, a: dict, b: dict) -> int:
+    """``spent`` plus the len(a) * len(b) term products of a substitution's
+    inner product; TooLarge past ``ENUMERATION_LIMIT``."""
+    spent += len(a) * len(b)
+    if spent > ENUMERATION_LIMIT:
+        raise TooLarge(f"substitution expands over {spent} term products")
+    return spent
+
+
+@lru_cache(maxsize=1024)
+def _renaming(spec: tuple):
+    """The key rewrite of a linear map that sends every variable to one
+    variable or to zero, and no two variables to the same one: the mask of
+    the exponent fields whose variables go to zero, and the moves
+    (shift, mask, shift_to) of runs of consecutive fields.  None for every
+    other map."""
+    zero_mask = 0
+    runs: list = []  # [first source variable, first target, length]
+    seen = set()
+    for v, targets in enumerate(spec):
+        if not targets:
+            zero_mask |= MAX_DEGREE << (WIDTH * (v + 1))
+            continue
+        if len(targets) > 1 or targets[0] in seen:
+            return None
+        t = targets[0]
+        seen.add(t)
+        if runs and runs[-1][0] + runs[-1][2] == v and \
+                runs[-1][1] + runs[-1][2] == t:
+            runs[-1][2] += 1
+        else:
+            runs.append([v, t, 1])
+    return zero_mask, tuple((WIDTH * (v + 1), (1 << (WIDTH * n)) - 1,
+                             WIDTH * (t + 1)) for v, t, n in runs)
+
+
 class MonomialElement(Element):
-    """The key hooks of :class:`Element` for packed monomial keys, shared by
-    series and divided powers."""
+    """The key hooks of :class:`Element` for packed monomial keys, and the
+    substitution along renamings, shared by series and divided powers."""
 
     __slots__ = ()
 
@@ -183,12 +226,40 @@ class MonomialElement(Element):
         return MultiIndex.make(pairs)
 
     @staticmethod
+    def _key_of_letters(letters: Sequence[int]) -> int:
+        degree = len(letters)
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        key = degree
+        for v in letters:
+            key += 1 << (WIDTH * (v + 1))
+        return key
+
+    @staticmethod
     def _count(arity: int, degree: int) -> int:
         return binomial(arity + degree - 1, degree)
 
     @staticmethod
     def _order(key: int) -> tuple:
         return key & MAX_DEGREE, MultiIndex.pairs(key)
+
+    def substitute_linear(self, spec: tuple, arity: int):
+        """Substitute for variable i the variable in ``spec[i]``, or zero when
+        it is empty, with ``arity`` variables in the result; None when
+        ``spec`` is not a renaming (see the module docstring)."""
+        shape = self._linear_shape(spec, arity)
+        renaming = _renaming(spec)
+        if renaming is None:
+            return None
+        zero_mask, moves = renaming
+        out = {}
+        for key, c in self.coeffs.items():
+            if not key & zero_mask:
+                new = key & MAX_DEGREE
+                for shift, mask, to in moves:
+                    new += ((key >> shift) & mask) << to
+                out[new] = c
+        return self._make(shape, out)
 
 
 class SeriesElement(MonomialElement):
@@ -248,7 +319,9 @@ class SeriesElement(MonomialElement):
         """Replace variable i by args[i], expand, and truncate at the cap.
 
         Capped series require every argument to be reduced; the polynomial
-        regime (cap None) also accepts constant-bearing arguments.
+        regime (cap None) also accepts constant-bearing arguments.  The
+        products charge their len(a) * len(b) term pairs to one budget of
+        ``ENUMERATION_LIMIT``, past which TooLarge is raised.
         """
         out_arity = self._target(args, arity)
         _, cap, reduced_out, field = self.shape
@@ -265,16 +338,20 @@ class SeriesElement(MonomialElement):
 
         p = field.p
         powers: dict[tuple[int, int], dict] = {}
+        spent = 0
 
         def var_power(i: int, e: int) -> dict:
             """args[i]^e, from the highest power of args[i] computed so far."""
+            nonlocal spent
             k = e
             while k > 1 and (i, k) not in powers:
                 k -= 1
-            got = powers.get((i, k), args[i].coeffs)
+            base = args[i].coeffs
+            got = powers.get((i, k), base)
             while k < e:
                 k += 1
-                got = powers[i, k] = _product(got, args[i].coeffs, cap, p)
+                spent = _charge(spent, got, base)
+                got = powers[i, k] = _product(got, base, cap, p)
             return got
 
         result: dict = {}
@@ -282,7 +359,11 @@ class SeriesElement(MonomialElement):
             term: dict | None = None
             for v, e in MultiIndex.pairs(key):
                 factor = var_power(v, e)
-                term = factor if term is None else _product(term, factor, cap, p)
+                if term is None:
+                    term = factor
+                else:
+                    spent = _charge(spent, term, factor)
+                    term = _product(term, factor, cap, p)
                 if not term:
                     break
             if term is None:
@@ -293,6 +374,11 @@ class SeriesElement(MonomialElement):
                     accumulate(result, k, ck * c, p)
         return SeriesElement._make((out_arity, cap, reduced_out, field),
                                    result)
+
+    def _linear_shape(self, spec: tuple, arity: int) -> tuple:
+        if self.cap is not None and not self.reduced:
+            raise NotReduced("capped substitution needs a reduced series")
+        return super()._linear_shape(spec, arity)
 
     # -- differentiation ------------------------------------------------------
 

@@ -10,6 +10,10 @@ Its symmetrisation a*b = a<b + b<a is the ordinary shuffle product.  The
 substitution of words is right-nested: a word i_1 ... i_l sends its letters to
 arguments and combines them as g_{i_1} < (g_{i_2} < (... < g_{i_l})).
 
+Along a linear map, whose arguments are sums of one-letter words, the
+right-nested half-shuffle is concatenation, so a word maps letter by letter to
+the sum over the choices of one target per letter.
+
 The derivative reads off the first letter: d(x_1 ... x_n)/dx is the tail when
 x_1 = x and zero otherwise, with the one-letter word contributing to a
 separate constant component (the algebra is not unital).  The combinator form
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 from typing import Sequence
 
@@ -40,17 +44,20 @@ _variable = itemgetter(0)  # of a (variable, exponent) pair
 
 
 def _shuffles(u: Word, w: Word):
-    """Yield every interleaving of u and w, once per merge pattern."""
-    if not u:
-        yield w
-        return
-    if not w:
-        yield u
-        return
-    for tail in _shuffles(u[1:], w):
-        yield (u[0],) + tail
-    for tail in _shuffles(u, w[1:]):
-        yield (w[0],) + tail
+    """Yield every interleaving of u and w, once per merge pattern: a
+    depth-first walk with an explicit stack, so long words need no
+    recursion."""
+    n, m = len(u), len(w)
+    stack = [(0, 0, ())]
+    while stack:
+        i, j, prefix = stack.pop()
+        if i == n:
+            yield prefix + w[j:]
+        elif j == m:
+            yield prefix + u[i:]
+        else:
+            stack.append((i, j + 1, prefix + (w[j],)))
+            stack.append((i + 1, j, prefix + (u[i],)))
 
 
 def _arrangements(letters: list[int]):
@@ -93,6 +100,8 @@ class ZinElement(Element):
     @staticmethod
     def _key(pairs) -> Word:
         return tuple(map(_variable, pairs))
+
+    _key_of_letters = staticmethod(tuple)
 
     @staticmethod
     def _pairs(w: Word):
@@ -153,6 +162,27 @@ class ZinElement(Element):
             for word, cw in term.coeffs.items():
                 accumulate(result, word, cw * c, p)
         return ZinElement._make((out_arity, self.field), result)
+
+    def substitute_linear(self, spec: tuple, arity: int) -> "ZinElement":
+        """Substitute for letter i the sum of the letters in ``spec[i]``
+        (zero when it is empty), with ``arity`` letters in the result.
+
+        A word expands into the product of its letters' sum sizes; above
+        ``ENUMERATION_LIMIT`` words in all it raises TooLarge up front.
+        """
+        shape = self._linear_shape(spec, arity)
+        p = self.field.p
+        image = spec.__getitem__
+        if any(len(variables) > 1 for variables in spec):
+            count = sum(prod(map(len, map(image, w))) for w in self.coeffs)
+            if count > ENUMERATION_LIMIT:
+                raise TooLarge(f"a linear substitution expands into {count} "
+                               "words")
+        out: dict = {}
+        for w, c in self.coeffs.items():
+            for word in itertools.product(*map(image, w)):
+                accumulate(out, word, c, p)
+        return self._make(shape, out)
 
     # -- differentiation --------------------------------------------------------
 
@@ -216,16 +246,11 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
 def integral_candidate(g: ZinElement) -> ZinElement:
     """Fold the dual block back onto the sources: both x_i and y_i become x_i.
 
-    This is the functor applied to the codiagonal; on a basis word it erases
+    This is substitution along the diagonal map; on a basis word it erases
     the block distinction of every letter.  It is exposed as an experimental
     antiderivative candidate, with no axioms promised.
     """
     if g.arity % 2:
         raise ShapeMismatch("block folding needs an even arity")
     half = g.arity // 2
-    p = g.field.p
-    out: dict = {}
-    for w, c in g.coeffs.items():
-        folded = tuple(i if i < half else i - half for i in w)
-        accumulate(out, folded, c, p)
-    return ZinElement._make((half, g.field), out)
+    return g.substitute_linear(tuple((i,) for i in range(half)) * 2, half)

@@ -187,6 +187,27 @@ def test_long_word_product_exits_2_quickly():
     assert time.perf_counter() - started < 1.0
 
 
+def test_long_word_half_shuffle_without_recursion():
+    word = ".".join(["x1"] * 1500)
+    code, out, err = run_cli("mul", "--theory", "zinbiel", word, "x2")
+    assert (code, err) == (0, "")
+    # x2 lands at each of the 1501 positions once
+    assert len(out.split(" + ")) == 1501
+
+
+@pytest.mark.parametrize("argv", [
+    ("--theory", "power", "--cap", "3000", "x1^3000", "/", "x1+x2"),
+    ("--theory", "poly", "x1^3000", "/", "x1+x2"),
+    ("--theory", "divided", "x1^[400]*x2^[400]", "/", "x1+x2", "x1+x2"),
+])
+def test_large_substitution_exits_2_quickly(argv):
+    started = time.perf_counter()
+    code, out, err = run_cli("compose", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "term products" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_large_conversion_exits_2_quickly():
     started = time.perf_counter()
     code, _, err = run_cli("convert", "x1^[12]*x2^[12]")
@@ -214,11 +235,10 @@ _MALFORMED = ("x0", "x1^", "x1^[2", "x1..x2", "1/0", "+", "x1^0", "3*",
 
 
 @st.composite
-def _expression(draw, big: bool | None = None):
+def _expression(draw):
     """Sums of small terms in any notation, one high power of a variable
     (exponents up to 3000), or a word of up to 24 letters."""
-    shape = draw(st.sampled_from(("small", "big", "word"))) if big is None \
-        else ("big" if big else "small")
+    shape = draw(st.sampled_from(("small", "big", "word")))
     var = st.integers(1, 3).map(lambda k: f"x{k}")
     if shape == "word":
         return ".".join(draw(st.lists(var, min_size=1, max_size=24)))
@@ -253,12 +273,8 @@ def _argv(draw):
                  "--seed", str(draw(st.integers(0, 10 ** 6)))]
         operands = []
     elif command == "compose":
-        # A high outer power of a many-term inner sum has no size bound,
-        # so a high outer power gets one high power or variable inside.
-        outer = draw(_expression())
-        big = None if "^" not in outer or "*" in outer else True
-        operands = [outer, "/"] + [draw(_expression(big=big)) for _ in
-                                   range(draw(st.integers(1, 2)))]
+        operands = [draw(_expression()), "/"] + \
+            [draw(_expression()) for _ in range(draw(st.integers(1, 2)))]
     elif command == "mul":
         operands = [draw(_expression()), draw(_expression())]
     elif command == "dpow":

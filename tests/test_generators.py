@@ -24,6 +24,15 @@ def test_splitmix64_reference_vectors():
     assert r.next_u64() == 0x599ED017FB08FC85
 
 
+def test_randint_reduces_the_reference_stream():
+    r = SplitMix64(0)
+    assert [r.randint(0, (1 << 64) - 1) for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    r, s = SplitMix64(99), SplitMix64(99)
+    for lo, hi in ((0, 0), (1, 3), (-3, 3), (0, 7)):
+        assert r.randint(lo, hi) == lo + s.next_u64() % (hi - lo + 1)
+
+
 def test_fnv1a_reference_vectors():
     assert stable_hash("") == 0xCBF29CE484222325
     assert stable_hash("a") == 0xAF63DC4C8601EC8C

@@ -32,3 +32,37 @@ def test_mutant_failure_reports_are_unchanged():
     assert sum(len(r["failures"]) for p in payload for r in p["reports"]) > 0
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+
+
+# The 9 acceptance configurations of tests/test_acceptance.py, in that order.
+ACCEPTANCE_CONFIGS = [
+    ("poly", "Q", None), ("power", "Q", 4), ("power", "F5", 4),
+    ("divided", "Q", None), ("divided", "F2", None), ("divided", "F3", None),
+    ("zinbiel", "Q", None), ("zinbiel", "F2", None), ("trivial", "Q", None),
+]
+
+ACCEPTANCE_SHA256 = \
+    "132c5ca4c7b58529de7db48c12e2120edd011e64d33e2370b50f9cb8b1cbf8a9"
+
+
+def test_acceptance_check_json_is_unchanged():
+    """The concatenated ``check --json`` of the passing acceptance run at
+    seed 42 with 50 trials; per-trial seeds make it a prefix of the 200-trial
+    run, trial by trial."""
+    import contextlib
+    import io
+
+    from diffmonads.cli import main
+
+    text = ""
+    for kind, field, cap in ACCEPTANCE_CONFIGS:
+        argv = ["check", "--theory", kind, "--field", field, "--seed", "42",
+                "--trials", "50", "--json"]
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        text += out.getvalue()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        ACCEPTANCE_SHA256

@@ -1,0 +1,182 @@
+"""Substitution along linear maps against the generic substitution.
+
+``substitute_linear(spec, m)`` rewrites keys directly, or gives None where
+the keys cannot follow the spec (packed monomials follow only renamings);
+substituting the materialized sums of variables is its oracle.  Both run on
+random elements of the 9 acceptance configurations, for fixed specs that
+cover zero entries, sums of two and three variables, shared targets and a
+variable repeated in one sum, and for specs drawn at random.  Composing with
+a structural map, which falls back to the generic substitution where the
+rewrite gives None, is checked against composing with its components.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import diffmonads as dm
+from diffmonads import (Morphism, ShapeMismatch, TooLarge, ZinElement,
+                        codiagonal, compose, diagonal, identity, injection,
+                        interchange_map, lift_map, pairing, prime_field,
+                        product_map, projection, rationals)
+
+CONFIGS = [("poly", None, None), ("power", None, 4), ("power", 5, 4),
+           ("divided", None, None), ("divided", 2, None),
+           ("divided", 3, None), ("zinbiel", None, None),
+           ("zinbiel", 2, None), ("trivial", None, None)]
+
+THEORIES = [dm.make_theory(kind, rationals() if p is None else prime_field(p),
+                           cap or 6) for kind, p, cap in CONFIGS]
+IDS = [repr(t) for t in THEORIES]
+
+# (arity of the element, target arity, spec)
+SPECS = [
+    (2, 2, ((0,), ())),                 # a zero entry
+    (2, 3, ((0, 1), (1, 2, 0))),        # sums of two and three variables
+    (3, 2, ((0,), (0,), (1,))),         # two variables land on one
+    (3, 3, ((1,), (0, 2), (2, 1))),     # shared targets inside sums
+    (2, 2, ((0, 0), (1,))),             # a variable repeated in one sum
+    (3, 4, ((3,), (), (0, 1, 2))),
+    (2, 4, ((1,), (2,))),               # a renaming into a wider block
+    (3, 3, ((2,), (0,), (1,))),         # a permutation
+]
+
+
+def is_renaming(spec):
+    """Every variable goes to one variable or to zero, no two to one."""
+    targets = [v for v in spec if v]
+    return all(len(v) == 1 for v in targets) and \
+        len(set(targets)) == len(targets)
+
+
+def images(theory, spec, arity):
+    """The materialized arguments: each entry's sum of unit variables."""
+    out = []
+    for variables in spec:
+        elem = theory.zero(arity)
+        for v in variables:
+            elem = elem + theory.eta(v, arity)
+        out.append(elem)
+    return out
+
+
+def random_element(theory, seed, arity):
+    cfg = dm.GenConfig(seed=seed)
+    return dm.random_element(theory, cfg, dm.SplitMix64(seed), arity=arity,
+                             max_degree=4, max_terms=4)
+
+
+def assert_agrees(theory, f, spec, arity):
+    """The rewrite equals the oracle, and so does composing with the
+    structural map; only packed monomials may decline the rewrite, and only
+    for a spec that is not a renaming."""
+    expected = f.substitute(images(theory, spec, arity), arity=arity)
+    got = f.substitute_linear(spec, arity)
+    if got is None:
+        assert not isinstance(f, ZinElement) and not is_renaming(spec)
+    else:
+        assert got == expected
+    outer = Morphism(theory, len(spec), 1, (f,))
+    assert compose(outer, theory.linear_map(arity, spec)).components == \
+        (expected,)
+
+
+@pytest.mark.parametrize("theory", THEORIES, ids=IDS)
+@pytest.mark.parametrize("n,m,spec", SPECS)
+def test_fixed_specs_agree_with_generic_substitution(theory, n, m, spec):
+    for seed in range(25):
+        assert_agrees(theory, random_element(theory, seed, n), spec, m)
+
+
+@st.composite
+def _case(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    sums = st.lists(st.integers(0, m - 1), max_size=3).map(tuple)
+    spec = tuple(draw(sums) for _ in range(n))
+    return n, m, spec, draw(st.integers(0, 2 ** 32))
+
+
+@pytest.mark.parametrize("theory", THEORIES, ids=IDS)
+@settings(max_examples=40, deadline=None)
+@given(_case())
+def test_random_specs_agree_with_generic_substitution(theory, case):
+    n, m, spec, seed = case
+    assert_agrees(theory, random_element(theory, seed, n), spec, m)
+
+
+def test_divided_merge_binomial_along_the_diagonal():
+    # x1^[2]*x2^[1] with both variables sent to x1 is C(3, 1) x1^[3]
+    td = dm.make_theory("divided", rationals())
+    f = Morphism(td, 2, 1, (dm.parse_element("x1^[2]*x2^[1]", td, 2),))
+    got = compose(f, diagonal(td, 1))
+    assert got.components == (dm.parse_element("3*x1^[3]", td, 1),)
+
+
+def test_linear_specs_are_checked():
+    f = random_element(THEORIES[0], 1, 2)
+    with pytest.raises(ShapeMismatch):
+        f.substitute_linear(((0,),), 2)
+    with pytest.raises(ShapeMismatch):
+        f.substitute_linear(((0,), (2,)), 2)
+    with pytest.raises(ShapeMismatch):
+        f.substitute_linear(((0,), (-1,)), 2)
+
+
+@pytest.mark.parametrize("kind,text,source,spec", [
+    ("poly", "x1^3000", 3, ((0, 1, 2),)),
+    ("power", "x1^3000", 3, ((0, 1, 2),)),
+    ("divided", "x1^[3000]", 3, ((0, 1, 2),)),
+    ("zinbiel", ".".join(["x1"] * 24), 3, ((0, 1, 2),)),
+    ("poly", "x1^3000", 2, ((0, 1),)),      # the sum map 1 x 1 -> 1
+    ("power", "x1^3000", 2, ((0, 1),)),
+])
+def test_large_linear_substitution_raises_too_large(kind, text, source, spec):
+    theory = dm.make_theory(kind, rationals(), 5000)
+    f = Morphism(theory, 1, 1, (dm.parse_element(text, theory, 1),))
+    with pytest.raises(TooLarge):
+        compose(f, theory.linear_map(source, spec))
+
+
+def _structural_maps(theory, n, m):
+    p0, p1 = projection(theory, n, n, 0), projection(theory, n, n, 1)
+    return [identity(theory, n), projection(theory, n, m, 0),
+            projection(theory, n, m, 1), injection(theory, n, m, 0),
+            injection(theory, n, m, 1), diagonal(theory, n),
+            codiagonal(theory, n), lift_map(theory, n),
+            interchange_map(theory, n), Morphism.zero(theory, n, m),
+            product_map(identity(theory, n), codiagonal(theory, n)),
+            pairing(p0, p1), product_map(p0, injection(theory, m, n, 1))]
+
+
+@pytest.mark.parametrize("theory", THEORIES, ids=IDS)
+def test_compose_with_structural_maps_agrees_with_components(theory):
+    cfg = dm.GenConfig(seed=5)
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 3)):
+        for k, s in enumerate(_structural_maps(theory, n, m)):
+            assert s.linear is not None
+            materialized = Morphism(theory, s.source, s.target, s.components)
+            assert materialized.linear is None
+            assert s.components == tuple(images(theory, s.linear, s.source))
+            f = dm.random_morphism(theory, cfg, s.target, 2,
+                                   dm.SplitMix64(100 * n + 10 * m + k),
+                                   max_degree=3, max_terms=3)
+            assert compose(f, s) == compose(f, materialized)
+
+
+@pytest.mark.parametrize("theory", THEORIES, ids=IDS)
+def test_lift_and_interchange_specs_match_their_definitions(theory):
+    for n in (1, 2, 3):
+        p0, p1 = projection(theory, n, n, 0), projection(theory, n, n, 1)
+        assert lift_map(theory, n).linear == product_map(
+            injection(theory, n, n, 0), injection(theory, n, n, 1)).linear
+        assert interchange_map(theory, n).linear == pairing(
+            product_map(p0, p0), product_map(p1, p1)).linear
+
+
+def test_structural_maps_are_memoized_per_theory():
+    theory = dm.make_theory("divided", rationals())
+    first, again = lift_map(theory, 2), lift_map(theory, 2)
+    assert first.components is again.components
+    other = dm.make_theory("divided", rationals())
+    assert lift_map(other, 2).components is not first.components
+    assert lift_map(other, 2) == first
