@@ -54,7 +54,10 @@ def _infer_shape(exprs: list[str]) -> tuple[int, int]:
     max_q = 0
     for text in exprs:
         for m in re.finditer(r"(d*)x(\d+)", text):
-            base = max(base, int(m.group(2)))
+            try:
+                base = max(base, int(m.group(2)))
+            except ValueError:  # past the interpreter's digit limit
+                raise DiffmonadError("number too long") from None
             max_q = max(max_q, len(m.group(1)))
     if base == 0:
         raise DiffmonadError("no variables found; cannot infer the arity")
@@ -86,13 +89,21 @@ def _read_morphism_file(path: str) -> tuple[list[str], int]:
     return components, arity
 
 
-def _load_components(parts: list[str]) -> tuple[list[str], int | None]:
-    """Expression strings from argv pieces; @file pulls a JSON morphism."""
+def _load_components(parts: list[str],
+                     declared: int | None = None) -> tuple[list[str], int | None]:
+    """Expression strings from argv pieces; @file pulls a JSON morphism.
+
+    Returns the arity that ``declared`` and the files declare, None when
+    none does; declarations that disagree are an error.
+    """
     exprs: list[str] = []
-    declared: int | None = None
     for part in parts:
         if part.startswith("@"):
-            components, declared = _read_morphism_file(part[1:])
+            components, arity = _read_morphism_file(part[1:])
+            if declared is not None and arity != declared:
+                raise DiffmonadError(f"{part[1:]} declares arity {arity}, "
+                                     f"but {declared} is declared too")
+            declared = arity
             exprs.extend(components)
         else:
             exprs.extend(p for p in part.split(",") if p.strip())
@@ -116,14 +127,15 @@ def _cmd_compose(args) -> int:
     if "/" not in args.parts:
         raise DiffmonadError("compose expects: OUTER / INNER[,INNER...]")
     split = args.parts.index("/")
-    outer_exprs, outer_declared = _load_components(args.parts[:split])
-    inner_exprs, inner_declared = _load_components(args.parts[split + 1:])
+    outer_exprs, outer_arity = _load_components(args.parts[:split])
+    inner_exprs, inner_arity = _load_components(args.parts[split + 1:],
+                                                args.arity)
     if not outer_exprs or not inner_exprs:
         raise DiffmonadError("compose needs both an outer and an inner morphism")
-    inner_arity = args.arity or inner_declared
     if inner_arity is None:
         inner_arity, _ = _infer_shape(inner_exprs)
-    outer_arity = outer_declared or len(inner_exprs)
+    if outer_arity is None:
+        outer_arity = len(inner_exprs)
     if outer_arity != len(inner_exprs):
         raise DiffmonadError(f"outer morphism needs {outer_arity} inner "
                              f"components, got {len(inner_exprs)}")

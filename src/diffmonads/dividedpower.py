@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import NotReduced, ShapeMismatch, TooLarge
-from .powerseries import MAX_DEGREE, MonomialElement, MultiIndex, _charge
+from .powerseries import (MAX_DEGREE, WIDTH, MonomialElement, MultiIndex,
+                          _charge, _dual_steps)
 from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, binomial,
                       canonical, dp_power_coeff, multinomial)
 
@@ -200,11 +201,19 @@ class DPElement(MonomialElement):
         return self._like(out), Scalar(self.field, canonical(const, p))
 
     def partial_combinator(self) -> "DPElement":
-        """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable n+i."""
-        n = self.arity
-        p = self.field.p
+        """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable n+i.
+
+        Distinct (key, v) give distinct output keys, whose dual part names v,
+        so every coefficient is copied as it is.
+        """
+        steps = _dual_steps(self.arity)
         out: dict = {}
         for key, c in self.coeffs.items():
-            for v, _ in MultiIndex.pairs(key):
-                accumulate(out, MultiIndex.move(key, v, n + v), c, p)
-        return DPElement._make((2 * n, self.field), out)
+            fields = key >> WIDTH
+            for step in steps:
+                if fields & MAX_DEGREE:
+                    out[key + step] = c
+                fields >>= WIDTH
+                if not fields:
+                    break
+        return DPElement._make((2 * self.arity, self.field), out)

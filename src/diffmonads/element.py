@@ -21,7 +21,9 @@ substitution, derivatives) and these hooks on its keys:
 * ``_key(pairs)``: the key of the basis element with the given (variable,
   exponent) pairs;
 * ``_key_of_letters(letters)``: the key of the product of the variables in
-  the sequence ``letters``, in that order, such as drawn letters;
+  the sequence ``letters``, in that order;
+* ``_key_of_draws(draw, degree, arity)``: ``_key_of_letters`` of ``degree``
+  letters drawn in order as ``draw() % arity`` (random elements);
 * ``_pairs(key)``: an iterable of the (variable, exponent) pairs of a key,
   in print order;
 * ``_order(key)``: the sort key of terms in print: the degree first, then

@@ -5,6 +5,22 @@ The PRNG is splitmix64: state advances by the golden-gamma constant
 constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  The same seed always
 yields the same stream, so every recorded failure replays exactly.
 
+:class:`SplitMix64` finalizes its outputs in blocks.  Output k of the stream
+from seed s is the finalizer applied to s + k*gamma mod 2^64; it depends on
+nothing else, so a run of B outputs can be finalized at once and the stream
+does not change (Steele, Lea & Flood, *Fast splittable pseudorandom number
+generators*, OOPSLA 2014).  A block is one Python int of B lanes of 128 bits,
+lane k holding s + (k+1)*gamma reduced to 64 bits, and each finalizer step
+runs once on the whole int.  A mask that keeps the low 64 bits of every lane
+goes before each multiply and after it: a shift moves the low bits of the
+next lane into the high half of a lane, where the mask clears them, and a
+64-bit lane times a 64-bit constant is below 2^128, so no carry crosses into
+the next lane.  The last xor-shift only spoils high halves, which are never
+read: the low halves are read out through ``int.to_bytes`` and an
+``array('Q')``.  Blocks grow from 8 to 64 outputs, so a trial that draws a
+few values pays for a short block only.  The scalar :func:`_finalize` stays
+for :func:`mix` and as the reference of the blocks.
+
 The oracles at the bottom recompute the interesting combinatorics by flat
 enumeration (position subsets, raw permutations, term-by-term convolution)
 and share nothing with the main implementations beyond the coefficient and
@@ -14,12 +30,14 @@ key representations (`scalars.accumulate` and `MultiIndex`).
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .dividedpower import DPElement
 from .errors import TooLarge
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import ENUMERATION_LIMIT, accumulate, canonical, factorial
+from .scalars import ENUMERATION_LIMIT, accumulate, factorial
 from .zinbiel import ZinElement
 
 MASK64 = (1 << 64) - 1
@@ -34,28 +52,52 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """The splitmix64 generator; 64-bit outputs, pure function of the seed."""
+def _block_constants(size: int) -> tuple:
+    """(size, lane ones, lane steps, lane mask) of a block of ``size``
+    outputs: lane k of ``state * ones + steps`` is state + (k+1)*gamma."""
+    ones = sum(1 << (128 * k) for k in range(size))
+    steps = sum((k + 1) * _GAMMA << (128 * k) for k in range(size))
+    return size, ones, steps, MASK64 * ones
 
-    __slots__ = ("state",)
+
+_BLOCKS = tuple(_block_constants(size) for size in (8, 16, 32, 64))
+# The low half of every 128-bit lane, as 64-bit words in native order.
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _blocks(state: int):
+    """The splitmix64 stream after ``state``, as arrays of consecutive
+    outputs (see the module docstring)."""
+    for size, ones, steps, mask in itertools.chain(
+            _BLOCKS, itertools.repeat(_BLOCKS[-1])):
+        z = (state * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        z ^= z >> 31
+        yield array("Q", z.to_bytes(16 * size, sys.byteorder))[_LOW_HALVES]
+        state = (state + size * _GAMMA) & MASK64
+
+
+class SplitMix64:
+    """The splitmix64 generator; 64-bit outputs, pure function of the seed.
+
+    ``next_u64`` is an instance attribute, a builtin callable that returns
+    the next output from the current block, so a caller that draws many
+    values (``random_element``) calls it directly.
+    """
+
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        return _finalize(self.state)
+        self.next_u64 = itertools.chain.from_iterable(
+            _blocks(seed & MASK64)).__next__
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]: ``next_u64()`` by modulo
-        reduction, with ``next_u64`` and :func:`_finalize` written out,
-        because this is the innermost call of every random draw."""
+        reduction."""
         if hi < lo:
             raise ValueError("empty range")
-        z = self.state = (self.state + _GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
+        return lo + self.next_u64() % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
@@ -92,18 +134,6 @@ class GenConfig:
 # -- random elements and morphisms -------------------------------------------
 
 
-def _random_coeff(rng: SplitMix64, cfg: GenConfig, field):
-    """A raw coefficient; draws of zero and of values that embed to zero are
-    retried."""
-    while True:
-        c = rng.randint(cfg.coeff_min, cfg.coeff_max)
-        if c == 0:
-            continue
-        value = canonical(c, field.p)
-        if value:
-            return value
-
-
 def _degree_range(theory, max_degree: int) -> range:
     """The degrees of basis elements up to ``max_degree`` and the cap."""
     if theory.cap is not None:
@@ -120,7 +150,11 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     degree one), then its coefficient, then its letters.  Coefficients are
     drawn from the configured range, skipping values that embed to zero; a
     draw whose terms cancel is retried, so the result is never the zero
-    element.
+    element.  A draw from an empty range raises ValueError.
+
+    Every draw is ``lo + next_u64() % span``, as ``SplitMix64.randint``
+    makes it, written out here because this is the innermost loop of every
+    trial.  The span of an empty range is 0, so its draw divides by zero.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = arity if arity is not None else cfg.arity
@@ -128,18 +162,39 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     degrees = _degree_range(theory, max_degree if max_degree is not None
                             else cfg.max_degree)
     linear = theory.spec.product is None
-    key_of_letters = theory.element._key_of_letters
-    field = theory.field
-    randint = rng.randint
-    while True:
-        coeffs: dict = {}
-        for _ in range(randint(1, tmax)):
-            d = 1 if linear else randint(degrees.start, degrees.stop - 1)
-            coeff = _random_coeff(rng, cfg, field)
-            key = key_of_letters([randint(0, n - 1) for _ in range(d)])
-            accumulate(coeffs, key, coeff, field.p)
-        if coeffs:
-            return theory.element._make(theory.shapes[n], coeffs)
+    key_of_draws = theory.element._key_of_draws
+    p = theory.field.p
+    draw = rng.next_u64
+    tspan = max(tmax, 0)
+    dmin, dspan = degrees.start, len(degrees)
+    cmin = cfg.coeff_min
+    cspan = max(cfg.coeff_max - cmin + 1, 0)
+    vspan = max(n, 0)
+    try:
+        while True:
+            coeffs: dict = {}
+            for _ in range(1 + draw() % tspan):
+                d = 1 if linear else dmin + draw() % dspan
+                while True:
+                    c = cmin + draw() % cspan
+                    if p:
+                        c %= p
+                    if c:
+                        break
+                key = key_of_draws(draw, d, vspan)
+                cur = coeffs.get(key)
+                if cur is not None:
+                    c += cur
+                    if p:
+                        c %= p
+                    if not c:
+                        del coeffs[key]
+                        continue
+                coeffs[key] = c
+            if coeffs:
+                return theory.element._make(theory.shapes[n], coeffs)
+    except ZeroDivisionError:
+        raise ValueError("empty range") from None
 
 
 def random_morphism(theory, cfg: GenConfig, source: int, target: int,

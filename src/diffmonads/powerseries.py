@@ -48,6 +48,7 @@ returns None, and the caller substitutes the materialized sums.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -57,10 +58,23 @@ from .scalars import ENUMERATION_LIMIT, FieldSpec, accumulate, binomial
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
+# A key over n variables is a WIDTH * (n + 1)-bit int, and reading its fields
+# (``MultiIndex.pairs``, the key check, printing) shifts the whole key once
+# per field, so one read costs time quadratic in n.  At 1024 variables a key
+# is 2 KiB and one read takes under a millisecond (about 0.8 ms on a 2-vCPU
+# VM), while the acceptance configurations reach 12 variables.  Elements over
+# more variables raise TooLarge.  Words, whose keys do not grow with the
+# arity, have no limit.
+MAX_ARITY = 1024
 
 
 def _too_large(degree: int) -> TooLarge:
     return TooLarge(f"monomial degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+def _too_many_variables(arity: int) -> TooLarge:
+    return TooLarge(f"{arity} variables exceed the limit {MAX_ARITY} of "
+                    "packed monomials")
 
 
 class MultiIndex:
@@ -135,19 +149,27 @@ class MultiIndex:
 
     @staticmethod
     def bound(arity: int) -> int:
-        """Every key over ``arity`` variables, and no other, is below this."""
+        """Every key over ``arity`` variables, and no other, is below this;
+        TooLarge past ``MAX_ARITY`` variables."""
+        if arity > MAX_ARITY:
+            raise _too_many_variables(arity)
         return 1 << (WIDTH * (arity + 1))
 
     @classmethod
     def check(cls, key) -> int:
-        """``key`` itself when it is a canonical key, else ShapeMismatch."""
-        if type(key) is not int or key < 0 or \
-                sum(e for _, e in cls.pairs(key)) != key & MAX_DEGREE:
+        """``key`` itself when it is a canonical key, else ShapeMismatch;
+        TooLarge for a key over more than ``MAX_ARITY`` variables."""
+        if type(key) is not int or key < 0:
+            raise ShapeMismatch(f"{key!r} is not a monomial key")
+        if key >= _KEY_LIMIT:
+            raise _too_many_variables(key.bit_length() // WIDTH)
+        if sum(e for _, e in cls.pairs(key)) != key & MAX_DEGREE:
             raise ShapeMismatch(f"{key!r} is not a monomial key")
         return key
 
 
 EMPTY_INDEX = 0
+_KEY_LIMIT = MultiIndex.bound(MAX_ARITY)
 
 
 def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
@@ -207,6 +229,15 @@ def _renaming(spec: tuple):
                              WIDTH * (t + 1)) for v, t, n in runs)
 
 
+@lru_cache(maxsize=32)
+def _dual_steps(arity: int) -> tuple:
+    """Per variable v < ``arity``, what moving one unit of exponent from v to
+    its dual variable ``arity + v`` adds to a key."""
+    MultiIndex.bound(2 * arity)  # TooLarge before a table that is not needed
+    return tuple((1 << WIDTH * (arity + v + 1)) - (1 << WIDTH * (v + 1))
+                 for v in range(arity))
+
+
 class MonomialElement(Element):
     """The key hooks of :class:`Element` for packed monomial keys, and the
     substitution along renamings, shared by series and divided powers."""
@@ -233,6 +264,15 @@ class MonomialElement(Element):
         key = degree
         for v in letters:
             key += 1 << (WIDTH * (v + 1))
+        return key
+
+    @staticmethod
+    def _key_of_draws(draw, degree: int, arity: int) -> int:
+        if degree > MAX_DEGREE:
+            raise _too_large(degree)
+        key = degree
+        for _ in range(degree):
+            key += 1 << WIDTH * (draw() % arity + 1)
         return key
 
     @staticmethod
@@ -406,13 +446,29 @@ class SeriesElement(MonomialElement):
         """
         if self.cap is not None and not self.reduced:
             raise NotReduced("differential combinator needs a reduced series")
-        n = self.arity
         p = self.field.p
+        steps = _dual_steps(self.arity)
         out: dict = {}
+        # Distinct (key, v) give distinct output keys, whose dual part names
+        # v, so every product c * e is a value of its own, made canonical.
         for key, c in self.coeffs.items():
-            for v, e in MultiIndex.pairs(key):
-                accumulate(out, MultiIndex.move(key, v, n + v), c * e, p)
-        return SeriesElement._make((2 * n,) + self.shape[1:], out)
+            fields = key >> WIDTH
+            for step in steps:
+                e = fields & MAX_DEGREE
+                if e:
+                    ce = c * e
+                    if p:
+                        ce %= p
+                        if ce:
+                            out[key + step] = ce
+                    elif type(ce) is Fraction and ce.denominator == 1:
+                        out[key + step] = ce.numerator
+                    else:
+                        out[key + step] = ce
+                fields >>= WIDTH
+                if not fields:
+                    break
+        return SeriesElement._make((2 * self.arity,) + self.shape[1:], out)
 
     # -- shape utilities ------------------------------------------------------
 

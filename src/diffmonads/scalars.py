@@ -290,6 +290,8 @@ def dp_power_coeff(m: int, n: int) -> int:
     """
     if m < 0 or n < 0:
         raise ValueError("dp_power_coeff takes nonnegative arguments")
+    if n == 1:
+        return 1  # m! / m!, which would otherwise be computed twice
     num = math.factorial(m * n)
     den = math.factorial(m) * math.factorial(n) ** m
     q, r = divmod(num, den)

@@ -104,6 +104,10 @@ class ZinElement(Element):
     _key_of_letters = staticmethod(tuple)
 
     @staticmethod
+    def _key_of_draws(draw, degree: int, arity: int) -> Word:
+        return tuple([draw() % arity for _ in range(degree)])
+
+    @staticmethod
     def _pairs(w: Word):
         return zip(w, itertools.repeat(1))
 

@@ -220,6 +220,84 @@ def test_large_conversion_exits_2_quickly():
     assert code == 0 and out.strip() == ".".join(["x1"] * 3000)
 
 
+@pytest.mark.parametrize("argv", [
+    ("derive", "--theory", "power", "x99999"),
+    ("derive", "--theory", "divided", "x99999"),
+    ("mul", "--theory", "poly", "x99999", "x1"),
+    ("derive", "--theory", "power", "--arity", "300000", "x1"),
+    ("derive", "--theory", "divided", "x999999"),
+])
+def test_too_many_variables_exit_2_quickly(argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "variables exceed" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_words_take_any_number_of_variables():
+    code, out, err = run_cli("derive", "--theory", "zinbiel", "x99999.x1")
+    assert (code, out.strip(), err) == (0, "dx99999.x1", "")
+
+
+def test_divided_power_of_a_short_sum_is_quick():
+    started = time.perf_counter()
+    code, out, err = run_cli("dpow", "x1+x2", "3000")
+    assert (code, err) == (0, "")
+    terms = out.strip().split(" + ")
+    assert len(terms) == 3001 and terms[0] == "x1^[1]*x2^[2999]"
+    assert time.perf_counter() - started < 1.0
+
+
+def test_composition_with_a_short_sum_is_quick():
+    # (x1+x2)^[2] * (x1+x2)^[3000] = C(3002, 2) * (x1+x2)^[3002]
+    started = time.perf_counter()
+    code, out, err = run_cli("compose", "--theory", "divided",
+                             "x1^[2]*x2^[3000]", "/", "x1+x2", "x1+x2")
+    assert (code, err) == (0, "")
+    terms = out.strip().split(" + ")
+    assert len(terms) == 3003
+    assert all(t.startswith("4504501*") for t in terms)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_variable_number_past_the_digit_limit_exits_2():
+    for argv in (("derive", "x" + "1" * 5000),
+                 ("derive", "--arity", "2", "x" + "1" * 5000)):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "number too long" in err
+
+
+def test_compose_with_declared_arity_0_exits_2(tmp_path):
+    code, out, err = run_cli("compose", "--arity", "0", "x1", "/", "x1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps({"arity": 0, "components": ["x1"]}))
+    code, out, err = run_cli("compose", "--theory", "poly", f"@{path}", "/",
+                             "x1")
+    assert (code, out) == (2, "")
+    assert "needs 0 inner components" in err
+
+
+def test_compose_with_disagreeing_declared_arities_exits_2(tmp_path):
+    f1, f2 = tmp_path / "f1.json", tmp_path / "f2.json"
+    f1.write_text(json.dumps({"arity": 1, "components": ["x1*x1"]}))
+    f2.write_text(json.dumps({"arity": 2, "components": ["x1*x2"]}))
+    code, out, err = run_cli("compose", "--theory", "poly", f"@{f1}",
+                             f"@{f2}", "/", "x1", "x2")
+    assert (code, out) == (2, "")
+    assert "declares arity 2, but 1 is declared too" in err
+    code, out, err = run_cli("compose", "--theory", "poly", "--arity", "2",
+                             "x1", "/", f"@{f1}")
+    assert (code, out) == (2, "")
+    assert "declares arity 1, but 2 is declared too" in err
+    code, out, err = run_cli("compose", "--theory", "poly", "--arity", "1",
+                             "x1*x2", "/", f"@{f1}", "x1")
+    assert (code, out.strip(), err) == (0, "x1^3", "")
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_check_needs_at_least_one_trial(trials):
     code, out, err = run_cli("check", "--theory", "trivial", "--trials",
@@ -293,6 +371,7 @@ def _argv(draw):
 @example(["dpow", "--field", "Q", "--", "x1^[69]", "40"])  # 4500 digits
 @example(["convert", "--", "x1^[2000]"])
 @example(["derive", "--theory", "poly", "--", "1" * 5000 + "*x1"])
+@example(["derive", "--", "x" + "1" * 5000])
 def test_fuzzed_argv_exits_0_1_or_2(argv):
     code, _, err = run_cli(*argv)
     assert code in (0, 1, 2)
