@@ -91,7 +91,9 @@ class DPElement(MonomialElement):
     # -- multiplication ---------------------------------------------------------
 
     def __mul__(self, other: "DPElement") -> "DPElement":
+        """The product; its term pairs are counted up front (``_charge``)."""
         self._check_shape(other)
+        _charge(0, self.coeffs, other.coeffs)
         p = self.field.p
         out: dict = {}
         for ka, ca in self.coeffs.items():

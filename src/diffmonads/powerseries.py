@@ -194,11 +194,11 @@ def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
 
 
 def _charge(spent: int, a: dict, b: dict) -> int:
-    """``spent`` plus the len(a) * len(b) term products of a substitution's
-    inner product; TooLarge past ``ENUMERATION_LIMIT``."""
+    """``spent`` plus the len(a) * len(b) term products of the product of a
+    and b; TooLarge past ``ENUMERATION_LIMIT``."""
     spent += len(a) * len(b)
     if spent > ENUMERATION_LIMIT:
-        raise TooLarge(f"substitution expands over {spent} term products")
+        raise TooLarge(f"products expand over {spent} term products")
     return spent
 
 
@@ -345,8 +345,11 @@ class SeriesElement(MonomialElement):
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
+        """The truncated product; its term pairs are counted up front
+        (:func:`_charge`)."""
         if (self.arity, self.cap, self.field) != (other.arity, other.cap, other.field):
             raise ShapeMismatch("series shapes differ")
+        _charge(0, self.coeffs, other.coeffs)
         out = _product(self.coeffs, other.coeffs, self.cap, self.field.p)
         return SeriesElement._make(
             (self.arity, self.cap, self.reduced and other.reduced, self.field),

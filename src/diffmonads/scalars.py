@@ -72,10 +72,6 @@ class FieldSpec:
     def characteristic(self) -> int:
         return self.p or 0
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     def embed(self, n: int) -> "Scalar":
         """Canonical image of the integer ``n`` in this field."""
         return Scalar(self, canonical(n, self.p))

@@ -26,7 +26,6 @@ keys stay tuples.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from math import comb, prod
 from operator import itemgetter
 from typing import Sequence
@@ -77,6 +76,37 @@ def _arrangements(letters: list[int]):
             j -= 1
         word[i], word[j] = word[j], word[i]
         word[i + 1:] = word[:i:-1]
+
+
+def _half_shuffle(a: dict, b: dict, p: int | None) -> dict:
+    """The coefficients of a < b, for coefficient dicts a and b."""
+    out: dict = {}
+    for v, cv in a.items():
+        head, tail = v[:1], v[1:]
+        for w, cw in b.items():
+            c = cv * cw
+            for s in _shuffles(tail, w):
+                accumulate(out, head + s, c, p)
+    return out
+
+
+def _charge(spent: int, a: dict, b: dict) -> int:
+    """``spent`` plus the interleavings of a < b; words of lengths n and m
+    have C(n-1+m, m).  TooLarge past ``ENUMERATION_LIMIT``."""
+    spent += sum(comb(len(v) - 1 + len(w), len(w)) for v in a for w in b)
+    if spent > ENUMERATION_LIMIT:
+        raise TooLarge(f"half-shuffles expand over {spent} interleavings")
+    return spent
+
+
+def _right_nested(factors: list, p: int | None, spent: int) -> tuple:
+    """The coefficients of f_1 < (f_2 < (... < f_k)) for coefficient dicts
+    f_i, and ``spent`` plus the interleavings of its steps."""
+    acc = factors[-1]
+    for a in reversed(factors[:-1]):
+        spent = _charge(spent, a, acc)
+        acc = _half_shuffle(a, acc, p)
+    return acc, spent
 
 
 class ZinElement(Element):
@@ -130,40 +160,36 @@ class ZinElement(Element):
     # -- products -----------------------------------------------------------
 
     def half_shuffle(self, other: "ZinElement") -> "ZinElement":
-        """Sum of v < w over the term pairs.
-
-        Words of lengths n and m have C(n-1+m, m) interleavings; above
-        ``ENUMERATION_LIMIT`` of them in all it raises TooLarge up front.
-        """
+        """Sum of v < w over the term pairs; TooLarge up front past
+        ``ENUMERATION_LIMIT`` interleavings (see :func:`_charge`)."""
         self._check_shape(other)
-        count = sum(comb(len(v) - 1 + len(w), len(w))
-                    for v in self.coeffs for w in other.coeffs)
-        if count > ENUMERATION_LIMIT:
-            raise TooLarge(f"half-shuffle expands over {count} interleavings")
-        p = self.field.p
-        out: dict = {}
-        for v, cv in self.coeffs.items():
-            head, tail = v[:1], v[1:]
-            for w, cw in other.coeffs.items():
-                c = cv * cw
-                for s in _shuffles(tail, w):
-                    accumulate(out, head + s, c, p)
-        return self._like(out)
+        _charge(0, self.coeffs, other.coeffs)
+        return self._like(_half_shuffle(self.coeffs, other.coeffs,
+                                        self.field.p))
 
     def __mul__(self, other: "ZinElement") -> "ZinElement":
-        """The shuffle product a<b + b<a (commutative and associative)."""
+        """The shuffle product a<b + b<a (commutative and associative); both
+        half-shuffles are charged to one budget up front."""
+        self._check_shape(other)
+        _charge(_charge(0, self.coeffs, other.coeffs), other.coeffs,
+                self.coeffs)
         return self.half_shuffle(other) + other.half_shuffle(self)
 
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, args: Sequence["ZinElement"],
                    arity: int | None = None) -> "ZinElement":
+        """Each word i_1 ... i_l maps to the right-nested half-shuffle of
+        args[i_1], ..., args[i_l].  The interleavings of all of them are
+        charged to one budget of ``ENUMERATION_LIMIT``, past which TooLarge
+        is raised."""
         out_arity = self._target(args, arity)
         p = self.field.p
         result: dict = {}
+        spent = 0
         for w, c in self.coeffs.items():
-            term = right_nested([args[i] for i in w])
-            for word, cw in term.coeffs.items():
+            term, spent = _right_nested([args[i].coeffs for i in w], p, spent)
+            for word, cw in term.items():
                 accumulate(result, word, cw * c, p)
         return ZinElement._make((out_arity, self.field), result)
 
@@ -218,11 +244,14 @@ class ZinElement(Element):
 
 
 def right_nested(elems: Sequence[ZinElement]) -> ZinElement:
-    """e_1 < (e_2 < (... < e_k)); identity on a singleton sequence."""
+    """e_1 < (e_2 < (... < e_k)); identity on a singleton sequence.  The
+    interleavings of all steps are charged to one budget."""
     if not elems:
         raise ShapeMismatch("right-nested product of an empty sequence")
-    return reduce(lambda acc, e: e.half_shuffle(acc), reversed(elems[:-1]),
-                  elems[-1])
+    for e in elems:
+        elems[0]._check_shape(e)
+    coeffs, _ = _right_nested([e.coeffs for e in elems], elems[0].field.p, 0)
+    return elems[0]._like(coeffs)
 
 
 def divided_to_zinbiel(f: DPElement) -> ZinElement:

@@ -1,4 +1,7 @@
 import json
+import sys
+import types
+from pathlib import Path
 
 import diffmonads as dm
 from diffmonads import GenConfig, prime_field, rationals
@@ -61,6 +64,31 @@ def test_failures_carry_replayable_seeds():
     assert first.failures and len(first.failures) == len(second.failures)
     for a, b in zip(first.failures, second.failures):
         assert (a.seed, a.inputs, a.lhs, a.rhs) == (b.seed, b.inputs, b.lhs, b.rhs)
+
+
+def test_failures_keep_objects_and_format_when_written():
+    broken = dm.MutatedTheory("zinbiel-last-letter", Q)
+    report = dm.cdc.run_axiom("dc.4", broken, GenConfig(seed=7), 60)
+    failure = report.failures[0]
+    for value in (failure.inputs["f"], failure.lhs, failure.rhs):
+        assert isinstance(value, dm.ZinElement)
+    base = failure.inputs["g1"].arity  # the trial's n; the sides are over 2n
+    assert failure.lhs.arity == 2 * base
+    assert failure.to_json() == {
+        "seed": failure.seed,
+        "inputs": {name: dm.format_element(value, base_arity=value.arity)
+                   for name, value in failure.inputs.items()},
+        "lhs": dm.format_element(failure.lhs, base_arity=base),
+        "rhs": dm.format_element(failure.rhs, base_arity=base)}
+
+
+def test_bench_traces_every_axiom(monkeypatch):
+    # bench/tracing.py names one cdc.axiom.<id>.total_s metric per axiom
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    module = types.ModuleType("_bench_tracing")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    assert module.AXIOMS == tuple(dm.cdc.axiom_ids())
 
 
 def test_report_json_schema():

@@ -208,6 +208,34 @@ def test_large_substitution_exits_2_quickly(argv):
     assert time.perf_counter() - started < 1.0
 
 
+# Each of the two substituted words is a half-shuffle of two 10-letter words,
+# 92,378 interleavings; together they pass the one budget of the call.
+ZIN_WORDS = ("x1.x2 + x2.x1", "/", ".".join(["x1"] * 10),
+             ".".join(["x2"] * 10))
+# 399 terms times 399 terms: 159,201 term products in one call.
+TERMS_399 = {kind: " + ".join(f"x1{fmt.format(i)}*x2{fmt.format(j)}"
+                              for i in range(1, 22) for j in range(1, 20))
+             for kind, fmt in (("poly", "^{}"), ("divided", "^[{}]"))}
+
+
+def test_word_substitution_shares_one_budget():
+    started = time.perf_counter()
+    code, out, err = run_cli("compose", "--theory", "zinbiel", *ZIN_WORDS)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "interleavings" in err
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("kind", ["poly", "divided"])
+def test_large_product_exits_2_quickly(kind):
+    started = time.perf_counter()
+    code, out, err = run_cli("mul", "--theory", kind, TERMS_399[kind],
+                             TERMS_399[kind])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "term products" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_large_conversion_exits_2_quickly():
     started = time.perf_counter()
     code, _, err = run_cli("convert", "x1^[12]*x2^[12]")

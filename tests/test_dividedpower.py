@@ -248,3 +248,11 @@ def test_divided_power_expansion_is_bounded():
         f.divided_power(40)
     # a small expansion still runs: C(21, 1) compositions
     assert not dp("x1 + x2", 2).divided_power(20).is_zero()
+
+
+def test_product_counts_its_term_pairs_up_front():
+    f = dp(" + ".join(f"x1^[{i}]*x2^[{j}]" for i in range(1, 22)
+                      for j in range(1, 20)), 2)
+    assert len(f.coeffs) == 399
+    with pytest.raises(dm.TooLarge, match="term products"):
+        f * f

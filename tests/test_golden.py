@@ -1,9 +1,12 @@
-"""Golden failure output: the formatted counterexamples of the mutants.
+"""Golden failure output: the formatted counterexamples of the mutants and of
+a defect planted in substitution.
 
 The mutation tests only count failures.  This pins the full text of every
 failure report (inputs, lhs, rhs, and so term order and coefficient text) for
-the three near-miss combinators over Q and F5, so that a change of key or
-coefficient representation cannot alter what a failure prints.
+the three near-miss combinators over Q and F5, and for a substitution that
+drops a term, so that a change of key or coefficient representation, or of
+how a report writes its elements and morphisms, cannot alter what a failure
+prints.
 """
 
 import hashlib
@@ -66,3 +69,45 @@ def test_acceptance_check_json_is_unchanged():
         text += out.getvalue()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         ACCEPTANCE_SHA256
+
+
+# Failure text that no mutant of cdc.MUTATIONS produces: a defect planted in
+# substitution makes the monad laws fail, and CD.2, CD.5, dc.2 and dc.4 too.
+PLANTED_CONFIGS = [("poly", "Q", 6), ("power", "F5", 4), ("divided", "F3", None),
+                   ("zinbiel", "Q", None)]
+
+PLANTED_SHA256 = \
+    "8e6b56c72dd1b57e0d378a06518ddc973fb52f1b60dff1b03d39c4050888bed2"
+
+
+def _drop_smallest_key(substitute):
+    """``substitute`` with the smallest key of a result of more than one term
+    dropped."""
+    def planted(self, *args, **kwargs):
+        got = substitute(self, *args, **kwargs)
+        if len(got.coeffs) > 1:
+            smallest = min(got.coeffs)
+            got = got._like({key: c for key, c in got.coeffs.items()
+                             if key != smallest})
+        return got
+    return planted
+
+
+def test_planted_substitution_defect_reports_are_unchanged(monkeypatch):
+    fields = {"Q": dm.rationals(), "F3": dm.prime_field(3),
+              "F5": dm.prime_field(5)}
+    # built before the defect: make_theory's registration check substitutes
+    theories = [dm.make_theory(kind, fields[field], cap)
+                for kind, field, cap in PLANTED_CONFIGS]
+    for cls in (dm.SeriesElement, dm.DPElement, dm.ZinElement):
+        monkeypatch.setattr(cls, "substitute",
+                            _drop_smallest_key(cls.substitute))
+    cfg = dm.GenConfig(seed=42)
+    payload = [[r.to_json() for r in cdc.check_all(t, cfg, trials=30)]
+               for t in theories]
+    failing = {r["axiom"] for reports in payload for r in reports
+               if r["failures"]}
+    assert {"CD.2", "CD.5", "dc.2", "dc.4", "monad.assoc", "monad.unit-left",
+            "monad.unit-right"} <= failing
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PLANTED_SHA256

@@ -215,3 +215,16 @@ def test_public_constructor_rejects_bad_keys():
         SeriesElement(2, 4, True, Q, {MultiIndex.single(2): Q.one()})
     with pytest.raises(dm.MixedFields):
         SeriesElement(1, 4, True, Q, {MultiIndex.single(0): F3.one()})
+
+
+def test_product_counts_its_term_pairs_up_front():
+    text = " + ".join(f"x1^{i}*x2^{j}" for i in range(1, 22)
+                      for j in range(1, 20))
+    f = poly(text, 2)
+    assert len(f.coeffs) == 399
+    with pytest.raises(dm.TooLarge, match="term products"):
+        f * f
+    # 315 * 315 = 99,225 pairs stay within the budget
+    g = poly(" + ".join(f"x1^{i}*x2^{j}" for i in range(1, 22)
+                        for j in range(1, 16)), 2)
+    assert not (g * g).is_zero()

@@ -209,3 +209,17 @@ def test_integral_candidate_observed_behaviour():
 def test_integral_candidate_needs_even_arity():
     with pytest.raises(dm.ShapeMismatch):
         integral_candidate(zin("x1", 3))
+
+
+def test_word_budgets_cover_a_whole_call():
+    # one half-shuffle of two 10-letter words has 92,378 interleavings, two
+    # of them pass ENUMERATION_LIMIT together
+    a = zin(".".join(["x1"] * 10), 2)
+    b = zin(".".join(["x2"] * 10), 2)
+    assert len(a.half_shuffle(b).coeffs) == 92378
+    with pytest.raises(dm.TooLarge, match="interleavings"):
+        a * b
+    with pytest.raises(dm.TooLarge, match="interleavings"):
+        zin("x1.x2 + x2.x1", 2).substitute([a, b])
+    with pytest.raises(dm.TooLarge, match="interleavings"):
+        right_nested([zin("x1", 2), a, b])  # 92,378 in each of two steps
