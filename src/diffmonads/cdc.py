@@ -6,12 +6,13 @@ structural maps (identities, projections, injections, the sum map, the lift
 map ell and the interchange map c) linear: each component is a sum of
 variables or zero.  A structural map carries that *linear spec*, the tuple of
 variables that each component sums, and its components are built once per
-theory and spec.  Composing along it rewrites the keys of the outer
-components directly (``substitute_linear``) where the theory's keys can follow
-the spec; packed monomials follow renamings, and a spec with sums (the sum
-map) takes the generic substitution of the memoized components.  The generic
-substitution, which the monad laws, CD.5, dc.4 and the registration check
-still exercise, is the oracle of the key rewrites.
+theory and spec, each as one coefficient dict of unit keys; the specs of the
+named maps are cached per process.  Composing along a structural map rewrites
+the keys of the outer components directly (``substitute_linear``) where the
+theory's keys can follow the spec; packed monomials follow renamings, and a
+spec with sums (the sum map) takes the generic substitution of the memoized
+components.  The generic substitution, which the monad laws, CD.5, dc.4 and
+the registration check still exercise, is the oracle of the key rewrites.
 Differentiation applies the theory's combinator componentwise and doubles the
 source arity.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 from . import generators as gen
 from .dividedpower import DPElement
@@ -160,22 +162,33 @@ class Theory:
 
         Structural maps are immutable, so the components are built once per
         theory and spec; ``spec`` is a tuple of tuples of variable indices.
-        The memo holds no morphism, which would refer back to the theory and
+        Each component is one coefficient dict of unit keys, so a variable
+        repeated in a sum adds up (and vanishes in characteristic 2).  The
+        memo holds no morphism, which would refer back to the theory and
         keep it alive until a garbage collection.
         """
         comps = self.structural.get((source, spec))
         if comps is None:
-            comps = self.structural[source, spec] = tuple(
-                sum((self.eta(i, source) for i in variables), self.zero(source))
-                for variables in spec)
+            element = self.element
+            unit = element._key_of_letters
+            shape = self.shapes[source]
+            p = self.field.p
+            built = []
+            for variables in spec:
+                coeffs: dict = {}
+                for v in variables:
+                    if not 0 <= v < source:
+                        raise ShapeMismatch(f"variable {v} out of range for "
+                                            f"arity {source}")
+                    accumulate(coeffs, unit((v,)), 1, p)
+                built.append(element._make(shape, coeffs))
+            comps = self.structural[source, spec] = tuple(built)
         return comps
 
     def linear_map(self, source: int, spec: tuple) -> "Morphism":
         """The structural map source -> len(spec) of linear spec ``spec``."""
-        got = Morphism(self, source, len(spec),
-                       self.linear_components(source, spec))
-        got.linear = spec
-        return got
+        return Morphism._make(self, source, len(spec),
+                              self.linear_components(source, spec), spec)
 
     # -- the differential structure ------------------------------------------
 
@@ -227,6 +240,12 @@ class Morphism:
 
     ``linear`` is the linear spec of a structural map (see
     :meth:`Theory.linear_map`) and None for every other morphism.
+
+    The public constructor checks the component count and every component's
+    shape.  The operations on morphisms, here and in ``random_morphism``,
+    check their operands and build their results with the unchecked
+    :meth:`_make`, whose components have the right count and shape by
+    construction.
     """
 
     __slots__ = ("theory", "source", "target", "components", "linear")
@@ -246,6 +265,19 @@ class Morphism:
         self.components = components
         self.linear = None
 
+    @classmethod
+    def _make(cls, theory: Theory, source: int, target: int,
+              components: tuple, linear: tuple | None = None) -> "Morphism":
+        """Internal constructor: ``components`` is a tuple of ``target``
+        elements of the theory's shape at ``source``."""
+        self = cls.__new__(cls)
+        self.theory = theory
+        self.source = source
+        self.target = target
+        self.components = components
+        self.linear = linear
+        return self
+
     @staticmethod
     def zero(theory: Theory, source: int, target: int) -> "Morphism":
         return theory.linear_map(source, ((),) * target)
@@ -254,9 +286,9 @@ class Morphism:
         if (self.theory, self.source, self.target) != \
            (other.theory, other.source, other.target):
             raise ShapeMismatch("morphism shapes differ")
-        return Morphism(self.theory, self.source, self.target,
-                        tuple(a + b for a, b in
-                              zip(self.components, other.components)))
+        return Morphism._make(self.theory, self.source, self.target,
+                              tuple(a + b for a, b in
+                                    zip(self.components, other.components)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Morphism):
@@ -284,7 +316,7 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     else:
         comps = tuple(_along(inner.theory, c, inner.source, spec)
                       for c in outer.components)
-    return Morphism(outer.theory, inner.source, outer.target, comps)
+    return Morphism._make(outer.theory, inner.source, outer.target, comps)
 
 
 def _along(theory: Theory, f, source: int, spec: tuple):
@@ -303,8 +335,8 @@ def pairing(p: Morphism, q: Morphism) -> Morphism:
         raise ShapeMismatch("pairing needs a common source")
     if p.linear is not None and q.linear is not None:
         return p.theory.linear_map(p.source, p.linear + q.linear)
-    return Morphism(p.theory, p.source, p.target + q.target,
-                    p.components + q.components)
+    return Morphism._make(p.theory, p.source, p.target + q.target,
+                          p.components + q.components)
 
 
 def product_map(p: Morphism, q: Morphism) -> Morphism:
@@ -318,14 +350,16 @@ def product_map(p: Morphism, q: Morphism) -> Morphism:
         return p.theory.linear_map(src, p.linear + shifted)
     left = tuple(c.extend_arity(src, 0) for c in p.components)
     right = tuple(c.extend_arity(src, p.source) for c in q.components)
-    return Morphism(p.theory, src, p.target + q.target, left + right)
+    return Morphism._make(p.theory, src, p.target + q.target, left + right)
 
 
+@lru_cache(maxsize=1024)
 def _block(start: int, count: int) -> tuple:
     """The spec of the variables start, ..., start + count - 1, one each."""
     return tuple((i,) for i in range(start, start + count))
 
 
+@lru_cache(maxsize=1024)
 def _injection_spec(n: int, m: int, which: int) -> tuple:
     """The spec of iota_0 : n -> n + m or of iota_1 : m -> n + m."""
     if which == 0:
@@ -333,11 +367,13 @@ def _injection_spec(n: int, m: int, which: int) -> tuple:
     return ((),) * n + _block(0, m)
 
 
+@lru_cache(maxsize=1024)
 def _lift_spec(n: int) -> tuple:
     """The spec of ell = iota_0 x iota_1 : n x n -> (n x n) x (n x n)."""
     return _block(0, n) + ((),) * (2 * n) + _block(n, n)
 
 
+@lru_cache(maxsize=1024)
 def _interchange_spec(n: int) -> tuple:
     """The spec of c = <pi_0 x pi_0, pi_1 x pi_1>, which swaps the middle
     blocks of (n x n) x (n x n)."""
@@ -383,7 +419,7 @@ def interchange_map(theory: Theory, n: int) -> Morphism:
 def differentiate(p: Morphism) -> Morphism:
     """Componentwise differential combinator; the source arity doubles."""
     comps = tuple(p.theory.partial(c) for c in p.components)
-    return Morphism(p.theory, 2 * p.source, p.target, comps)
+    return Morphism._make(p.theory, 2 * p.source, p.target, comps)
 
 
 def linearize(p: Morphism) -> Morphism:

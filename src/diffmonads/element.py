@@ -11,11 +11,23 @@ once, and every shape check is one tuple comparison.
 ``from_terms`` (which check coefficients and keys), the internal ``_make``,
 sums, negation, scaling, equality, ``terms``, the counit, ``degrees``,
 ``extend_arity`` and the argument checks of ``substitute`` and
-``substitute_linear``.  A subclass supplies its algebra (products,
-substitution, derivatives) and these hooks on its keys:
+``substitute_linear``.
+
+Checks run at the public edge only.  The public constructor, and so
+``from_terms`` and the parser, make every coefficient canonical and check
+every key against the shape.  The operations check their arguments (shapes,
+variable ranges, size budgets), and then build results whose keys are valid by
+construction, so ``_make`` checks no key: it compares the arity with the
+class's ``ARITY_LIMIT`` (packed monomials grow with the arity, words do not)
+and raises TooLarge past it.  A test runs the axiom checks with the key
+checks put back into ``_make``, so a key that an operation builds wrong still
+shows.
+
+A subclass supplies its algebra (products, substitution, derivatives) and
+these hooks on its keys:
 
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
-  (the only per-key work of ``_make``);
+  (the per-key work of the public constructor);
 * ``_check_key(key)``: ``key`` itself when the public constructor may take
   it, else ShapeMismatch;
 * ``_key(pairs)``: the key of the basis element with the given (variable,
@@ -47,9 +59,10 @@ is its oracle and the caller's fallback.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TooLarge
 from .scalars import FieldSpec, Scalar, accumulate, canonical
 
 
@@ -59,6 +72,7 @@ class Element:
     __slots__ = ("shape", "arity", "field", "coeffs")
 
     SHAPE = ("arity", "field")
+    ARITY_LIMIT = math.inf  # elements over more variables raise TooLarge
 
     def __init__(self, arity: int, field: FieldSpec, coeffs: dict):
         """Public constructor: values Scalars of ``field`` or ints (or
@@ -80,13 +94,18 @@ class Element:
 
     @classmethod
     def _make(cls, shape: tuple, coeffs: dict):
-        """Internal constructor: ``coeffs`` is already canonical."""
+        """Internal constructor: ``coeffs`` is already canonical and its keys
+        are valid for ``shape``.  Only the arity is checked: TooLarge past
+        ``ARITY_LIMIT``."""
+        arity = shape[0]
+        if arity > cls.ARITY_LIMIT:
+            raise TooLarge(f"{arity} variables exceed the limit "
+                           f"{cls.ARITY_LIMIT} of {cls.__name__}")
         self = cls.__new__(cls)
         self.shape = shape
-        self.arity = shape[0]
+        self.arity = arity
         self.field = shape[-1]
         self.coeffs = coeffs
-        self._check_keys()
         return self
 
     @classmethod

@@ -207,7 +207,7 @@ def random_morphism(theory, cfg: GenConfig, source: int, target: int,
     comps = tuple(random_element(theory, cfg, rng, arity=source,
                                  max_degree=max_degree, max_terms=max_terms)
                   for _ in range(target))
-    return Morphism(theory, source, target, comps)
+    return Morphism._make(theory, source, target, comps)
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -244,6 +244,7 @@ class MonomialElement(Element):
 
     __slots__ = ()
 
+    ARITY_LIMIT = MAX_ARITY
     _check_key = staticmethod(MultiIndex.check)
     _pairs = staticmethod(MultiIndex.pairs)
     _degree = staticmethod(MAX_DEGREE.__and__)

@@ -1,5 +1,6 @@
 """Golden failure output: the formatted counterexamples of the mutants and of
-a defect planted in substitution.
+a defect planted in substitution; and the ``check --json`` text of the
+acceptance run.
 
 The mutation tests only count failures.  This pins the full text of every
 failure report (inputs, lhs, rhs, and so term order and coefficient text) for
@@ -47,11 +48,14 @@ ACCEPTANCE_CONFIGS = [
 ACCEPTANCE_SHA256 = \
     "132c5ca4c7b58529de7db48c12e2120edd011e64d33e2370b50f9cb8b1cbf8a9"
 
+# The full acceptance run: seed 42, 200 trials per axiom.
+FULL_ACCEPTANCE_SHA256 = \
+    "dbbb1ff93e241e5da20f8a45224395a6b17115a58cdd0754734ab823abcaf950"
 
-def test_acceptance_check_json_is_unchanged():
-    """The concatenated ``check --json`` of the passing acceptance run at
-    seed 42 with 50 trials; per-trial seeds make it a prefix of the 200-trial
-    run, trial by trial."""
+
+def _acceptance_sha256(trials: int) -> str:
+    """The SHA-256 of the concatenated ``check --json`` of the acceptance
+    configurations at seed 42, each of which must pass."""
     import contextlib
     import io
 
@@ -60,15 +64,24 @@ def test_acceptance_check_json_is_unchanged():
     text = ""
     for kind, field, cap in ACCEPTANCE_CONFIGS:
         argv = ["check", "--theory", kind, "--field", field, "--seed", "42",
-                "--trials", "50", "--json"]
+                "--trials", str(trials), "--json"]
         if cap is not None:
             argv += ["--cap", str(cap)]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         text += out.getvalue()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
-        ACCEPTANCE_SHA256
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_acceptance_check_json_is_unchanged():
+    """The 50-trial run; per-trial seeds make it a prefix of the 200-trial
+    run, trial by trial."""
+    assert _acceptance_sha256(50) == ACCEPTANCE_SHA256
+
+
+def test_full_acceptance_check_json_is_unchanged():
+    assert _acceptance_sha256(200) == FULL_ACCEPTANCE_SHA256
 
 
 # Failure text that no mutant of cdc.MUTATIONS produces: a defect planted in

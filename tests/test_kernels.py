@@ -295,3 +295,28 @@ def test_packed_keys_are_bounded_in_arity():
         MAX_ARITY
     word = (MAX_ARITY * 4,)
     assert ZinElement(MAX_ARITY * 4 + 1, Q, {word: 1}).coeffs == {word: 1}
+
+
+def test_internal_constructions_are_bounded_in_arity():
+    """``_make`` checks no key, only the arity: every internal path that
+    widens packed monomials past ``MAX_ARITY`` raises TooLarge."""
+    half = MAX_ARITY // 2
+    for theory in PACKED:
+        with pytest.raises(TooLarge):
+            theory.eta(0, 1).extend_arity(MAX_ARITY + 1)
+        with pytest.raises(TooLarge):
+            theory.zero(MAX_ARITY + 1)
+        with pytest.raises(TooLarge):
+            theory.eta(0, MAX_ARITY + 1)
+        with pytest.raises(TooLarge):
+            theory.linear_map(MAX_ARITY + 1, ((0,),))
+        with pytest.raises(TooLarge):
+            theory.eta(0, half + 1).partial_combinator()
+        assert theory.eta(0, half).partial_combinator().arity == MAX_ARITY
+    words = dm.make_theory("zinbiel", Q)
+    wide = MAX_ARITY + 1
+    assert words.eta(0, 1).extend_arity(wide).arity == wide
+    assert words.zero(wide).arity == wide
+    assert words.eta(wide - 1, wide).coeffs == {(wide - 1,): 1}
+    assert words.linear_map(wide, ((0,),)).components[0].arity == wide
+    assert words.eta(0, half + 1).partial_combinator().arity == 2 * half + 2

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
+from diffmonads import cdc
 from diffmonads import (Morphism, ShapeMismatch, TooLarge, ZinElement,
                         codiagonal, compose, diagonal, identity, injection,
                         interchange_map, lift_map, pairing, prime_field,
@@ -180,3 +181,75 @@ def test_structural_maps_are_memoized_per_theory():
     other = dm.make_theory("divided", rationals())
     assert lift_map(other, 2).components is not first.components
     assert lift_map(other, 2) == first
+
+
+# -- structural components against sums of units ------------------------------------
+
+ORACLE_FIELDS = [rationals(), prime_field(2), prime_field(3), prime_field(5)]
+ORACLE_THEORIES = [dm.make_theory(kind, field, 4)
+                   for kind in ("poly", "power", "divided", "zinbiel",
+                                "trivial")
+                   for field in ORACLE_FIELDS]
+ORACLE_IDS = [repr(t) for t in ORACLE_THEORIES]
+
+
+def axiom_specs(theory):
+    """(source, spec) of every structural map that the axioms build from
+    arities 1..3: the maps of the CD axioms, the units of the monad laws and
+    the specs that the dc axioms compose along."""
+    out = set()
+    for n in (1, 2, 3):
+        nabla = tuple((n + i, 2 * n + i) for i in range(n))
+        first = cdc._block(0, n)
+        out |= {(n, cdc._injection_spec(n, n, 0)),
+                (n, cdc._injection_spec(n, n, 1)),
+                (3 * n, first + nabla), (3 * n, first + cdc._block(n, n)),
+                (3 * n, first + cdc._block(2 * n, n)),
+                (2 * n, cdc._lift_spec(n)), (4 * n, cdc._interchange_spec(n))}
+        one = identity(theory, n)
+        maps = [one, lift_map(theory, n), interchange_map(theory, n),
+                injection(theory, n, n, 0), codiagonal(theory, n),
+                product_map(one, codiagonal(theory, n))]
+        for m in (1, 2, 3):
+            maps += [projection(theory, n, m, 0), projection(theory, n, m, 1),
+                     projection(theory, n + m, n + m, 1),
+                     product_map(one, projection(theory, n, n, m % 2)),
+                     Morphism.zero(theory, n, m),
+                     Morphism.zero(theory, 2 * n, m)]
+        out |= {(s.source, s.linear) for s in maps}
+    return out
+
+
+def test_axiom_specs_cover_what_the_axioms_build(monkeypatch):
+    theory = dm.make_theory("divided", prime_field(3))
+    built = set()
+    components = cdc.Theory.linear_components
+
+    def spy(self, source, spec):
+        built.add((source, spec))
+        return components(self, source, spec)
+
+    monkeypatch.setattr(cdc.Theory, "linear_components", spy)
+    cdc.check_all(theory, dm.GenConfig(seed=3), trials=30)
+    assert built and built <= axiom_specs(theory)
+
+
+@pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=ORACLE_IDS)
+def test_structural_components_are_sums_of_units(theory):
+    for source, spec in sorted(axiom_specs(theory)):
+        assert theory.linear_components(source, spec) == \
+            tuple(images(theory, spec, source))
+
+
+@pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=ORACLE_IDS)
+def test_repeated_variables_add_up(theory):
+    got, = theory.linear_components(2, ((0, 0),))
+    assert [got] == images(theory, ((0, 0),), 2)
+    if theory.field.p == 2:
+        assert got.is_zero()
+    else:
+        assert got == theory.eta(0, 2).scale(theory.field.embed(2))
+        assert got.coeffs == {theory.element._key_of_letters((0,)): 2}
+    for spec in (((2,),), ((0, 2),), ((-1,),), ((), (0, 5))):
+        with pytest.raises(ShapeMismatch):
+            theory.linear_components(2, spec)
