@@ -113,7 +113,7 @@ class Theory:
     """
 
     __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
-                 "structural")
+                 "structural", "samplers")
 
     def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
         spec = THEORIES.get(kind)
@@ -131,6 +131,9 @@ class Theory:
         self.shapes = _Shapes(tuple(getattr(self, name)
                                     for name in self.element.SHAPE[1:]))
         self.structural: dict = {}  # (source, spec) -> the components
+        # (coeff_min, coeff_max, max_degree, max_terms) -> the sampler of
+        # generators.random_element
+        self.samplers: dict = {}
 
     @property
     def name(self) -> str:
@@ -710,24 +713,51 @@ def axiom_ids() -> list[str]:
     return list(_AXIOMS)
 
 
-def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
-              trials: int) -> AxiomReport:
-    """Run one axiom's trials: compare the equations each trial yields and
-    record the first unequal one; per-trial seeds replay failures exactly."""
+def _plan(axiom: str, theory: Theory, cfg: gen.GenConfig) -> tuple:
+    """The equations of ``axiom`` and the (degree, terms) bounds of its
+    draws: the configured ones, within the caps of its composition depth."""
     equations, depth = _AXIOMS[axiom]
     d, t = cfg.max_degree, cfg.max_terms
     caps = theory.spec.bounds.get(depth, (d, t))
-    bounds = min(d, caps[0]), min(t, caps[1])
+    return equations, (min(d, caps[0]), min(t, caps[1]))
+
+
+def _trial(theory: Theory, cfg: gen.GenConfig, plan: tuple, seed: int,
+           rng) -> Failure | None:
+    """One trial from the stream ``rng`` of ``seed``: the first unequal
+    equation as a Failure, or None when every equation holds."""
+    equations, bounds = plan
+    for inputs, lhs, rhs, base in equations(theory,
+                                            _Draw(theory, cfg, rng, bounds)):
+        if lhs != rhs:
+            return Failure(seed, inputs, lhs, rhs, base)
+    return None
+
+
+def run_trial(axiom: str, theory: Theory, cfg: gen.GenConfig,
+              seed: int) -> Failure | None:
+    """Replay one trial of ``axiom`` from its seed, as :func:`run_axiom`
+    runs it: the Failure it records, or None when the trial passes."""
+    return _trial(theory, cfg, _plan(axiom, theory, cfg), seed,
+                  gen.SplitMix64(seed))
+
+
+def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
+              trials: int) -> AxiomReport:
+    """Run one axiom's trials: compare the equations each trial yields and
+    record the first unequal one.  Trial k runs from the seed
+    ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the opening
+    outputs of the trials' streams come in chunks from
+    ``generators.trial_streams``, and :func:`run_trial` replays any one of
+    them from its seed alone."""
+    plan = _plan(axiom, theory, cfg)
     started = time.perf_counter()
     failures = []
-    salt = gen.stable_hash(axiom)
-    for k in range(trials):
-        seed = gen.mix(cfg.seed, salt, k)
-        draw = _Draw(theory, cfg, gen.SplitMix64(seed), bounds)
-        for inputs, lhs, rhs, base in equations(theory, draw):
-            if lhs != rhs:
-                failures.append(Failure(seed, inputs, lhs, rhs, base))
-                break
+    for seed, rng in gen.trial_streams(cfg.seed, gen.stable_hash(axiom),
+                                       trials):
+        failure = _trial(theory, cfg, plan, seed, rng)
+        if failure is not None:
+            failures.append(failure)
     millis = int((time.perf_counter() - started) * 1000)
     return AxiomReport(axiom, trials, failures, millis)
 

@@ -21,6 +21,20 @@ read: the low halves are read out through ``int.to_bytes`` and an
 few values pays for a short block only.  The scalar :func:`_finalize` stays
 for :func:`mix` and as the reference of the blocks.
 
+The trials of one axiom get their streams from :func:`trial_streams`.  Trial
+k of an axiom runs from seed ``mix(seed, stable_hash(axiom), k)``, and the
+last step of :func:`mix` is the finalizer on a value that grows by one with
+k, so the seeds of a chunk of trials are one lane-parallel pass, and the
+first ``STREAM_HEAD`` outputs of all their streams are a second.  A chunk
+holds at most ``TRIAL_CHUNK`` trials, so memory does not grow with the trial
+count.  Each trial's :class:`SplitMix64` starts with its precomputed outputs
+and resumes at output ``STREAM_HEAD`` with the blocks above: the stream is
+the one ``SplitMix64(seed)`` makes, which is how a single trial replays from
+its recorded seed.
+
+:func:`random_element` takes the constants of its loop from a sampler that
+is built once per theory and bounds and kept in ``theory.samplers``.
+
 The oracles at the bottom recompute the interesting combinatorics by flat
 enumeration (position subsets, raw permutations, term-by-term convolution)
 and share nothing with the main implementations beyond the coefficient and
@@ -29,6 +43,7 @@ key representations (`scalars.accumulate` and `MultiIndex`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from array import array
@@ -83,14 +98,17 @@ class SplitMix64:
 
     ``next_u64`` is an instance attribute, a builtin callable that returns
     the next output from the current block, so a caller that draws many
-    values (``random_element``) calls it directly.
+    values (``random_element``) calls it directly.  ``head``, when given,
+    is the first ``len(head)`` outputs of the stream from ``seed``, already
+    finalized (see :func:`trial_streams`); the blocks resume after them.
     """
 
     __slots__ = ("next_u64",)
 
-    def __init__(self, seed: int):
-        self.next_u64 = itertools.chain.from_iterable(
-            _blocks(seed & MASK64)).__next__
+    def __init__(self, seed: int, head=()):
+        self.next_u64 = itertools.chain(
+            head, itertools.chain.from_iterable(
+                _blocks((seed + len(head) * _GAMMA) & MASK64))).__next__
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]: ``next_u64()`` by modulo
@@ -117,6 +135,54 @@ def mix(*parts: int) -> int:
     for p in parts:
         h = _finalize((h + _GAMMA + (p & MASK64)) & MASK64)
     return h
+
+
+# Trials per chunk of :func:`trial_streams`, and the outputs per trial that
+# it finalizes up front: most trials draw fewer than STREAM_HEAD values.
+TRIAL_CHUNK = 64
+STREAM_HEAD = 24
+
+
+@functools.lru_cache(maxsize=TRIAL_CHUNK)
+def _chunk_constants(size: int) -> tuple:
+    """(ones, index, mask, head steps, head mask) of a chunk of ``size``
+    trials.  The seed pass has ``size`` lanes of 128 bits, lane k holding
+    index k; the head pass has STREAM_HEAD * size lanes, lane j*size + k
+    holding output j+1 of trial k, that is (j+1)*gamma past its seed."""
+    ones = sum(1 << (128 * k) for k in range(size))
+    index = sum(k << (128 * k) for k in range(size))
+    head_ones = sum(1 << (128 * k) for k in range(size * STREAM_HEAD))
+    head_steps = sum((j + 1) * _GAMMA << (128 * (j * size + k))
+                     for j in range(STREAM_HEAD) for k in range(size))
+    return ones, index, MASK64 * ones, head_steps, MASK64 * head_ones
+
+
+def trial_streams(seed: int, salt: int, trials: int):
+    """Yield (seed_k, stream) for k in range(trials): seed_k is
+    ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, made in two
+    lane-parallel passes per chunk (see the module docstring)."""
+    base = mix(seed, salt) + _GAMMA
+    order = sys.byteorder
+    for start in range(0, trials, TRIAL_CHUNK):
+        size = min(TRIAL_CHUNK, trials - start)
+        ones, index, mask, head_steps, head_mask = _chunk_constants(size)
+        # the last step of mix, for the trials start .. start + size - 1
+        z = (((base + start) & MASK64) * ones + index) & mask
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        lanes = ((z ^ (z >> 31)) & mask).to_bytes(16 * size, order)
+        seeds = array("Q", lanes)[_LOW_HALVES]
+        # every seed in each of STREAM_HEAD runs of lanes, stepped and
+        # finalized as a block is
+        z = (int.from_bytes(lanes * STREAM_HEAD, order) + head_steps) \
+            & head_mask
+        z = ((z ^ (z >> 30)) & head_mask) * _MIX1 & head_mask
+        z = ((z ^ (z >> 27)) & head_mask) * _MIX2 & head_mask
+        z ^= z >> 31
+        heads = array("Q", z.to_bytes(16 * size * STREAM_HEAD,
+                                      order))[_LOW_HALVES]
+        for k, trial_seed in enumerate(seeds):
+            yield trial_seed, SplitMix64(trial_seed, heads[k::size])
 
 
 @dataclass
@@ -152,49 +218,67 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     draw whose terms cancel is retried, so the result is never the zero
     element.  A draw from an empty range raises ValueError.
 
-    Every draw is ``lo + next_u64() % span``, as ``SplitMix64.randint``
-    makes it, written out here because this is the innermost loop of every
-    trial.  The span of an empty range is 0, so its draw divides by zero.
+    The draws are made by the theory's sampler for these bounds, built on
+    the first call with them (see :func:`_sampler`).
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
-    n = arity if arity is not None else cfg.arity
-    tmax = max_terms if max_terms is not None else cfg.max_terms
-    degrees = _degree_range(theory, max_degree if max_degree is not None
-                            else cfg.max_degree)
+    bounds = (cfg.coeff_min, cfg.coeff_max,
+              max_degree if max_degree is not None else cfg.max_degree,
+              max_terms if max_terms is not None else cfg.max_terms)
+    sample = theory.samplers.get(bounds)
+    if sample is None:
+        sample = theory.samplers[bounds] = _sampler(theory, *bounds)
+    return sample(rng.next_u64, arity if arity is not None else cfg.arity)
+
+
+def _sampler(theory, coeff_min: int, coeff_max: int, max_degree: int,
+             max_terms: int):
+    """``sample(draw, arity)``: the draws of :func:`random_element` from the
+    output function ``draw``, with the constants of these bounds bound.
+
+    Every draw is ``lo + draw() % span``, as ``SplitMix64.randint`` makes
+    it, written out here because this is the innermost loop of every trial.
+    The span of an empty range is 0, so its draw divides by zero.
+    """
+    degrees = _degree_range(theory, max_degree)
+    dmin, dspan = degrees.start, len(degrees)
     linear = theory.spec.product is None
     key_of_draws = theory.element._key_of_draws
+    make = theory.element._make
+    shapes = theory.shapes
     p = theory.field.p
-    draw = rng.next_u64
-    tspan = max(tmax, 0)
-    dmin, dspan = degrees.start, len(degrees)
-    cmin = cfg.coeff_min
-    cspan = max(cfg.coeff_max - cmin + 1, 0)
-    vspan = max(n, 0)
-    try:
-        while True:
-            coeffs: dict = {}
-            for _ in range(1 + draw() % tspan):
-                d = 1 if linear else dmin + draw() % dspan
-                while True:
-                    c = cmin + draw() % cspan
-                    if p:
-                        c %= p
-                    if c:
-                        break
-                key = key_of_draws(draw, d, vspan)
-                cur = coeffs.get(key)
-                if cur is not None:
-                    c += cur
-                    if p:
-                        c %= p
-                    if not c:
-                        del coeffs[key]
-                        continue
-                coeffs[key] = c
-            if coeffs:
-                return theory.element._make(theory.shapes[n], coeffs)
-    except ZeroDivisionError:
-        raise ValueError("empty range") from None
+    tspan = max(max_terms, 0)
+    cspan = max(coeff_max - coeff_min + 1, 0)
+
+    def sample(draw, n: int):
+        vspan = max(n, 0)
+        try:
+            while True:
+                coeffs: dict = {}
+                for _ in range(1 + draw() % tspan):
+                    d = 1 if linear else dmin + draw() % dspan
+                    while True:
+                        c = coeff_min + draw() % cspan
+                        if p:
+                            c %= p
+                        if c:
+                            break
+                    key = key_of_draws(draw, d, vspan)
+                    cur = coeffs.get(key)
+                    if cur is not None:
+                        c += cur
+                        if p:
+                            c %= p
+                        if not c:
+                            del coeffs[key]
+                            continue
+                    coeffs[key] = c
+                if coeffs:
+                    return make(shapes[n], coeffs)
+        except ZeroDivisionError:
+            raise ValueError("empty range") from None
+
+    return sample
 
 
 def random_morphism(theory, cfg: GenConfig, source: int, target: int,

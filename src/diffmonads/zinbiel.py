@@ -21,11 +21,21 @@ re-tags the first letter of every word into the dual block.
 
 Coefficients are raw canonical values (see :mod:`diffmonads.scalars`); the
 keys stay tuples.
+
+A half-shuffle v < w depends on the words only through their lengths: each
+word of it picks its letters from v + w by a fixed list of positions.  So
+the words of each pair of lengths come from a cached table of itemgetters,
+one per interleaving, built from the walk :func:`_shuffles`.  Pairs with
+more than ``TABLE_LIMIT`` interleavings or ``TABLE_LETTERS`` letters take
+the walk itself, so the cache stays small.  Either way the coefficients are
+summed raw and made canonical in one pass, and every caller charges the
+interleavings to its budget (:func:`_charge`) before any is enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
 from typing import Sequence
@@ -78,16 +88,45 @@ def _arrangements(letters: list[int]):
         word[i + 1:] = word[:i:-1]
 
 
+# Pairs of words with at most TABLE_LIMIT interleavings and TABLE_LETTERS
+# letters in all get a table; the 103 such pairs of lengths hold about 2e5
+# indices together, so the cache, which can hold all of them, stays small.
+TABLE_LIMIT = 1 << 10
+TABLE_LETTERS = 16
+
+
+@lru_cache(maxsize=128)
+def _shuffle_table(n: int, m: int) -> tuple | None:
+    """For words v of length n and w of length m, one itemgetter per word of
+    v < w that picks its letters from v + w, in the order of the walk
+    :func:`_shuffles`; None past the table limits."""
+    if n + m > TABLE_LETTERS or comb(n - 1 + m, m) > TABLE_LIMIT:
+        return None
+    return tuple(itemgetter(0, *s) for s in
+                 _shuffles(tuple(range(1, n)), tuple(range(n, n + m))))
+
+
 def _half_shuffle(a: dict, b: dict, p: int | None) -> dict:
-    """The coefficients of a < b, for coefficient dicts a and b."""
+    """The coefficients of a < b, for coefficient dicts a and b: raw sums
+    over the interleavings, made canonical in one pass at the end."""
     out: dict = {}
+    get = out.get
     for v, cv in a.items():
-        head, tail = v[:1], v[1:]
+        n = len(v)
         for w, cw in b.items():
             c = cv * cw
-            for s in _shuffles(tail, w):
-                accumulate(out, head + s, c, p)
-    return out
+            table = _shuffle_table(n, len(w))
+            if table is not None:
+                vw = v + w
+                for pick in table:
+                    word = pick(vw)
+                    out[word] = get(word, 0) + c
+            else:
+                head = v[:1]
+                for s in _shuffles(v[1:], w):
+                    word = head + s
+                    out[word] = get(word, 0) + c
+    return {word: c for word, raw in out.items() if (c := canonical(raw, p))}
 
 
 def _charge(spent: int, a: dict, b: dict) -> int:

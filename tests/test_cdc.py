@@ -164,3 +164,49 @@ def test_trivial_theory_is_linear_only():
     assert is_dlinear(Morphism(TR, 2, 1, [t]))
     with pytest.raises(Exception):
         parse_element("x1^2", TR, 1)  # degree 2 cannot live at cap 1
+
+
+# -- replay ---------------------------------------------------------------------
+
+# The 9 acceptance configurations: (kind, field, cap).
+ACCEPTANCE = [("poly", Q, None), ("power", Q, 4), ("power", F5, 4),
+              ("divided", Q, None), ("divided", prime_field(2), None),
+              ("divided", prime_field(3), None), ("zinbiel", Q, None),
+              ("zinbiel", prime_field(2), None), ("trivial", Q, None)]
+
+
+def test_failing_trials_replay_alone_from_their_seeds():
+    """``run_axiom`` takes its streams in chunks; ``run_trial`` replays one
+    trial from ``SplitMix64(seed)`` and must record the same failure."""
+    cfg = dm.GenConfig(seed=42)
+    replayed = 0
+    for mutation in dm.cdc.MUTATIONS:
+        for field in (Q, F5):
+            theory = dm.MutatedTheory(mutation, field)
+            for report in dm.check_all(theory, cfg, 20):
+                salt = dm.stable_hash(report.axiom)
+                seeds = [dm.mix(42, salt, k) for k in range(20)]
+                for failure in report.failures:
+                    assert failure.seed in seeds
+                    again = dm.cdc.run_trial(report.axiom, theory, cfg,
+                                             failure.seed)
+                    assert again.to_json() == failure.to_json()
+                    replayed += 1
+                failed = {f.seed for f in report.failures}
+                for seed in seeds[:5]:
+                    if seed not in failed:
+                        assert dm.cdc.run_trial(report.axiom, theory, cfg,
+                                                seed) is None
+    assert replayed > 0
+
+
+@pytest.mark.parametrize("kind,field,cap", ACCEPTANCE)
+def test_passing_trials_replay_alone_from_their_seeds(kind, field, cap):
+    theory = dm.make_theory(kind, field, cap or 6)
+    cfg = dm.GenConfig(seed=42)
+    for axiom in dm.cdc.axiom_ids():
+        assert dm.cdc.run_axiom(axiom, theory, cfg, 20).passed
+        salt = dm.stable_hash(axiom)
+        for k in (0, 7, 19):
+            assert dm.cdc.run_trial(axiom, theory, cfg,
+                                    dm.mix(42, salt, k)) is None

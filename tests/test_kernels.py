@@ -2,16 +2,25 @@
 
 * ``SplitMix64`` finalizes its outputs in blocks of 128-bit lanes; the
   scalar splitmix64 step is the reference, over several blocks of every size.
-* ``random_element`` writes its draws out; the loop of ``randint`` calls,
-  ``_key_of_letters`` and ``accumulate`` that it replaces is the reference,
-  on ordinary and on degenerate bounds.
+* ``trial_streams`` finalizes the seeds and stream heads of a chunk of
+  trials at once; ``SplitMix64(mix(seed, salt, k))`` is the reference, over
+  every head and block boundary and chunk boundary.  Its memory does not
+  grow with the trial count.
+* ``random_element`` writes its draws out in a sampler kept per theory and
+  bounds; the loop of ``randint`` calls, ``_key_of_letters`` and
+  ``accumulate`` that it replaces is the reference, on ordinary and on
+  degenerate bounds.
 * The packed-key combinators of series and divided powers add a per-arity
   step to each key; the loop of ``MultiIndex.pairs``, ``move`` and
   ``accumulate`` is the reference, and the coefficients must be canonical
   (residues over F_p with zeros dropped, integral rationals as ``int``).
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +33,7 @@ from diffmonads.powerseries import MAX_ARITY
 from diffmonads.scalars import accumulate, canonical
 
 Q = rationals()
-F5 = prime_field(5)
+F2, F3, F5 = prime_field(2), prime_field(3), prime_field(5)
 
 CONFIGS = [("poly", None, None), ("power", None, 4), ("power", 5, 4),
            ("divided", None, None), ("divided", 2, None),
@@ -33,6 +42,13 @@ CONFIGS = [("poly", None, None), ("power", None, 4), ("power", 5, 4),
 THEORIES = [dm.make_theory(kind, Q if p is None else prime_field(p), cap or 6)
             for kind, p, cap in CONFIGS]
 IDS = [repr(t) for t in THEORIES]
+# Every theory over Q, F2, F3 and F5: the acceptance configurations first.
+SAMPLED = THEORIES + [
+    t for t in (dm.make_theory(kind, field, 4)
+                for kind in ("poly", "power", "divided", "zinbiel", "trivial")
+                for field in (Q, F2, F3, F5))
+    if t not in THEORIES]
+SAMPLED_IDS = [repr(t) for t in SAMPLED]
 PACKED = [t for t in THEORIES if t.element is not ZinElement]
 PACKED_IDS = [repr(t) for t in PACKED]
 
@@ -85,6 +101,57 @@ def test_randint_and_choice_reduce_the_block_stream():
     assert rng.next_u64() == scalar_stream(2024, STREAM_LENGTH + 1)[-1]
 
 
+# -- the trial streams ----------------------------------------------------------
+
+CHUNK = gen.TRIAL_CHUNK
+# past the head and across the blocks of 8, 16, 32 and 64 outputs after it
+TRIAL_OUTPUTS = 200
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 1 << 63, (1 << 64) - 1, 1 << 70])
+def test_trial_streams_equal_single_seed_streams(seed):
+    for salt in (0, (1 << 64) - 1, gen.stable_hash("CD.5"),
+                 gen.stable_hash("dc.4")):
+        for trials in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 200):
+            got = [(k, [rng.next_u64() for _ in range(TRIAL_OUTPUTS)])
+                   for k, rng in gen.trial_streams(seed, salt, trials)]
+            want = []
+            for k in range(trials):
+                trial_seed = gen.mix(seed, salt, k)
+                rng = SplitMix64(trial_seed)
+                want.append((trial_seed,
+                             [rng.next_u64() for _ in range(TRIAL_OUTPUTS)]))
+            assert got == want
+
+
+MEMORY_RUN = """
+import resource
+from diffmonads import cdc, GenConfig, rationals
+theory = cdc.make_theory("trivial", rationals())
+report = cdc.run_axiom("du.1", theory, GenConfig(seed=7), {trials})
+assert report.passed
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_rss_kb(trials: int) -> int:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c",
+                           MEMORY_RUN.format(trials=trials)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux")
+def test_trial_stream_memory_does_not_grow_with_the_trials():
+    """Unchunked, the seeds and heads of 100 000 trials would be one int of
+    about 38 MB."""
+    assert peak_rss_kb(100_000) - peak_rss_kb(100) <= 2048
+
+
 # -- random elements ---------------------------------------------------------------
 
 
@@ -135,7 +202,7 @@ def same_terms(a, b) -> bool:
         [(k, type(c)) for k, c in b.coeffs.items()]
 
 
-@pytest.mark.parametrize("theory", THEORIES, ids=IDS)
+@pytest.mark.parametrize("theory", SAMPLED, ids=SAMPLED_IDS)
 def test_random_element_equals_the_randint_loop(theory):
     for seed in range(150):
         cfg = GenConfig(seed=seed, coeff_min=-4, coeff_max=4)
@@ -188,6 +255,24 @@ def test_random_element_on_degenerate_bounds(kind, arity, max_degree,
             outcomes.add("element")
     if (kind, arity, max_degree) == ("poly", 0, 2):
         assert outcomes == {"element", (ValueError, "empty range")}
+
+
+def test_theories_that_differ_in_field_or_cap_share_no_sampler():
+    """Samplers are kept per theory and bounds: a draw in one theory never
+    runs with another's field, cap or element class."""
+    theories = [dm.make_theory("power", Q, 4), dm.make_theory("power", F5, 4),
+                dm.make_theory("power", Q, 2), dm.make_theory("poly", Q),
+                dm.make_theory("divided", Q), dm.make_theory("divided", F3)]
+    cfg = GenConfig(coeff_min=-7, coeff_max=7)
+    for seed in range(40):
+        for theory in theories:
+            got, want, after, expected = both(
+                theory, cfg, seed, arity=3, max_degree=4, max_terms=4)
+            assert same_terms(got, want)
+            assert after == expected
+    samplers = [s for t in theories for s in t.samplers.values()]
+    assert len(samplers) == len(theories)
+    assert len({id(s) for s in samplers}) == len(theories)
 
 
 def test_random_element_of_too_many_variables_is_too_large():

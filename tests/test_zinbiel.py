@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
 from diffmonads import (ZinElement, binomial, divided_to_zinbiel,
                         integral_candidate, parse_element, prime_field,
-                        rationals, right_nested)
+                        rationals, right_nested, zinbiel)
 
 Q = rationals()
-F2 = prime_field(2)
+F2, F3, F5 = prime_field(2), prime_field(3), prime_field(5)
 
 ZQ = dm.make_theory("zinbiel", Q)
 
@@ -223,3 +225,105 @@ def test_word_budgets_cover_a_whole_call():
         zin("x1.x2 + x2.x1", 2).substitute([a, b])
     with pytest.raises(dm.TooLarge, match="interleavings"):
         right_nested([zin("x1", 2), a, b])  # 92,378 in each of two steps
+
+
+# -- the shuffle tables -----------------------------------------------------------
+
+
+def canonical_terms(e) -> bool:
+    """Nonzero residues over F_p; over Q, ints or non-integral Fractions."""
+    p = e.field.p
+    if p:
+        return all(type(c) is int and 0 < c < p for c in e.coeffs.values())
+    return all(type(c) is int and c or
+               type(c) is Fraction and c.denominator != 1
+               for c in e.coeffs.values())
+
+
+def two_words(rng, length, coeffs, field):
+    """An element of up to two words of ``length`` letters over 2 variables,
+    whose coefficients are drawn from ``coeffs``."""
+    terms = [(tuple(rng.randint(0, 1) for _ in range(length)),
+              rng.choice(coeffs)) for _ in range(2)]
+    return ZinElement.from_terms(2, field, terms)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+def test_half_shuffle_tables_equal_the_oracle(field):
+    coeffs = [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 2, -1] \
+        if field is Q else [1, 2, 3, 4]
+    rng = dm.SplitMix64(8)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            for _ in range(2):
+                a = two_words(rng, n, coeffs, field)
+                b = two_words(rng, m, coeffs, field)
+                got = a.half_shuffle(b)
+                assert got == dm.half_shuffle_oracle(a, b)
+                assert canonical_terms(got)
+    assert zinbiel._shuffle_table(4, 5) is not None
+    assert zinbiel._shuffle_table(8, 8) is None
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+def test_half_shuffle_sums_that_cancel(field):
+    # (x1.x2 - x1.x3) < (x2 + x3): the words with both x2 and x3 cancel
+    theory = dm.make_theory("zinbiel", field)
+    a, b = zin("x1.x2 - x1.x3", 3, theory), zin("x2 + x3", 3, theory)
+    got = a.half_shuffle(b)
+    assert got == dm.half_shuffle_oracle(a, b)
+    assert got == zin("2*x1.x2.x2 - 2*x1.x3.x3", 3, theory)
+    assert got.is_zero() == (field is F2)
+    assert canonical_terms(got)
+    # coefficients that add up to an integer
+    a = ZinElement(2, Q, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    b = ZinElement(2, Q, {(0,): 1, (1,): 1})
+    got = a.half_shuffle(b) + b.half_shuffle(a)
+    assert got == a * b == zin("x1.x1 + x1.x2 + x2.x1 + x2.x2", 2)
+    assert canonical_terms(got)
+
+
+def test_pairs_past_the_table_limits_take_the_walk(monkeypatch):
+    walked = []
+    walk = zinbiel._shuffles
+
+    def counting(u, w):
+        walked.append((len(u), len(w)))
+        return walk(u, w)
+
+    monkeypatch.setattr(zinbiel, "_shuffles", counting)
+    rng = dm.SplitMix64(9)
+    # too many interleavings, and too many letters
+    for n, m in ((8, 8), (1, 16), (3, 14)):
+        assert zinbiel._shuffle_table(n, m) is None
+        for field in (Q, F3):
+            a = two_words(rng, n, [1], field)
+            b = two_words(rng, m, [1], field)
+            walked.clear()
+            assert a.half_shuffle(b) == dm.half_shuffle_oracle(a, b)
+            assert walked and set(walked) == {(n - 1, m)}
+
+
+def test_half_shuffle_is_too_large_before_it_enumerates(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(zinbiel, "_half_shuffle", enumerated)
+    monkeypatch.setattr(zinbiel, "_shuffle_table", enumerated)
+    # C(21, 11) interleavings, past ENUMERATION_LIMIT
+    a = zin(".".join(["x1"] * 11), 2)
+    b = zin(".".join(["x2"] * 11), 2)
+    with pytest.raises(dm.TooLarge, match="interleavings"):
+        a.half_shuffle(b)
+
+
+def test_shuffle_table_cache_is_bounded():
+    maxsize = zinbiel._shuffle_table.cache_info().maxsize
+    assert maxsize is not None
+    x = zin("x1", 2)
+    for m in range(1, 2 * maxsize):
+        assert len(x.half_shuffle(ZinElement(2, Q, {(1,) * m: 1})).coeffs) == 1
+    for n in range(1, 12):
+        for m in range(1, 12):
+            zinbiel._shuffle_table(n, m)
+    assert zinbiel._shuffle_table.cache_info().currsize <= maxsize
