@@ -16,17 +16,16 @@ All of these are integers computed in Z and embedded afterwards.  Using the
 n! * a^[n] * b^[n] form of the product rule instead would spuriously vanish in
 characteristic p, which is why the a^{*n} * b^[n] form is used.
 
-Monomials use the packed keys of :mod:`diffmonads.powerseries` and
-coefficients are raw canonical values, as there.
+The product and the divided power are the ``_times`` and ``_power`` hooks of
+the element core.  Keys and coefficients are those of the power series.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
+from .element import Element
 from .errors import NotReduced, ShapeMismatch, TooLarge
 from .powerseries import (MAX_DEGREE, WIDTH, MonomialElement, MultiIndex,
-                          _charge, _dual_steps)
+                          _dual_steps)
 from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, binomial,
                       canonical, dp_power_coeff, multinomial)
 
@@ -88,45 +87,29 @@ class DPElement(MonomialElement):
             if not key:
                 raise NotReduced("constant term in a divided power polynomial")
 
-    # -- multiplication ---------------------------------------------------------
+    # -- products, divided powers and substitution --------------------------
 
-    def __mul__(self, other: "DPElement") -> "DPElement":
-        """The product; its term pairs are counted up front (``_charge``)."""
-        self._check_shape(other)
-        _charge(0, self.coeffs, other.coeffs)
+    def _times(self, a: dict, b: dict) -> dict:
+        """The product of coefficient dicts: one merge binomial per shared
+        variable (:func:`_merge_constant`)."""
         p = self.field.p
         out: dict = {}
-        for ka, ca in self.coeffs.items():
+        for ka, ca in a.items():
             room = MAX_DEGREE - (ka & MAX_DEGREE)
             pairs = MultiIndex.pairs(ka)
-            for kb, cb in other.coeffs.items():
+            for kb, cb in b.items():
                 if kb & MAX_DEGREE > room:
                     raise TooLarge("divided power product exceeds the "
                                    f"degree limit {MAX_DEGREE}")
                 accumulate(out, ka + kb, ca * cb * _merge_constant(pairs, kb),
                            p)
-        return self._like(out)
-
-    def mul_int_power(self, n: int) -> "DPElement":
-        """Plain n-fold product f * f * ... * f (n >= 1)."""
-        out = self
-        for _ in range(n - 1):
-            out = out * self
         return out
 
-    # -- divided powers ----------------------------------------------------------
-
-    def divided_power(self, n: int) -> "DPElement":
-        """f^[n] for n >= 1, by composition-expansion over the support.
-
-        The expansion visits C(n+k-1, k-1) compositions for a support of k
-        terms; above ``ENUMERATION_LIMIT`` it raises TooLarge up front.
-        """
-        if n < 1:
-            raise ValueError("divided powers are defined for n >= 1")
-        if n == 1:
-            return self
-        terms = list(self.coeffs.items())
+    def _power(self, known: dict, n: int, spent: int) -> tuple:
+        """known[1]^[n] for n >= 1 by composition-expansion, and ``spent`` as
+        it was: the C(n+k-1, k-1) compositions of a support of k terms have
+        their own bound, ``ENUMERATION_LIMIT``, checked up front."""
+        terms = list(known[1].items())
         count = binomial(n + len(terms) - 1, len(terms) - 1)
         if count > ENUMERATION_LIMIT:
             raise TooLarge(f"divided power expands over {count} compositions")
@@ -148,35 +131,25 @@ class DPElement(MonomialElement):
                     mono = MultiIndex.mul(mono, powered)
             if mono is not None:
                 accumulate(out, mono, scalar, p)
-        return self._like(out)
+        return out, spent
 
-    # -- substitution (the monad multiplication on tuples) -------------------------
+    def __mul__(self, other: "DPElement") -> "DPElement":
+        """The product; its term pairs are counted up front (``_charge``)."""
+        self._check_shape(other)
+        self._charge(0, self.coeffs, other.coeffs)
+        return self._like(self._times(self.coeffs, other.coeffs))
 
-    def substitute(self, args: Sequence["DPElement"],
-                   arity: int | None = None) -> "DPElement":
-        """Monomial y_1^[r_1]...y_j^[r_j] maps to the product of args^[r].
+    def mul_int_power(self, n: int) -> "DPElement":
+        """Plain n-fold product f * f * ... * f (n >= 1), on one budget."""
+        return self._like(Element._power(self, {1: self.coeffs}, n, 0)[0])
 
-        The products charge their len(a) * len(b) term pairs to one budget
-        of ``ENUMERATION_LIMIT``, past which TooLarge is raised.
-        """
-        out_arity = self._target(args, arity)
-        p = self.field.p
-        result: dict = {}
-        spent = 0
-        for key, c in self.coeffs.items():
-            term: DPElement | None = None
-            for v, e in MultiIndex.pairs(key):
-                factor = args[v].divided_power(e)
-                if term is None:
-                    term = factor
-                else:
-                    spent = _charge(spent, term.coeffs, factor.coeffs)
-                    term = term * factor
-                if term.is_zero():
-                    break
-            for k, ck in term.coeffs.items():
-                accumulate(result, k, ck * c, p)
-        return DPElement._make((out_arity, self.field), result)
+    def divided_power(self, n: int) -> "DPElement":
+        """f^[n] for n >= 1 (see ``_power``)."""
+        if n < 1:
+            raise ValueError("divided powers are defined for n >= 1")
+        return self._like(self._power({1: self.coeffs}, n, 0)[0])
+
+    substitute = Element.substitute  # bound per theory: see Element
 
     # -- differentiation -------------------------------------------------------------
 

@@ -10,22 +10,36 @@ once, and every shape check is one tuple comparison.
 :class:`Element` owns the linear structure: the public constructor and
 ``from_terms`` (which check coefficients and keys), the internal ``_make``,
 sums, negation, scaling, equality, ``terms``, the counit, ``degrees``,
-``extend_arity`` and the argument checks of ``substitute`` and
-``substitute_linear``.
+``extend_arity`` and the argument checks of ``substitute_linear``.  It also
+owns ``substitute``, the monad multiplication of all three theories: a key,
+read as the product of its (variable, exponent) pairs, becomes the product
+a_1 * (a_2 * (... * a_k)) of the factors ``args[v]^e``, nested from the
+right as the half-shuffle of words needs.  The powers of each argument are
+kept for the call, and all its products share one budget (``_charge``).  Each element class
+binds ``substitute`` in its own namespace, so that instrumentation which
+wraps class attributes tells the theories apart.
 
 Checks run at the public edge only.  The public constructor, and so
 ``from_terms`` and the parser, make every coefficient canonical and check
-every key against the shape.  The operations check their arguments (shapes,
-variable ranges, size budgets), and then build results whose keys are valid by
-construction, so ``_make`` checks no key: it compares the arity with the
-class's ``ARITY_LIMIT`` (packed monomials grow with the arity, words do not)
-and raises TooLarge past it.  A test runs the axiom checks with the key
-checks put back into ``_make``, so a key that an operation builds wrong still
-shows.
+every key against the shape.  The operations check their arguments (element
+class, shapes, variable ranges, size budgets), and then build results whose
+keys are valid by construction, so ``_make`` checks no key: it compares the
+arity with the class's ``ARITY_LIMIT`` (packed monomials grow with the
+arity, words do not) and raises TooLarge past it.  A test runs the axiom
+checks with the key checks put back into ``_make``, so a key that an
+operation builds wrong still shows.
 
-A subclass supplies its algebra (products, substitution, derivatives) and
-these hooks on its keys:
+A subclass supplies its algebra (products, derivatives) and these hooks;
+the first three work on coefficient dicts:
 
+* ``_times(a, b)``: the product (truncated, divided-power, half-shuffle);
+* ``_power(known, e, spent)``: the e-th power of ``known[1]``, given the
+  powers of it known so far (exponent -> coeffs), and ``spent`` plus its
+  cost: repeated products by default, the divided power for divided powers;
+* ``_cost(a, b)`` and ``_UNIT``: the cost of a product and its unit, term
+  pairs or interleavings, for ``_charge``;
+* ``_target(args, arity)``: the shape of a substitution (series add their
+  cap and reduced checks);
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
   (the per-key work of the public constructor);
 * ``_check_key(key)``: ``key`` itself when the public constructor may take
@@ -36,8 +50,8 @@ these hooks on its keys:
   the sequence ``letters``, in that order;
 * ``_key_of_draws(draw, degree, arity)``: ``_key_of_letters`` of ``degree``
   letters drawn in order as ``draw() % arity`` (random elements);
-* ``_pairs(key)``: an iterable of the (variable, exponent) pairs of a key,
-  in print order;
+* ``_pairs(key)``: the tuple of the (variable, exponent) pairs of a key, in
+  print order;
 * ``_order(key)``: the sort key of terms in print: the degree first, then
   the pairs (words compare as letter tuples, which sorts them alike);
 * ``_degree(key)``: the degree of a key, a builtin so that the counit and
@@ -63,7 +77,8 @@ import math
 from typing import Sequence
 
 from .errors import ShapeMismatch, TooLarge
-from .scalars import FieldSpec, Scalar, accumulate, canonical
+from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
+                      canonical)
 
 
 class Element:
@@ -129,7 +144,7 @@ class Element:
         return self._make(self.shape, coeffs)
 
     def _check_shape(self, other: "Element") -> None:
-        if self.shape != other.shape:
+        if type(other) is not type(self) or self.shape != other.shape:
             raise ShapeMismatch(f"{type(self).__name__} shapes differ")
 
     def __add__(self, other):
@@ -190,23 +205,78 @@ class Element:
                           {shift(key, offset): c
                            for key, c in self.coeffs.items()})
 
-    # -- substitution ---------------------------------------------------------
+    # -- substitution (the monad multiplication) ---------------------------
 
-    def _target(self, args: Sequence["Element"], arity: int | None) -> int:
-        """The target arity of substituting ``args`` for the variables: that
-        of the arguments, which must agree in arity and field, or ``arity``
-        when there are none."""
+    def _target(self, args: Sequence["Element"], arity: int | None) -> tuple:
+        """The shape of substituting ``args`` for the variables: the arity
+        of the arguments, which must be elements of this class and agree in
+        arity and field, or ``arity`` when there are none."""
         if len(args) != self.arity:
             raise ShapeMismatch(f"{self.arity} arguments expected, got {len(args)}")
         if args:
-            arity = args[0].arity
+            arity = getattr(args[0], "arity", None)
         elif arity is None:
             raise ShapeMismatch("target arity required for nullary substitution")
-        field = self.field
+        cls, field = type(self), self.field
         for a in args:
-            if (a.arity, a.field) != (arity, field):
+            if type(a) is not cls or (a.arity, a.field) != (arity, field):
                 raise ShapeMismatch("substitution arguments disagree in shape")
-        return arity
+        return (arity,) + self.shape[1:]
+
+    def _charge(self, spent: int, a: dict, b: dict) -> int:
+        """``spent`` plus the cost of the product of a and b (``_cost``);
+        TooLarge past ``ENUMERATION_LIMIT``."""
+        spent += self._cost(a, b)
+        if spent > ENUMERATION_LIMIT:
+            raise TooLarge(f"products expand over {spent} {self._UNIT}")
+        return spent
+
+    def _power(self, known: dict, e: int, spent: int) -> tuple:
+        """known[1]^e by repeated products from the highest power known below
+        it, each kept in ``known``; and ``spent`` plus their cost."""
+        k = e
+        while k not in known:
+            k -= 1
+        out, base = known[k], known[1]
+        while k < e:
+            k += 1
+            spent = self._charge(spent, out, base)
+            out = known[k] = self._times(out, base)
+        return out, spent
+
+    def substitute(self, args: Sequence["Element"],
+                   arity: int | None = None):
+        """Replace variable v by ``args[v]`` and expand, on one budget (see the
+        module docstring); ``arity`` is the target arity of a nullary call."""
+        shape = self._target(args, arity)
+        p = self.field.p
+        powers: dict = {}
+        spent = 0
+        out: dict = {}
+        for key, c in self.coeffs.items():
+            acc = None
+            for v, e in reversed(self._pairs(key)):
+                if e == 1:
+                    factor = args[v].coeffs
+                else:
+                    known = powers.get(v) or powers.setdefault(
+                        v, {1: args[v].coeffs})
+                    factor = known.get(e)
+                    if factor is None:
+                        factor, spent = self._power(known, e, spent)
+                        known[e] = factor
+                if acc is None:
+                    acc = factor
+                else:
+                    spent = self._charge(spent, factor, acc)
+                    acc = self._times(factor, acc)
+                if not acc:
+                    break
+            if acc is None:  # the constant of a polynomial maps to itself
+                acc = {key: 1}
+            for k, ck in acc.items():
+                accumulate(out, k, ck * c, p)
+        return self._make(shape, out)
 
     def _linear_shape(self, spec: Sequence[tuple], arity: int) -> tuple:
         """The shape of substituting along a linear map: the checks of

@@ -67,6 +67,15 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _finalize_lanes(z: int, mask: int) -> int:
+    """:func:`_finalize` on the low 64 bits, kept by ``mask``, of every
+    128-bit lane of ``z`` at once; the high halves come out unmasked."""
+    z &= mask
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    return z ^ (z >> 31)
+
+
 def _block_constants(size: int) -> tuple:
     """(size, lane ones, lane steps, lane mask) of a block of ``size``
     outputs: lane k of ``state * ones + steps`` is state + (k+1)*gamma."""
@@ -85,10 +94,7 @@ def _blocks(state: int):
     outputs (see the module docstring)."""
     for size, ones, steps, mask in itertools.chain(
             _BLOCKS, itertools.repeat(_BLOCKS[-1])):
-        z = (state * ones + steps) & mask
-        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        z ^= z >> 31
+        z = _finalize_lanes(state * ones + steps, mask)
         yield array("Q", z.to_bytes(16 * size, sys.byteorder))[_LOW_HALVES]
         state = (state + size * _GAMMA) & MASK64
 
@@ -167,18 +173,13 @@ def trial_streams(seed: int, salt: int, trials: int):
         size = min(TRIAL_CHUNK, trials - start)
         ones, index, mask, head_steps, head_mask = _chunk_constants(size)
         # the last step of mix, for the trials start .. start + size - 1
-        z = (((base + start) & MASK64) * ones + index) & mask
-        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        lanes = ((z ^ (z >> 31)) & mask).to_bytes(16 * size, order)
+        z = _finalize_lanes(((base + start) & MASK64) * ones + index, mask)
+        lanes = (z & mask).to_bytes(16 * size, order)
         seeds = array("Q", lanes)[_LOW_HALVES]
         # every seed in each of STREAM_HEAD runs of lanes, stepped and
         # finalized as a block is
-        z = (int.from_bytes(lanes * STREAM_HEAD, order) + head_steps) \
-            & head_mask
-        z = ((z ^ (z >> 30)) & head_mask) * _MIX1 & head_mask
-        z = ((z ^ (z >> 27)) & head_mask) * _MIX2 & head_mask
-        z ^= z >> 31
+        z = _finalize_lanes(int.from_bytes(lanes * STREAM_HEAD, order) +
+                            head_steps, head_mask)
         heads = array("Q", z.to_bytes(16 * size * STREAM_HEAD,
                                       order))[_LOW_HALVES]
         for k, trial_seed in enumerate(seeds):

@@ -34,9 +34,9 @@ check is one comparison.
 
 Coefficients are raw canonical values (see :mod:`diffmonads.scalars`).
 :class:`MultiIndex` builds and reads keys, and :class:`MonomialElement` gives
-:class:`diffmonads.element.Element` its key hooks for them.  The element
-checks of ``SeriesElement._check_keys`` read only the degree field and the
-key's size.
+:class:`diffmonads.element.Element` its key hooks for them; the truncated
+product is its ``_times``, which its substitution uses.  The element checks
+of ``SeriesElement._check_keys`` read only the degree field and the key size.
 
 Substitution along a linear map (``substitute_linear``) rewrites keys only
 for a *renaming*, a map that sends every variable to one variable or to zero
@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 from .element import Element
 from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge
-from .scalars import ENUMERATION_LIMIT, FieldSpec, accumulate, binomial
+from .scalars import FieldSpec, accumulate, binomial
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -172,36 +172,6 @@ EMPTY_INDEX = 0
 _KEY_LIMIT = MultiIndex.bound(MAX_ARITY)
 
 
-def _product(a: dict, b: dict, cap: int | None, p: int | None) -> dict:
-    """Product of two coefficient dicts, truncated above ``cap``.
-
-    A product degree past ``min(cap, MAX_DEGREE)`` is dropped when it is past
-    the cap and raises TooLarge otherwise, so a cap above ``MAX_DEGREE``
-    cannot let a degree carry into the exponent fields.
-    """
-    limit = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
-    out: dict = {}
-    for ka, ca in a.items():
-        room = limit - (ka & MAX_DEGREE)
-        for kb, cb in b.items():
-            if kb & MAX_DEGREE > room:
-                degree = (ka & MAX_DEGREE) + (kb & MAX_DEGREE)
-                if cap is None or degree <= cap:
-                    raise _too_large(degree)
-                continue
-            accumulate(out, ka + kb, ca * cb, p)
-    return out
-
-
-def _charge(spent: int, a: dict, b: dict) -> int:
-    """``spent`` plus the len(a) * len(b) term products of the product of a
-    and b; TooLarge past ``ENUMERATION_LIMIT``."""
-    spent += len(a) * len(b)
-    if spent > ENUMERATION_LIMIT:
-        raise TooLarge(f"products expand over {spent} term products")
-    return spent
-
-
 @lru_cache(maxsize=1024)
 def _renaming(spec: tuple):
     """The key rewrite of a linear map that sends every variable to one
@@ -245,6 +215,7 @@ class MonomialElement(Element):
     __slots__ = ()
 
     ARITY_LIMIT = MAX_ARITY
+    _UNIT = "term products"
     _check_key = staticmethod(MultiIndex.check)
     _pairs = staticmethod(MultiIndex.pairs)
     _degree = staticmethod(MAX_DEGREE.__and__)
@@ -279,6 +250,11 @@ class MonomialElement(Element):
     @staticmethod
     def _count(arity: int, degree: int) -> int:
         return binomial(arity + degree - 1, degree)
+
+    @staticmethod
+    def _cost(a: dict, b: dict) -> int:
+        """A product is counted by its term pairs, before it runs."""
+        return len(a) * len(b)
 
     @staticmethod
     def _order(key: int) -> tuple:
@@ -343,33 +319,45 @@ class SeriesElement(MonomialElement):
     def _tag(self) -> str:
         return "poly" if self.cap is None else f"series(cap={self.cap})"
 
-    # -- multiplication -----------------------------------------------------
+    # -- multiplication and substitution -----------------------------------
+
+    def _times(self, a: dict, b: dict) -> dict:
+        """The product of coefficient dicts, truncated above the cap.  A
+        degree past ``min(cap, MAX_DEGREE)`` is dropped past the cap and
+        raises TooLarge below it: no degree carries into the exponents."""
+        cap = self.shape[1]
+        p = self.field.p
+        limit = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
+        out: dict = {}
+        for ka, ca in a.items():
+            room = limit - (ka & MAX_DEGREE)
+            for kb, cb in b.items():
+                if kb & MAX_DEGREE > room:
+                    degree = (ka & MAX_DEGREE) + (kb & MAX_DEGREE)
+                    if cap is None or degree <= cap:
+                        raise _too_large(degree)
+                    continue
+                accumulate(out, ka + kb, ca * cb, p)
+        return out
 
     def __mul__(self, other: "SeriesElement") -> "SeriesElement":
-        """The truncated product; its term pairs are counted up front
-        (:func:`_charge`)."""
-        if (self.arity, self.cap, self.field) != (other.arity, other.cap, other.field):
+        """The truncated product, charged up front (``_charge``)."""
+        if type(other) is not SeriesElement or (
+                (self.arity, self.cap, self.field)
+                != (other.arity, other.cap, other.field)):
             raise ShapeMismatch("series shapes differ")
-        _charge(0, self.coeffs, other.coeffs)
-        out = _product(self.coeffs, other.coeffs, self.cap, self.field.p)
+        self._charge(0, self.coeffs, other.coeffs)
         return SeriesElement._make(
             (self.arity, self.cap, self.reduced and other.reduced, self.field),
-            out)
+            self._times(self.coeffs, other.coeffs))
 
-    # -- substitution (the monad multiplication on tuples) -------------------
-
-    def substitute(self, args: Sequence["SeriesElement"],
-                   arity: int | None = None) -> "SeriesElement":
-        """Replace variable i by args[i], expand, and truncate at the cap.
-
-        Capped series require every argument to be reduced; the polynomial
-        regime (cap None) also accepts constant-bearing arguments.  The
-        products charge their len(a) * len(b) term pairs to one budget of
-        ``ENUMERATION_LIMIT``, past which TooLarge is raised.
-        """
-        out_arity = self._target(args, arity)
-        _, cap, reduced_out, field = self.shape
-        if cap is not None and not reduced_out:
+    def _target(self, args: Sequence["SeriesElement"],
+                arity: int | None) -> tuple:
+        """Capped series require every argument to be reduced; the
+        polynomial regime (cap None) also accepts constant-bearing
+        arguments, and its result is reduced when they all are."""
+        out_arity, cap, reduced, field = super()._target(args, arity)
+        if cap is not None and not reduced:
             raise NotReduced("capped substitution needs a reduced series")
         for a in args:
             _, a_cap, a_reduced, _ = a.shape
@@ -378,46 +366,10 @@ class SeriesElement(MonomialElement):
             if cap is not None and not a_reduced:
                 raise NonReducedArgument("capped series composed with a "
                                          "constant-bearing argument")
-            reduced_out = reduced_out and a_reduced
+            reduced = reduced and a_reduced
+        return (out_arity, cap, reduced, field)
 
-        p = field.p
-        powers: dict[tuple[int, int], dict] = {}
-        spent = 0
-
-        def var_power(i: int, e: int) -> dict:
-            """args[i]^e, from the highest power of args[i] computed so far."""
-            nonlocal spent
-            k = e
-            while k > 1 and (i, k) not in powers:
-                k -= 1
-            base = args[i].coeffs
-            got = powers.get((i, k), base)
-            while k < e:
-                k += 1
-                spent = _charge(spent, got, base)
-                got = powers[i, k] = _product(got, base, cap, p)
-            return got
-
-        result: dict = {}
-        for key, c in self.coeffs.items():
-            term: dict | None = None
-            for v, e in MultiIndex.pairs(key):
-                factor = var_power(v, e)
-                if term is None:
-                    term = factor
-                else:
-                    spent = _charge(spent, term, factor)
-                    term = _product(term, factor, cap, p)
-                if not term:
-                    break
-            if term is None:
-                # Degree-0 monomial of the polynomial regime: a constant.
-                accumulate(result, EMPTY_INDEX, c, p)
-            else:
-                for k, ck in term.items():
-                    accumulate(result, k, ck * c, p)
-        return SeriesElement._make((out_arity, cap, reduced_out, field),
-                                   result)
+    substitute = Element.substitute  # bound per theory: see Element
 
     def _linear_shape(self, spec: tuple, arity: int) -> tuple:
         if self.cap is not None and not self.reduced:

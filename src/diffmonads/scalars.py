@@ -84,13 +84,14 @@ class FieldSpec:
         return self.embed(num) / self.embed(den)
 
     def raw(self, x):
-        """The canonical raw value of ``x``: a Scalar of this field, an int,
-        or (over Q) a Fraction."""
+        """The canonical raw value of ``x``: a Scalar of this field, an int
+        that is not a bool, or (over Q) a Fraction."""
         if isinstance(x, Scalar):
             if x.field != self:
                 raise MixedFields(f"cannot mix {self} and {x.field}")
             return x.value
-        if isinstance(x, int) or (self.p is None and isinstance(x, Fraction)):
+        if (isinstance(x, int) and type(x) is not bool) or \
+                (self.p is None and isinstance(x, Fraction)):
             return canonical(x, self.p)
         raise TypeError(f"{x!r} is not a scalar of {self!r}")
 

@@ -7,8 +7,8 @@ and interleaves everything else:
     (v_1 ... v_n) < (w_1 ... w_m) = v_1 . shuffle(v_2 ... v_n, w_1 ... w_m)
 
 Its symmetrisation a*b = a<b + b<a is the ordinary shuffle product.  The
-substitution of words is right-nested: a word i_1 ... i_l sends its letters to
-arguments and combines them as g_{i_1} < (g_{i_2} < (... < g_{i_l})).
+element core's substitution is right-nested: a word i_1 ... i_l sends its
+letters to arguments, combined as g_{i_1} < (g_{i_2} < (... < g_{i_l})).
 
 Along a linear map, whose arguments are sums of one-letter words, the
 right-nested half-shuffle is concatenation, so a word maps letter by letter to
@@ -28,8 +28,9 @@ the words of each pair of lengths come from a cached table of itemgetters,
 one per interleaving, built from the walk :func:`_shuffles`.  Pairs with
 more than ``TABLE_LIMIT`` interleavings or ``TABLE_LETTERS`` letters take
 the walk itself, so the cache stays small.  Either way the coefficients are
-summed raw and made canonical in one pass, and every caller charges the
-interleavings to its budget (:func:`_charge`) before any is enumerated.
+summed raw and made canonical in one pass.  This is the ``_times`` hook of
+the element core, and every caller charges the interleavings to its budget
+(``_cost``) before any is enumerated.
 """
 
 from __future__ import annotations
@@ -129,25 +130,6 @@ def _half_shuffle(a: dict, b: dict, p: int | None) -> dict:
     return {word: c for word, raw in out.items() if (c := canonical(raw, p))}
 
 
-def _charge(spent: int, a: dict, b: dict) -> int:
-    """``spent`` plus the interleavings of a < b; words of lengths n and m
-    have C(n-1+m, m).  TooLarge past ``ENUMERATION_LIMIT``."""
-    spent += sum(comb(len(v) - 1 + len(w), len(w)) for v in a for w in b)
-    if spent > ENUMERATION_LIMIT:
-        raise TooLarge(f"half-shuffles expand over {spent} interleavings")
-    return spent
-
-
-def _right_nested(factors: list, p: int | None, spent: int) -> tuple:
-    """The coefficients of f_1 < (f_2 < (... < f_k)) for coefficient dicts
-    f_i, and ``spent`` plus the interleavings of its steps."""
-    acc = factors[-1]
-    for a in reversed(factors[:-1]):
-        spent = _charge(spent, a, acc)
-        acc = _half_shuffle(a, acc, p)
-    return acc, spent
-
-
 class ZinElement(Element):
     """Finitely supported combination of words, as a map word -> nonzero raw
     coefficient, with shape (arity, field)."""
@@ -156,15 +138,15 @@ class ZinElement(Element):
 
     notation = (".", None, None)
     _tag = "zinbiel"
+    _UNIT = "interleavings"
     _degree = staticmethod(len)
 
     def _check_keys(self) -> None:
         arity = self.arity
         for w in self.coeffs:
-            if len(w) < 1:
-                raise ShapeMismatch("empty word")
-            if max(w) >= arity:
-                raise ShapeMismatch(f"word {w} exceeds arity {arity}")
+            if type(w) is not tuple or not w or not all(
+                    type(v) is int and 0 <= v < arity for v in w):
+                raise ShapeMismatch(f"{w!r} is not a word of arity {arity}")
 
     @staticmethod
     def _key(pairs) -> Word:
@@ -177,8 +159,8 @@ class ZinElement(Element):
         return tuple([draw() % arity for _ in range(degree)])
 
     @staticmethod
-    def _pairs(w: Word):
-        return zip(w, itertools.repeat(1))
+    def _pairs(w: Word) -> tuple:
+        return tuple(zip(w, itertools.repeat(1)))
 
     @staticmethod
     def _shift(w: Word, offset: int) -> Word:
@@ -196,41 +178,32 @@ class ZinElement(Element):
     def _order(w: Word) -> tuple:
         return len(w), w
 
-    # -- products -----------------------------------------------------------
+    # -- products and substitution -----------------------------------------
+
+    def _times(self, a: dict, b: dict) -> dict:
+        return _half_shuffle(a, b, self.field.p)
+
+    @staticmethod
+    def _cost(a: dict, b: dict) -> int:
+        """C(n-1+m, m) interleavings for each pair of words of lengths n, m."""
+        return sum(comb(len(v) - 1 + len(w), len(w)) for v in a for w in b)
 
     def half_shuffle(self, other: "ZinElement") -> "ZinElement":
         """Sum of v < w over the term pairs; TooLarge up front past
-        ``ENUMERATION_LIMIT`` interleavings (see :func:`_charge`)."""
+        ``ENUMERATION_LIMIT`` interleavings (see ``_charge``)."""
         self._check_shape(other)
-        _charge(0, self.coeffs, other.coeffs)
-        return self._like(_half_shuffle(self.coeffs, other.coeffs,
-                                        self.field.p))
+        self._charge(0, self.coeffs, other.coeffs)
+        return self._like(self._times(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "ZinElement") -> "ZinElement":
         """The shuffle product a<b + b<a (commutative and associative); both
         half-shuffles are charged to one budget up front."""
         self._check_shape(other)
-        _charge(_charge(0, self.coeffs, other.coeffs), other.coeffs,
-                self.coeffs)
-        return self.half_shuffle(other) + other.half_shuffle(self)
+        a, b = self.coeffs, other.coeffs
+        self._charge(self._charge(0, a, b), b, a)
+        return self._like(self._times(a, b)) + self._like(self._times(b, a))
 
-    # -- substitution ---------------------------------------------------------
-
-    def substitute(self, args: Sequence["ZinElement"],
-                   arity: int | None = None) -> "ZinElement":
-        """Each word i_1 ... i_l maps to the right-nested half-shuffle of
-        args[i_1], ..., args[i_l].  The interleavings of all of them are
-        charged to one budget of ``ENUMERATION_LIMIT``, past which TooLarge
-        is raised."""
-        out_arity = self._target(args, arity)
-        p = self.field.p
-        result: dict = {}
-        spent = 0
-        for w, c in self.coeffs.items():
-            term, spent = _right_nested([args[i].coeffs for i in w], p, spent)
-            for word, cw in term.items():
-                accumulate(result, word, cw * c, p)
-        return ZinElement._make((out_arity, self.field), result)
+    substitute = Element.substitute  # bound per theory: see Element
 
     def substitute_linear(self, spec: tuple, arity: int) -> "ZinElement":
         """Substitute for letter i the sum of the letters in ``spec[i]``
@@ -283,14 +256,14 @@ class ZinElement(Element):
 
 
 def right_nested(elems: Sequence[ZinElement]) -> ZinElement:
-    """e_1 < (e_2 < (... < e_k)); identity on a singleton sequence.  The
-    interleavings of all steps are charged to one budget."""
+    """e_1 < (e_2 < (... < e_k)): the e_i substituted into the word
+    x1...xk, so the interleavings of all steps are charged to one budget;
+    identity on a singleton sequence."""
     if not elems:
         raise ShapeMismatch("right-nested product of an empty sequence")
-    for e in elems:
-        elems[0]._check_shape(e)
-    coeffs, _ = _right_nested([e.coeffs for e in elems], elems[0].field.p, 0)
-    return elems[0]._like(coeffs)
+    k = len(elems)
+    word = ZinElement._make((k, elems[0].field), {tuple(range(k)): 1})
+    return word.substitute(elems)
 
 
 def divided_to_zinbiel(f: DPElement) -> ZinElement:

@@ -256,3 +256,14 @@ def test_product_counts_its_term_pairs_up_front():
     assert len(f.coeffs) == 399
     with pytest.raises(dm.TooLarge, match="term products"):
         f * f
+
+
+def test_substitution_charges_its_products_to_one_budget():
+    # 250 terms times 250 terms: 62,500 term products for each key of the
+    # outer element; two keys pass ENUMERATION_LIMIT together
+    g = dp(" + ".join(f"x1^[{i}]*x2^[{j}]" for i in range(1, 26)
+                      for j in range(1, 11)), 3)
+    assert len(g.coeffs) == 250
+    assert len(dp("x1^[1]*x2^[1]", 3).substitute([g, g, g]).coeffs) == 49 * 19
+    with pytest.raises(dm.TooLarge, match="term products"):
+        dp("x1^[1]*x2^[1] + x1^[1]*x3^[1]", 3).substitute([g, g, g])

@@ -228,3 +228,21 @@ def test_product_counts_its_term_pairs_up_front():
     g = poly(" + ".join(f"x1^{i}*x2^{j}" for i in range(1, 22)
                         for j in range(1, 16)), 2)
     assert not (g * g).is_zero()
+
+
+def test_substitution_charges_its_products_to_one_budget():
+    # 250 terms times 250 terms: 62,500 term products for each key of the
+    # outer polynomial; two keys pass ENUMERATION_LIMIT together
+    g = poly(" + ".join(f"x1^{i}*x2^{j}" for i in range(1, 26)
+                        for j in range(1, 11)), 3)
+    assert len(g.coeffs) == 250
+    assert len(poly("x1*x2", 3).substitute([g, g, g]).coeffs) == 49 * 19
+    with pytest.raises(dm.TooLarge, match="term products"):
+        poly("x1*x2 + x1*x3", 3).substitute([g, g, g])
+
+
+def test_public_constructor_rejects_bool_coefficients():
+    with pytest.raises(TypeError):
+        SeriesElement(1, 4, True, Q, {MultiIndex.single(0): True})
+    with pytest.raises(TypeError):
+        SeriesElement(1, 4, True, F3, {MultiIndex.single(0): False})

@@ -163,3 +163,12 @@ def test_scalar_power_and_division():
     assert (s / s) == Q.one()
     t = F5.embed(3)
     assert t ** 4 == F5.one()  # Fermat
+
+
+@pytest.mark.parametrize("field", [Q, F5])
+def test_bool_is_not_a_scalar(field):
+    with pytest.raises(TypeError):
+        field.raw(True)
+    with pytest.raises(TypeError):
+        field.raw(False)
+    assert field.raw(1) == 1

@@ -327,3 +327,12 @@ def test_shuffle_table_cache_is_bounded():
         for m in range(1, 12):
             zinbiel._shuffle_table(n, m)
     assert zinbiel._shuffle_table.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("key", [(-1,), (2,), (0.5,), (True,), ("a",), (),
+                                 (0, None), 5],
+                         ids=["negative", "past-arity", "float", "bool", "str",
+                              "empty", "none-letter", "int"])
+def test_public_constructor_rejects_keys_that_are_not_words(key):
+    with pytest.raises(dm.ShapeMismatch):
+        ZinElement(2, Q, {(0,): 1, key: 1})
