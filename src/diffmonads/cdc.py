@@ -50,7 +50,7 @@ from . import generators as gen
 from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch
-from .powerseries import MultiIndex, SeriesElement
+from .powerseries import MAX_DEGREE, WIDTH, SeriesElement, _combinator_coeffs
 from .scalars import FieldSpec, accumulate
 from .syntax import format_element
 from .zinbiel import ZinElement
@@ -114,6 +114,8 @@ class Theory:
 
     __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
                  "structural", "samplers")
+
+    mutation = None  # in a MutatedTheory, the name of its near-miss combinator
 
     def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
         spec = THEORIES.get(kind)
@@ -208,17 +210,20 @@ class Theory:
         return out
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Theory):
             return NotImplemented
-        return (self.kind, self.field, self.cap) == \
-               (other.kind, other.field, other.cap)
+        return (self.kind, self.field, self.cap, self.mutation) == \
+               (other.kind, other.field, other.cap, other.mutation)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.cap))
+        return hash((self.kind, self.field, self.cap, self.mutation))
 
     def __repr__(self) -> str:
         cap = f", cap={self.cap}" if self.spec.cap_option else ""
-        return f"Theory({self.name}, {self.field!r}{cap})"
+        mutation = f", mutation={self.mutation!r}" if self.mutation else ""
+        return f"Theory({self.name}, {self.field!r}{cap}{mutation})"
 
 
 def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
@@ -749,7 +754,9 @@ def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
     ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the opening
     outputs of the trials' streams come in chunks from
     ``generators.trial_streams``, and :func:`run_trial` replays any one of
-    them from its seed alone."""
+    them from its seed alone.  ValueError for fewer than one trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     plan = _plan(axiom, theory, cfg)
     started = time.perf_counter()
     failures = []
@@ -792,31 +799,35 @@ def check_all(theory: Theory, cfg: gen.GenConfig,
 # checkers must catch every one of them.  Single-variable single-term inputs
 # can slip past the chain rule by numerical coincidence, so the catch rates
 # rely on multi-term draws.
+#
+# A mutant is built like the combinator it misses: on the internal path
+# (``_make``, ``_like``), from the kernels of the real combinators.  Its keys
+# are valid by construction, and tests/test_trust_boundary.py checks them.
+# Their key maps are injective, so each output key takes one canonical value
+# and nothing is summed.
 
 
 def _mutant_zin_last_letter(f: ZinElement) -> ZinElement:
+    """The word combinator, re-tagging the last letter instead of the first."""
     n = f.arity
-    out: dict = {}
-    for w, c in f.coeffs.items():
-        accumulate(out, w[:-1] + (n + w[-1],), c, f.field.p)
-    return ZinElement(2 * n, f.field, out)
+    return ZinElement._make((2 * n, f.field),
+                            {w[:-1] + (n + w[-1],): c
+                             for w, c in f.coeffs.items()})
 
 
 def _mutant_ps_drop_first(f: SeriesElement) -> SeriesElement:
+    """The series combinator without the terms of the first dual variable."""
     full = f.partial_combinator()
-    n = f.arity
-    kept = {mi: c for mi, c in full.coeffs.items()
-            if MultiIndex.exponent(mi, n) == 0}
-    return SeriesElement(2 * n, full.cap, full.reduced, f.field, kept)
+    first_dual = MAX_DEGREE << WIDTH * (f.arity + 1)
+    return full._like({key: c for key, c in full.coeffs.items()
+                       if not key & first_dual})
 
 
 def _mutant_dp_binomial(f: DPElement) -> DPElement:
-    n = f.arity
-    out: dict = {}
-    for mi, c in f.coeffs.items():
-        for v, e in MultiIndex.pairs(mi):
-            accumulate(out, MultiIndex.move(mi, v, n + v), c * e, f.field.p)
-    return DPElement(2 * n, f.field, out)
+    """The series combinator on divided-power keys: x^[e] goes to
+    e * x^[e-1] y instead of x^[e-1] y."""
+    return DPElement._make((2 * f.arity, f.field),
+                           _combinator_coeffs(f.coeffs, f.arity, f.field.p))
 
 
 MUTATIONS = {
@@ -827,17 +838,22 @@ MUTATIONS = {
 
 
 class MutatedTheory(Theory):
-    """A theory with the differential combinator replaced by a near miss."""
+    """A theory with the differential combinator replaced by a near miss.
 
-    __slots__ = ("mutation",)
+    The mutant is bound once, in the slot that shadows :meth:`Theory.partial`;
+    the mutation's name takes part in equality, so a mutated theory equals
+    no theory with another combinator.
+    """
+
+    __slots__ = ("mutation", "partial")
 
     def __init__(self, mutation: str, field: FieldSpec, cap: int | None = 6):
-        kind, _ = MUTATIONS[mutation]
-        super().__init__(kind, field, cap)
+        row = MUTATIONS.get(mutation)
+        if row is None:
+            raise ShapeMismatch(f"unknown mutation {mutation!r}")
+        super().__init__(row[0], field, cap)
         self.mutation = mutation
-
-    def partial(self, f):
-        return MUTATIONS[self.mutation][1](f)
+        self.partial = row[1]
 
 
 def mutation_is_caught(mutation: str, field: FieldSpec, cfg: gen.GenConfig,

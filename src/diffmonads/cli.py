@@ -214,6 +214,8 @@ def _cmd_integrate(args) -> int:
 def _cmd_check(args) -> int:
     if args.trials < 1:
         raise DiffmonadError(f"--trials must be at least 1, got {args.trials}")
+    if args.jobs < 1:
+        raise DiffmonadError(f"--jobs must be at least 1, got {args.jobs}")
     theory = _theory_from_args(args)
     cfg = GenConfig(seed=args.seed)
     reports = [cdc.run_axiom(a, theory, cfg, args.trials)
@@ -294,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored: the checks "
-                        "run serially, because threads only add overhead "
-                        "to this pure-Python work")
+                   help="at least 1; accepted for compatibility and "
+                        "ignored: the checks run serially, because threads "
+                        "only add overhead to this pure-Python work")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock millis in JSON output")
     p.set_defaults(fn=_cmd_check)

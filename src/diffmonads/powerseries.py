@@ -208,6 +208,35 @@ def _dual_steps(arity: int) -> tuple:
                  for v in range(arity))
 
 
+def _combinator_coeffs(coeffs: dict, arity: int, p: int | None) -> dict:
+    """The coefficients of the series combinator of ``coeffs`` over ``arity``
+    variables: each term c * x^k gives, for every variable v of k with
+    exponent e, the value c * e on k with one unit of v moved to its dual
+    ``arity + v``.  Distinct (key, v) give distinct output keys, whose dual
+    part names v, so every product c * e is a value of its own, made
+    canonical; one that vanishes mod p drops out."""
+    steps = _dual_steps(arity)
+    out: dict = {}
+    for key, c in coeffs.items():
+        fields = key >> WIDTH
+        for step in steps:
+            e = fields & MAX_DEGREE
+            if e:
+                ce = c * e
+                if p:
+                    ce %= p
+                    if ce:
+                        out[key + step] = ce
+                elif type(ce) is Fraction and ce.denominator == 1:
+                    out[key + step] = ce.numerator
+                else:
+                    out[key + step] = ce
+            fields >>= WIDTH
+            if not fields:
+                break
+    return out
+
+
 class MonomialElement(Element):
     """The key hooks of :class:`Element` for packed monomial keys, and the
     substitution along renamings, shared by series and divided powers."""
@@ -402,29 +431,9 @@ class SeriesElement(MonomialElement):
         """
         if self.cap is not None and not self.reduced:
             raise NotReduced("differential combinator needs a reduced series")
-        p = self.field.p
-        steps = _dual_steps(self.arity)
-        out: dict = {}
-        # Distinct (key, v) give distinct output keys, whose dual part names
-        # v, so every product c * e is a value of its own, made canonical.
-        for key, c in self.coeffs.items():
-            fields = key >> WIDTH
-            for step in steps:
-                e = fields & MAX_DEGREE
-                if e:
-                    ce = c * e
-                    if p:
-                        ce %= p
-                        if ce:
-                            out[key + step] = ce
-                    elif type(ce) is Fraction and ce.denominator == 1:
-                        out[key + step] = ce.numerator
-                    else:
-                        out[key + step] = ce
-                fields >>= WIDTH
-                if not fields:
-                    break
-        return SeriesElement._make((2 * self.arity,) + self.shape[1:], out)
+        return SeriesElement._make(
+            (2 * self.arity,) + self.shape[1:],
+            _combinator_coeffs(self.coeffs, self.arity, self.field.p))
 
     # -- shape utilities ------------------------------------------------------
 

@@ -334,6 +334,14 @@ def test_check_needs_at_least_one_trial(trials):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_check_needs_at_least_one_job(jobs):
+    code, out, err = run_cli("check", "--theory", "trivial", "--trials", "1",
+                             "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 # -- fuzz: any argv from a small grammar exits 0, 1 or 2 ----------------------
 
 _MALFORMED = ("x0", "x1^", "x1^[2", "x1..x2", "1/0", "+", "x1^0", "3*",
