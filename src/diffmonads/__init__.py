@@ -28,7 +28,6 @@ from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
 from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, factorial,
                       multinomial, prime_field, rationals)
 from .syntax import format_element, parse_element, variable_name
-from .zinbiel import (ZinElement, divided_to_zinbiel, integral_candidate,
-                      right_nested)
+from .zinbiel import ZinElement, divided_to_zinbiel, right_nested
 
 __version__ = "0.1.0"

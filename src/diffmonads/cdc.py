@@ -526,6 +526,9 @@ class _Draw:
     def arity(self) -> int:
         return self.rng.randint(1, self.cfg.arity)
 
+    def index(self, m: int) -> int:
+        return self.rng.randint(0, m - 1)
+
     def element(self, arity: int):
         return gen.random_element(self.theory, self.cfg, self.rng, arity=arity,
                                   max_degree=self.degree, max_terms=self.terms)
@@ -669,7 +672,7 @@ def _monad_assoc(theory, draw):
 
 def _monad_unit_left(theory, draw):
     m, n = draw.arity(), draw.arity()
-    i = draw.rng.randint(0, m - 1)
+    i = draw.index(m)
     gs = [draw.element(n) for _ in range(m)]
     inputs = {f"g{j + 1}": g for j, g in enumerate(gs)} | {"i": i}
     yield inputs, theory.eta(i, m).substitute(gs, arity=n), gs[i], n

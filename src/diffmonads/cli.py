@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Commands: derive, compose, mul, dpow, convert, integrate, check.  The theory
-is chosen with --theory {poly|power|divided|zinbiel|trivial}, the field with
---field {Q|F<p>}, the series cap with --cap.  Expressions follow the grammar
-in the syntax module; morphisms can be given as @file.json holding
-{"arity": n, "components": ["expr", ...]}.
+Commands: derive, compose, mul, dpow, convert, check.  Each takes --theory
+{poly|power|divided|zinbiel|trivial}, --field {Q|F<p>} and --json.  --cap is
+the degree cap of the power theory, 6 when omitted; other theories reject
+it.  --arity, the number of variables, is taken by every command but check,
+which draws its own; when omitted it is the highest variable number given.
+Expressions follow the grammar in the syntax module; morphisms can be given
+as @file.json holding {"arity": n, "components": ["expr", ...]}.
 
 Exit codes: 0 on success (and all axioms passing), 1 when an axiom check
 fails, 2 on usage, parse, shape, field or @file errors and on expansions
@@ -23,7 +25,7 @@ from .errors import DiffmonadError
 from .generators import GenConfig
 from .scalars import prime_field, rationals
 from .syntax import format_element, parse_element
-from .zinbiel import divided_to_zinbiel, integral_candidate
+from .zinbiel import divided_to_zinbiel
 
 
 def _field_from_flag(text: str):
@@ -40,7 +42,11 @@ def _field_from_flag(text: str):
 
 def _theory_from_args(args, default: str = "power") -> cdc.Theory:
     kind = args.theory or default
-    return cdc.make_theory(kind, _field_from_flag(args.field), args.cap)
+    theory = cdc.make_theory(kind, _field_from_flag(args.field),
+                             6 if args.cap is None else args.cap)
+    if args.cap is not None and not theory.spec.cap_option:
+        raise DiffmonadError(f"the {kind} theory takes no --cap")
+    return theory
 
 
 def _require_theory(args, allowed: str) -> None:
@@ -48,20 +54,16 @@ def _require_theory(args, allowed: str) -> None:
         raise DiffmonadError(f"this command only works with --theory {allowed}")
 
 
-def _infer_shape(exprs: list[str]) -> tuple[int, int]:
-    """(arity, base block size) from the variable tokens of expressions."""
-    base = 0
-    max_q = 0
-    for text in exprs:
-        for m in re.finditer(r"(d*)x(\d+)", text):
-            try:
-                base = max(base, int(m.group(2)))
-            except ValueError:  # past the interpreter's digit limit
-                raise DiffmonadError("number too long") from None
-            max_q = max(max_q, len(m.group(1)))
-    if base == 0:
+def _infer_arity(exprs: list[str]) -> int:
+    """The highest variable number in the expressions."""
+    numbers = [m.group(1) for text in exprs
+               for m in re.finditer(r"x(\d+)", text)]
+    if not numbers:
         raise DiffmonadError("no variables found; cannot infer the arity")
-    return base * (max_q + 1), base
+    try:
+        return max(map(int, numbers))
+    except ValueError:  # past the interpreter's digit limit
+        raise DiffmonadError("number too long") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -110,15 +112,24 @@ def _load_components(parts: list[str],
     return exprs, declared
 
 
+def _parse_elements(args, theory: cdc.Theory, exprs: list[str]):
+    """(elements, arity) of the element commands: --arity, else inferred."""
+    arity = args.arity if args.arity is not None else _infer_arity(exprs)
+    return [parse_element(e, theory, arity) for e in exprs], arity
+
+
+def _emit_element(args, elem, arity: int, /, **payload) -> None:
+    """Print elem with ``arity`` base variables, or as JSON {"result",
+    "arity"}; ``payload`` adds or overrides JSON entries."""
+    rendered = format_element(elem, base_arity=arity)
+    _emit(args, {"result": rendered, "arity": arity, **payload}, rendered)
+
+
 def _cmd_derive(args) -> int:
     theory = _theory_from_args(args)
-    arity = args.arity
-    if arity is None:
-        arity, _ = _infer_shape([args.expr])
-    elem = parse_element(args.expr, theory, arity)
-    rendered = format_element(theory.partial(elem), base_arity=arity)
-    _emit(args, {"result": rendered, "arity": 2 * arity, "base_arity": arity},
-          rendered)
+    [elem], arity = _parse_elements(args, theory, [args.expr])
+    _emit_element(args, theory.partial(elem), arity, arity=2 * arity,
+                  base_arity=arity)
     return 0
 
 
@@ -133,7 +144,7 @@ def _cmd_compose(args) -> int:
     if not outer_exprs or not inner_exprs:
         raise DiffmonadError("compose needs both an outer and an inner morphism")
     if inner_arity is None:
-        inner_arity, _ = _infer_shape(inner_exprs)
+        inner_arity = _infer_arity(inner_exprs)
     if outer_arity is None:
         outer_arity = len(inner_exprs)
     if outer_arity != len(inner_exprs):
@@ -157,57 +168,28 @@ def _cmd_mul(args) -> int:
     theory = _theory_from_args(args)
     if theory.spec.product is None:
         raise DiffmonadError(f"the {theory.kind} theory has no product")
-    arity = args.arity
-    if arity is None:
-        arity, _ = _infer_shape([args.left, args.right])
-    a = parse_element(args.left, theory, arity)
-    b = parse_element(args.right, theory, arity)
-    rendered = format_element(a * b, base_arity=arity)
-    _emit(args, {"result": rendered, "arity": arity}, rendered)
+    (a, b), arity = _parse_elements(args, theory, [args.left, args.right])
+    _emit_element(args, a * b, arity)
     return 0
 
 
 def _cmd_dpow(args) -> int:
     _require_theory(args, "divided")
     theory = _theory_from_args(args, default="divided")
-    arity = args.arity
-    if arity is None:
-        arity, _ = _infer_shape([args.expr])
-    elem = parse_element(args.expr, theory, arity)
+    [elem], arity = _parse_elements(args, theory, [args.expr])
     try:
         power = elem.divided_power(args.n)
     except ValueError as exc:
         raise DiffmonadError(str(exc)) from None
-    rendered = format_element(power, base_arity=arity)
-    _emit(args, {"result": rendered, "arity": arity}, rendered)
+    _emit_element(args, power, arity)
     return 0
 
 
 def _cmd_convert(args) -> int:
     _require_theory(args, "divided")
-    divided = cdc.make_theory("dividedpower", _field_from_flag(args.field))
-    arity = args.arity
-    if arity is None:
-        arity, _ = _infer_shape([args.expr])
-    elem = parse_element(args.expr, divided, arity)
-    rendered = format_element(divided_to_zinbiel(elem), base_arity=arity)
-    _emit(args, {"result": rendered, "arity": arity}, rendered)
-    return 0
-
-
-def _cmd_integrate(args) -> int:
-    _require_theory(args, "zinbiel")
-    theory = cdc.make_theory("zinbiel", _field_from_flag(args.field))
-    if args.arity is not None:
-        base = args.arity
-        arity = 2 * base
-    else:
-        arity, base = _infer_shape([args.expr])
-        if arity == base:
-            arity = 2 * base  # plain x-words still live over a doubled block
-    elem = parse_element(args.expr, theory, arity, base_arity=base)
-    rendered = format_element(integral_candidate(elem), base_arity=base)
-    _emit(args, {"result": rendered, "arity": base}, rendered)
+    theory = _theory_from_args(args, default="divided")
+    [elem], arity = _parse_elements(args, theory, [args.expr])
+    _emit_element(args, divided_to_zinbiel(elem), arity)
     return 0
 
 
@@ -247,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theory", default=None,
                         choices=[spec.cli for spec in cdc.THEORIES.values()])
     common.add_argument("--field", default="Q", help="Q or F<p>")
-    common.add_argument("--cap", type=int, default=6,
-                        help="degree cap for power series")
-    common.add_argument("--arity", type=int, default=None,
-                        help="number of variables (inferred when omitted)")
+    common.add_argument("--cap", type=int, default=None,
+                        help="degree cap of the power theory (default 6)")
     common.add_argument("--json", action="store_true")
+    element = argparse.ArgumentParser(add_help=False, parents=[common])
+    element.add_argument("--arity", type=int, default=None,
+                         help="number of variables (inferred when omitted)")
 
     parser = argparse.ArgumentParser(
         prog="diffmonads",
@@ -259,40 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "theories of power series, divided powers, and words.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive", parents=[common],
-                       help="apply the differential combinator")
+    def command(name, fn, summary, parent=element):
+        p = sub.add_parser(name, parents=[parent], help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("derive", _cmd_derive, "apply the differential combinator")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_derive)
-
-    p = sub.add_parser("compose", parents=[common],
-                       help="substitute: OUTER / INNER[,INNER...]")
+    p = command("compose", _cmd_compose,
+                "substitute: OUTER / INNER[,INNER...]")
     p.add_argument("parts", nargs="+")
-    p.set_defaults(fn=_cmd_compose)
-
-    p = sub.add_parser("mul", parents=[common],
-                       help="product of two elements")
+    p = command("mul", _cmd_mul, "product of two elements")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(fn=_cmd_mul)
-
-    p = sub.add_parser("dpow", parents=[common],
-                       help="divided power f^[n]")
+    p = command("dpow", _cmd_dpow, "divided power f^[n]")
     p.add_argument("expr")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_dpow)
-
-    p = sub.add_parser("convert", parents=[common],
-                       help="expand divided powers into words")
+    p = command("convert", _cmd_convert, "expand divided powers into words")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_convert)
-
-    p = sub.add_parser("integrate", parents=[common],
-                       help="experimental block folding for words")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_integrate)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run every axiom suite for one theory")
+    p = command("check", _cmd_check, "run every axiom suite for one theory",
+                parent=common)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1,
@@ -301,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "only add overhead to this pure-Python work")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock millis in JSON output")
-    p.set_defaults(fn=_cmd_check)
 
     return parser
 

@@ -286,16 +286,3 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
         for w in _arrangements([v for v, e in pairs for _ in range(e)]):
             accumulate(out, w, c, p)
     return ZinElement._make(f.shape, out)
-
-
-def integral_candidate(g: ZinElement) -> ZinElement:
-    """Fold the dual block back onto the sources: both x_i and y_i become x_i.
-
-    This is substitution along the diagonal map; on a basis word it erases
-    the block distinction of every letter.  It is exposed as an experimental
-    antiderivative candidate, with no axioms promised.
-    """
-    if g.arity % 2:
-        raise ShapeMismatch("block folding needs an even arity")
-    half = g.arity // 2
-    return g.substitute_linear(tuple((i,) for i in range(half)) * 2, half)

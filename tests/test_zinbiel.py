@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
 from diffmonads import (ZinElement, binomial, divided_to_zinbiel,
-                        integral_candidate, parse_element, prime_field,
-                        rationals, right_nested, zinbiel)
+                        parse_element, prime_field, rationals, right_nested,
+                        zinbiel)
 
 Q = rationals()
 F2, F3, F5 = prime_field(2), prime_field(3), prime_field(5)
@@ -185,32 +185,6 @@ def test_half_shuffle_coefficient_total():
             total = sum(c.value for _, c in prod.terms())
             assert total == binomial(n + m - 1, m)
             assert prod == dm.half_shuffle_oracle(v, w)
-
-
-def test_integral_candidate_examples():
-    assert integral_candidate(zin("dx1.x2", 4, base=2)) == zin("x1.x2", 2)
-    assert integral_candidate(zin("x1.x2", 4, base=2)) == zin("x1.x2", 2)
-    d = zin("x1.x2", 2).partial_combinator()
-    assert integral_candidate(d) == zin("x1.x2", 2)
-
-
-def test_integral_candidate_observed_behaviour():
-    # exploratory, not an axiom: folding after deriving is the identity,
-    # because the combinator only re-tags the first letter
-    cfg = dm.GenConfig(seed=51)
-    rng = dm.SplitMix64(51)
-    for _ in range(25):
-        f = dm.random_element(ZQ, cfg, rng, arity=2, max_degree=4, max_terms=3)
-        assert integral_candidate(f.partial_combinator()) == f
-    # the reverse composite is not the identity: a star-free word survives
-    # folding unchanged but then gains a star under the combinator
-    g = zin("x1.x2", 4, base=2)
-    assert ZQ.partial(integral_candidate(g)) != g
-
-
-def test_integral_candidate_needs_even_arity():
-    with pytest.raises(dm.ShapeMismatch):
-        integral_candidate(zin("x1", 3))
 
 
 def test_word_budgets_cover_a_whole_call():
