@@ -25,8 +25,8 @@ from .generators import (GenConfig, SplitMix64, enumerate_basis,
                          random_morphism, stable_hash,
                          symmetrized_expand_oracle)
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, factorial,
-                      multinomial, prime_field, rationals)
+from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, multinomial,
+                      prime_field, rationals)
 from .syntax import format_element, parse_element, variable_name
 from .zinbiel import ZinElement, divided_to_zinbiel, right_nested
 

@@ -62,7 +62,6 @@ class TheorySpec:
     outside their element classes."""
 
     name: str            # display name in reports
-    cli: str             # the --theory choice
     element: type        # the element class
     cap: int | None      # the degree cap, unless cap_option
     cap_option: bool     # the cap comes from the caller and must be >= 1
@@ -73,20 +72,17 @@ class TheorySpec:
 
 _UNCAPPED_BOUNDS = {1: (3, 2), 2: (2, 2)}
 
-THEORIES = {
-    "polynomial": TheorySpec("Polynomial", "poly", SeriesElement, None, False,
-                             False, {1: (4, 3), 2: (3, 2)}, operator.mul),
-    "powerseries": TheorySpec("PowerSeries", "power", SeriesElement, None,
-                              True, True, {}, operator.mul),
-    "dividedpower": TheorySpec("DividedPower", "divided", DPElement, None,
-                               False, True, _UNCAPPED_BOUNDS, operator.mul),
-    "zinbiel": TheorySpec("Zinbiel", "zinbiel", ZinElement, None, False, True,
+THEORIES = {  # keyed by the --theory choice
+    "poly": TheorySpec("Polynomial", SeriesElement, None, False, False,
+                       {1: (4, 3), 2: (3, 2)}, operator.mul),
+    "power": TheorySpec("PowerSeries", SeriesElement, None, True, True, {},
+                        operator.mul),
+    "divided": TheorySpec("DividedPower", DPElement, None, False, True,
+                          _UNCAPPED_BOUNDS, operator.mul),
+    "zinbiel": TheorySpec("Zinbiel", ZinElement, None, False, True,
                           _UNCAPPED_BOUNDS, lambda a, b: a.half_shuffle(b)),
-    "trivial": TheorySpec("Trivial", "trivial", SeriesElement, 1, False, True,
-                          {}, None),
+    "trivial": TheorySpec("Trivial", SeriesElement, 1, False, True, {}, None),
 }
-
-_BY_CLI_NAME = {spec.cli: kind for kind, spec in THEORIES.items()}
 
 
 class _Shapes(dict):
@@ -227,9 +223,9 @@ class Theory:
 
 
 def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
-    """Build a theory from its kind or CLI name, and smoke-check that the unit
-    tuple is the identity."""
-    t = Theory(_BY_CLI_NAME.get(kind, kind), field, cap)
+    """Build a theory from its name in :data:`THEORIES`, and smoke-check that
+    the unit tuple is the identity."""
+    t = Theory(kind, field, cap)
     n = 2
     sample = t.eta(0, n) + t.eta(1, n).scale(field.embed(2))
     if t.spec.product is not None:
@@ -835,8 +831,8 @@ def _mutant_dp_binomial(f: DPElement) -> DPElement:
 
 MUTATIONS = {
     "zinbiel-last-letter": ("zinbiel", _mutant_zin_last_letter),
-    "powerseries-drop-first-partial": ("powerseries", _mutant_ps_drop_first),
-    "dividedpower-binomial-factor": ("dividedpower", _mutant_dp_binomial),
+    "powerseries-drop-first-partial": ("power", _mutant_ps_drop_first),
+    "dividedpower-binomial-factor": ("divided", _mutant_dp_binomial),
 }
 
 

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands: derive, compose, mul, dpow, convert, check.  Each takes --theory
-{poly|power|divided|zinbiel|trivial}, --field {Q|F<p>} and --json.  --cap is
-the degree cap of the power theory, 6 when omitted; other theories reject
-it.  --arity, the number of variables, is taken by every command but check,
-which draws its own; when omitted it is the highest variable number given.
+{poly|power|divided|zinbiel|trivial}, --field {Q|F<p>} and --json, but dpow
+and convert take only --theory divided, their default.  --cap is the degree
+cap of the power theory, the default theory, 6 when omitted; other theories
+reject it, and dpow and convert do not take it.  --arity, the number of
+variables, is taken by every command but check, which draws its own; when
+omitted it is the highest variable number given.
 Expressions follow the grammar in the syntax module; morphisms can be given
 as @file.json holding {"arity": n, "components": ["expr", ...]}.
 
@@ -40,18 +42,12 @@ def _field_from_flag(text: str):
         raise DiffmonadError(f"bad field {text!r}: {exc}") from None
 
 
-def _theory_from_args(args, default: str = "power") -> cdc.Theory:
-    kind = args.theory or default
-    theory = cdc.make_theory(kind, _field_from_flag(args.field),
+def _theory_from_args(args) -> cdc.Theory:
+    theory = cdc.make_theory(args.theory, _field_from_flag(args.field),
                              6 if args.cap is None else args.cap)
     if args.cap is not None and not theory.spec.cap_option:
-        raise DiffmonadError(f"the {kind} theory takes no --cap")
+        raise DiffmonadError(f"the {args.theory} theory takes no --cap")
     return theory
-
-
-def _require_theory(args, allowed: str) -> None:
-    if args.theory is not None and args.theory != allowed:
-        raise DiffmonadError(f"this command only works with --theory {allowed}")
 
 
 def _infer_arity(exprs: list[str]) -> int:
@@ -78,12 +74,14 @@ def _read_morphism_file(path: str) -> tuple[list[str], int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        components, arity = data["components"], int(data["arity"])
+        components, arity = data["components"], data["arity"]
     except KeyError as exc:
         raise DiffmonadError(f"{path} has no {exc} entry") from None
     except (OSError, ValueError, TypeError) as exc:
         raise DiffmonadError(f"cannot read a morphism from {path}: {exc}") \
             from None
+    if type(arity) is not int or arity < 0:
+        raise DiffmonadError(f"{path}: arity must be an integer >= 0")
     if not isinstance(components, list) or \
             not all(isinstance(c, str) for c in components):
         raise DiffmonadError(f"{path}: components must be a list of "
@@ -174,8 +172,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_dpow(args) -> int:
-    _require_theory(args, "divided")
-    theory = _theory_from_args(args, default="divided")
+    theory = _theory_from_args(args)
     [elem], arity = _parse_elements(args, theory, [args.expr])
     try:
         power = elem.divided_power(args.n)
@@ -186,8 +183,7 @@ def _cmd_dpow(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _require_theory(args, "divided")
-    theory = _theory_from_args(args, default="divided")
+    theory = _theory_from_args(args)
     [elem], arity = _parse_elements(args, theory, [args.expr])
     _emit_element(args, divided_to_zinbiel(elem), arity)
     return 0
@@ -199,9 +195,7 @@ def _cmd_check(args) -> int:
     if args.jobs < 1:
         raise DiffmonadError(f"--jobs must be at least 1, got {args.jobs}")
     theory = _theory_from_args(args)
-    cfg = GenConfig(seed=args.seed)
-    reports = [cdc.run_axiom(a, theory, cfg, args.trials)
-               for a in cdc.axiom_ids()]
+    reports = cdc.check_all(theory, GenConfig(seed=args.seed), args.trials)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -225,16 +219,20 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--theory", default=None,
-                        choices=[spec.cli for spec in cdc.THEORIES.values()])
+    # The parents carry --help, built once each instead of once per command:
+    # building the parser is most of the time of a small command.
+    common = argparse.ArgumentParser()
+    common.add_argument("--theory", default="power",
+                        choices=list(cdc.THEORIES))
     common.add_argument("--field", default="Q", help="Q or F<p>")
     common.add_argument("--cap", type=int, default=None,
                         help="degree cap of the power theory (default 6)")
     common.add_argument("--json", action="store_true")
-    element = argparse.ArgumentParser(add_help=False, parents=[common])
-    element.add_argument("--arity", type=int, default=None,
-                         help="number of variables (inferred when omitted)")
+    divided = argparse.ArgumentParser()
+    divided.add_argument("--theory", default="divided", choices=["divided"])
+    divided.add_argument("--field", default="Q", help="Q or F<p>")
+    divided.add_argument("--json", action="store_true")
+    divided.set_defaults(cap=None)
 
     parser = argparse.ArgumentParser(
         prog="diffmonads",
@@ -242,9 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "theories of power series, divided powers, and words.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, parent=element):
-        p = sub.add_parser(name, parents=[parent], help=summary)
+    def command(name, fn, summary, parent=common, arity=True):
+        p = sub.add_parser(name, parents=[parent], help=summary,
+                           add_help=False)
         p.set_defaults(fn=fn)
+        if arity:
+            p.add_argument("--arity", type=int, default=None,
+                           help="number of variables (inferred when omitted)")
         return p
 
     p = command("derive", _cmd_derive, "apply the differential combinator")
@@ -255,13 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("mul", _cmd_mul, "product of two elements")
     p.add_argument("left")
     p.add_argument("right")
-    p = command("dpow", _cmd_dpow, "divided power f^[n]")
+    p = command("dpow", _cmd_dpow, "divided power f^[n]", parent=divided)
     p.add_argument("expr")
     p.add_argument("n", type=int)
-    p = command("convert", _cmd_convert, "expand divided powers into words")
+    p = command("convert", _cmd_convert, "expand divided powers into words",
+                parent=divided)
     p.add_argument("expr")
     p = command("check", _cmd_check, "run every axiom suite for one theory",
-                parent=common)
+                arity=False)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1,

@@ -17,17 +17,18 @@ n! * a^[n] * b^[n] form of the product rule instead would spuriously vanish in
 characteristic p, which is why the a^{*n} * b^[n] form is used.
 
 The product and the divided power are the ``_times`` and ``_power`` hooks of
-the element core.  Keys and coefficients are those of the power series.
+the element core, and the derivative and the combinator its ``_lower`` and
+``_combinator``.  Keys and coefficients are those of the power series.
 """
 
 from __future__ import annotations
 
 from .element import Element
-from .errors import NotReduced, ShapeMismatch, TooLarge
+from .errors import TooLarge
 from .powerseries import (MAX_DEGREE, WIDTH, MonomialElement, MultiIndex,
                           _dual_steps)
-from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, binomial,
-                      canonical, dp_power_coeff, multinomial)
+from .scalars import (ENUMERATION_LIMIT, accumulate, binomial, dp_power_coeff,
+                      multinomial)
 
 
 def _compositions(n: int, k: int):
@@ -78,15 +79,6 @@ class DPElement(MonomialElement):
     notation = ("*", "[", "]")
     _tag = "divided"
 
-    def _check_keys(self) -> None:
-        bound = MultiIndex.bound(self.arity)
-        for key in self.coeffs:
-            if key >= bound:
-                raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
-                                    f"exceeds arity {self.arity}")
-            if not key:
-                raise NotReduced("constant term in a divided power polynomial")
-
     # -- products, divided powers and substitution --------------------------
 
     def _times(self, a: dict, b: dict) -> dict:
@@ -133,11 +125,7 @@ class DPElement(MonomialElement):
                 accumulate(out, mono, scalar, p)
         return out, spent
 
-    def __mul__(self, other: "DPElement") -> "DPElement":
-        """The product; its term pairs are counted up front (``_charge``)."""
-        self._check_shape(other)
-        self._charge(0, self.coeffs, other.coeffs)
-        return self._like(self._times(self.coeffs, other.coeffs))
+    __mul__ = Element._product  # bound per theory: see Element
 
     def mul_int_power(self, n: int) -> "DPElement":
         """Plain n-fold product f * f * ... * f (n >= 1), on one budget."""
@@ -153,37 +141,22 @@ class DPElement(MonomialElement):
 
     # -- differentiation -------------------------------------------------------------
 
-    def partial(self, x: int) -> tuple["DPElement", Scalar]:
-        """Divided-power derivative d/dx: decrement without a binomial factor.
+    @staticmethod
+    def _lower(key: int, x: int) -> int | None:
+        """x^[e] to x^[e-1], without a binomial factor; the bare x^[1] empties
+        the key, so its derivative is the field unit."""
+        if MultiIndex.exponent(key, x):
+            return key - (1 << WIDTH * (x + 1)) - 1
 
-        The bare monomial x^[1] differentiates to the field unit, reported in
-        the separate constant component since the algebra has no unit element.
-        """
-        if not 0 <= x < self.arity:
-            raise ShapeMismatch(f"variable {x} out of range")
-        p = self.field.p
-        step = MultiIndex.single(x)
+    @staticmethod
+    def _combinator(coeffs: dict, arity: int, p: int | None) -> dict:
+        """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable
+        n+i: one unit of each variable moved to its dual.  Distinct (key, v)
+        give distinct output keys, whose dual part names v, so every
+        coefficient is copied as it is."""
+        steps = _dual_steps(arity)
         out: dict = {}
-        const = 0
-        for key, c in self.coeffs.items():
-            if not MultiIndex.exponent(key, x):
-                continue
-            lowered = key - step
-            if lowered:
-                accumulate(out, lowered, c, p)
-            else:
-                const += c
-        return self._like(out), Scalar(self.field, canonical(const, p))
-
-    def partial_combinator(self) -> "DPElement":
-        """Sum over i of (d f/d x_i) * y_i^[1] with y_i the dual variable n+i.
-
-        Distinct (key, v) give distinct output keys, whose dual part names v,
-        so every coefficient is copied as it is.
-        """
-        steps = _dual_steps(self.arity)
-        out: dict = {}
-        for key, c in self.coeffs.items():
+        for key, c in coeffs.items():
             fields = key >> WIDTH
             for step in steps:
                 if fields & MAX_DEGREE:
@@ -191,4 +164,7 @@ class DPElement(MonomialElement):
                 fields >>= WIDTH
                 if not fields:
                     break
-        return DPElement._make((2 * self.arity, self.field), out)
+        return out
+
+    partial = Element.partial  # bound per theory: see Element
+    partial_combinator = Element.partial_combinator

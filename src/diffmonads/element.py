@@ -15,9 +15,13 @@ owns ``substitute``, the monad multiplication of all three theories: a key,
 read as the product of its (variable, exponent) pairs, becomes the product
 a_1 * (a_2 * (... * a_k)) of the factors ``args[v]^e``, nested from the
 right as the half-shuffle of words needs.  The powers of each argument are
-kept for the call, and all its products share one budget (``_charge``).  Each element class
-binds ``substitute`` in its own namespace, so that instrumentation which
-wraps class attributes tells the theories apart.
+kept for the call, and all its products share one budget (``_charge``).
+And it owns the differential structure: ``partial_combinator``, the
+single derivative ``partial(x)`` of the non-unital theories (series, whose
+derivative lowers the cap, keep their own) and ``_product``, the checked
+entry of the product.  Each element class binds these in its own
+namespace, so that instrumentation which wraps class attributes tells the
+theories apart.
 
 Checks run at the public edge only.  The public constructor, and so
 ``from_terms`` and the parser, make every coefficient canonical and check
@@ -29,8 +33,7 @@ arity, words do not) and raises TooLarge past it.  A test runs the axiom
 checks with the key checks put back into ``_make``, so a key that an
 operation builds wrong still shows.
 
-A subclass supplies its algebra (products, derivatives) and these hooks;
-the first three work on coefficient dicts:
+A subclass supplies these hooks; the first four work on coefficient dicts:
 
 * ``_times(a, b)``: the product (truncated, divided-power, half-shuffle);
 * ``_power(known, e, spent)``: the e-th power of ``known[1]``, given the
@@ -38,12 +41,14 @@ the first three work on coefficient dicts:
   cost: repeated products by default, the divided power for divided powers;
 * ``_cost(a, b)`` and ``_UNIT``: the cost of a product and its unit, term
   pairs or interleavings, for ``_charge``;
+* ``_combinator(coeffs, n, p)``: the coefficients of the combinator of an
+  element over n variables, with ``p`` the field's modulus (None over Q);
+* ``_lower(key, x)`` (divided powers and words): the key of d/dx of the
+  basis element ``key``, empty (falsy) for the field unit, None for zero;
 * ``_target(args, arity)``: the shape of a substitution (series add their
   cap and reduced checks);
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
   (the per-key work of the public constructor);
-* ``_check_key(key)``: ``key`` itself when the public constructor may take
-  it, else ShapeMismatch;
 * ``_key(pairs)``: the key of the basis element with the given (variable,
   exponent) pairs;
 * ``_key_of_letters(letters)``: the key of the product of the variables in
@@ -51,9 +56,7 @@ the first three work on coefficient dicts:
 * ``_key_of_draws(draw, degree, arity)``: ``_key_of_letters`` of ``degree``
   letters drawn in order as ``draw() % arity`` (random elements);
 * ``_pairs(key)``: the tuple of the (variable, exponent) pairs of a key, in
-  print order;
-* ``_order(key)``: the sort key of terms in print: the degree first, then
-  the pairs (words compare as letter tuples, which sorts them alike);
+  print order; terms print by degree, then by their pairs;
 * ``_degree(key)``: the degree of a key, a builtin so that the counit and
   ``degrees`` make no Python call per key;
 * ``_shift(key, offset)``: relabel every variable v as v + offset;
@@ -95,12 +98,14 @@ class Element:
         self._build((arity, field), coeffs)
 
     def _build(self, shape: tuple, coeffs: dict) -> None:
+        if shape[0] < 0:
+            raise ShapeMismatch(f"negative arity {shape[0]}")
         field = shape[-1]
         raw = {}
         for key, c in coeffs.items():
             value = field.raw(c)
             if value:
-                raw[self._check_key(key)] = value
+                raw[key] = value
         self.shape = shape
         self.arity = shape[0]
         self.field = field
@@ -133,10 +138,6 @@ class Element:
         for key, c in terms:
             accumulate(coeffs, key, field.raw(c), field.p)
         return cls(*shape, coeffs)
-
-    @staticmethod
-    def _check_key(key):
-        return key
 
     # -- linear structure ---------------------------------------------------
 
@@ -290,6 +291,40 @@ class Element:
                     raise ShapeMismatch(f"variable {v} out of range for "
                                         f"arity {arity}")
         return (arity,) + self.shape[1:]
+
+    # -- the product and the differential structure ------------------------
+
+    def _product(self, other: "Element"):
+        """The product ``_times``, its cost charged up front (``_charge``)."""
+        self._check_shape(other)
+        self._charge(0, self.coeffs, other.coeffs)
+        return self._like(self._times(self.coeffs, other.coeffs))
+
+    def partial(self, x: int) -> tuple["Element", Scalar]:
+        """The derivative d/dx of a non-unital algebra: each key lowered by
+        ``_lower``.  A key that it empties stands for the field unit, which
+        the algebra lacks, so its coefficient goes to the constant part."""
+        if not 0 <= x < self.arity:
+            raise ShapeMismatch(f"variable {x} out of range")
+        p = self.field.p
+        lower = self._lower
+        out: dict = {}
+        const = 0
+        for key, c in self.coeffs.items():
+            lowered = lower(key, x)
+            if lowered:
+                accumulate(out, lowered, c, p)
+            elif lowered is not None:
+                const += c
+        return self._like(out), Scalar(self.field, canonical(const, p))
+
+    def partial_combinator(self):
+        """The differential combinator: the sum over i of d/dx_i times the
+        dual variable y_i = x_{n+i} (y_i < d/dx_i for words), over twice the
+        arity, with the coefficients of ``_combinator``."""
+        n = self.arity
+        return self._make((2 * n,) + self.shape[1:],
+                          self._combinator(self.coeffs, n, self.field.p))
 
     def __repr__(self) -> str:
         return f"<{self._tag} arity={self.arity} terms={len(self.coeffs)}>"

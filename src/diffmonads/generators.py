@@ -48,11 +48,12 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
+from math import factorial
 
 from .dividedpower import DPElement
 from .errors import TooLarge
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import ENUMERATION_LIMIT, accumulate, factorial
+from .scalars import ENUMERATION_LIMIT, accumulate
 from .zinbiel import ZinElement
 
 MASK64 = (1 << 64) - 1

@@ -34,9 +34,10 @@ check is one comparison.
 
 Coefficients are raw canonical values (see :mod:`diffmonads.scalars`).
 :class:`MultiIndex` builds and reads keys, and :class:`MonomialElement` gives
-:class:`diffmonads.element.Element` its key hooks for them; the truncated
-product is its ``_times``, which its substitution uses.  The element checks
-of ``SeriesElement._check_keys`` read only the degree field and the key size.
+:class:`diffmonads.element.Element` its key hooks for them, shared with
+divided powers; its key check is ``MultiIndex.check`` followed by reads of
+the degree field and the key size.  The truncated product is the ``_times``
+of series, which their substitution uses.
 
 Substitution along a linear map (``substitute_linear``) rewrites keys only
 for a *renaming*, a map that sends every variable to one variable or to zero
@@ -245,7 +246,6 @@ class MonomialElement(Element):
 
     ARITY_LIMIT = MAX_ARITY
     _UNIT = "term products"
-    _check_key = staticmethod(MultiIndex.check)
     _pairs = staticmethod(MultiIndex.pairs)
     _degree = staticmethod(MAX_DEGREE.__and__)
     _shift = staticmethod(MultiIndex.shift)
@@ -285,9 +285,22 @@ class MonomialElement(Element):
         """A product is counted by its term pairs, before it runs."""
         return len(a) * len(b)
 
-    @staticmethod
-    def _order(key: int) -> tuple:
-        return key & MAX_DEGREE, MultiIndex.pairs(key)
+    def _check_keys(self) -> None:
+        """Canonical keys (``MultiIndex.check``) over the arity, of degree at
+        least 1 in a reduced element and at most a cap; divided powers are
+        reduced and uncapped."""
+        arity, *regime, _ = self.shape
+        cap, reduced = regime or (None, True)
+        bound = MultiIndex.bound(arity)
+        for key in self.coeffs:
+            deg = MultiIndex.check(key) & MAX_DEGREE
+            if key >= bound:
+                raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
+                                    f"exceeds arity {arity}")
+            if reduced and deg < 1:
+                raise NotReduced("constant term in a reduced element")
+            if cap is not None and deg > cap:
+                raise ShapeMismatch(f"degree {deg} exceeds cap {cap}")
 
     def substitute_linear(self, spec: tuple, arity: int):
         """Substitute for variable i the variable in ``spec[i]``, or zero when
@@ -322,19 +335,6 @@ class SeriesElement(MonomialElement):
         """Public constructor: keys from MultiIndex, values Scalars of
         ``field`` or ints (or Fractions over Q); zero values are dropped."""
         self._build((arity, cap, reduced, field), coeffs)
-
-    def _check_keys(self) -> None:
-        arity, cap, reduced, _ = self.shape
-        bound = MultiIndex.bound(arity)
-        for key in self.coeffs:
-            deg = key & MAX_DEGREE
-            if key >= bound:
-                raise ShapeMismatch(f"monomial {MultiIndex.pairs(key)} "
-                                    f"exceeds arity {arity}")
-            if reduced and deg < 1:
-                raise NotReduced("constant term in a reduced series")
-            if cap is not None and deg > cap:
-                raise ShapeMismatch(f"degree {deg} exceeds cap {cap}")
 
     @property
     def cap(self) -> int | None:
@@ -422,6 +422,8 @@ class SeriesElement(MonomialElement):
         return SeriesElement._make((self.arity, new_cap, False, self.field),
                                    out)
 
+    _combinator = staticmethod(_combinator_coeffs)
+
     def partial_combinator(self) -> "SeriesElement":
         """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i.
 
@@ -431,9 +433,7 @@ class SeriesElement(MonomialElement):
         """
         if self.cap is not None and not self.reduced:
             raise NotReduced("differential combinator needs a reduced series")
-        return SeriesElement._make(
-            (2 * self.arity,) + self.shape[1:],
-            _combinator_coeffs(self.coeffs, self.arity, self.field.p))
+        return Element.partial_combinator(self)
 
     # -- shape utilities ------------------------------------------------------
 

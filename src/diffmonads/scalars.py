@@ -162,15 +162,12 @@ class Scalar:
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field is self.field or other.field == self.field:
-                return other
-            raise MixedFields(f"cannot mix {self.field} and {other.field}")
-        if isinstance(other, int):
-            return self.field.embed(other)
-        if isinstance(other, Fraction) and self.field.p is None:
-            return Scalar(self.field, canonical(other, None))
-        return NotImplemented
+        """``other`` as a Scalar of this field, on the terms of
+        :meth:`FieldSpec.raw`; NotImplemented for what it does not take."""
+        try:
+            return Scalar(self.field, self.field.raw(other))
+        except TypeError:
+            return NotImplemented
 
     # -- ring operations --------------------------------------------------
 
@@ -255,10 +252,6 @@ class Scalar:
 
 
 # -- integer combinatorics -------------------------------------------------
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

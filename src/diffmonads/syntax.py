@@ -189,8 +189,8 @@ def format_element(elem, base_arity: int | None = None) -> str:
         raise ShapeMismatch(f"cannot format {type(elem).__name__}")
     base = base_arity if base_arity is not None else elem.arity
     sep, opening, closing = elem.notation
-    pairs = elem._pairs
-    keys = sorted(elem.coeffs, key=elem._order)
+    pairs, degree = elem._pairs, elem._degree
+    keys = sorted(elem.coeffs, key=lambda key: (degree(key), pairs(key)))
 
     def render(key):
         return sep.join(variable_name(v, base) +

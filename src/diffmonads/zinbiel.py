@@ -45,8 +45,7 @@ from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch, TooLarge
 from .powerseries import MultiIndex
-from .scalars import (ENUMERATION_LIMIT, Scalar, accumulate, canonical,
-                      multinomial)
+from .scalars import ENUMERATION_LIMIT, accumulate, canonical, multinomial
 
 Word = tuple  # nonempty tuple of variable indices
 
@@ -174,10 +173,6 @@ class ZinElement(Element):
     def _count(arity: int, degree: int) -> int:
         return arity ** degree
 
-    @staticmethod
-    def _order(w: Word) -> tuple:
-        return len(w), w
-
     # -- products and substitution -----------------------------------------
 
     def _times(self, a: dict, b: dict) -> dict:
@@ -188,12 +183,7 @@ class ZinElement(Element):
         """C(n-1+m, m) interleavings for each pair of words of lengths n, m."""
         return sum(comb(len(v) - 1 + len(w), len(w)) for v in a for w in b)
 
-    def half_shuffle(self, other: "ZinElement") -> "ZinElement":
-        """Sum of v < w over the term pairs; TooLarge up front past
-        ``ENUMERATION_LIMIT`` interleavings (see ``_charge``)."""
-        self._check_shape(other)
-        self._charge(0, self.coeffs, other.coeffs)
-        return self._like(self._times(self.coeffs, other.coeffs))
+    half_shuffle = Element._product  # bound per theory: see Element
 
     def __mul__(self, other: "ZinElement") -> "ZinElement":
         """The shuffle product a<b + b<a (commutative and associative); both
@@ -228,31 +218,20 @@ class ZinElement(Element):
 
     # -- differentiation --------------------------------------------------------
 
-    def partial(self, x: int) -> tuple["ZinElement", Scalar]:
-        """Deconcatenation derivative: drop a leading x, else zero.
+    @staticmethod
+    def _lower(w: Word, x: int) -> Word | None:
+        """Deconcatenation: drop a leading x, else zero; a one-letter word
+        empties, x tensor the empty word being read as the field unit."""
+        if w[0] == x:
+            return w[1:]
 
-        One-letter words land in the constant component (x tensor the empty
-        word is read as the field unit).
-        """
-        if not 0 <= x < self.arity:
-            raise ShapeMismatch(f"variable {x} out of range")
-        p = self.field.p
-        out: dict = {}
-        const = 0
-        for w, c in self.coeffs.items():
-            if w[0] != x:
-                continue
-            if len(w) == 1:
-                const += c
-            else:
-                accumulate(out, w[1:], c, p)
-        return self._like(out), Scalar(self.field, canonical(const, p))
-
-    def partial_combinator(self) -> "ZinElement":
+    @staticmethod
+    def _combinator(coeffs: dict, n: int, p: int | None) -> dict:
         """Move the first letter of every word into the dual block n+i."""
-        n = self.arity
-        out = {(n + w[0],) + w[1:]: c for w, c in self.coeffs.items()}
-        return ZinElement._make((2 * n, self.field), out)
+        return {(n + w[0],) + w[1:]: c for w, c in coeffs.items()}
+
+    partial = Element.partial  # bound per theory: see Element
+    partial_combinator = Element.partial_combinator
 
 
 def right_nested(elems: Sequence[ZinElement]) -> ZinElement:

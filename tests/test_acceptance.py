@@ -7,11 +7,11 @@ budgets.  Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import itertools
 import json
 import time
+from math import factorial
 
 import diffmonads as dm
 from diffmonads import (GenConfig, Morphism, compose, dp_power_coeff,
-                        factorial, is_dlinear, parse_element, prime_field,
-                        rationals)
+                        is_dlinear, parse_element, prime_field, rationals)
 
 Q = rationals()
 F2 = prime_field(2)

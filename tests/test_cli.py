@@ -348,6 +348,27 @@ def test_compose_with_declared_arity_0_exits_2(tmp_path):
     assert "needs 0 inner components" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("derive", "--theory", "poly", "--arity", "-1", "3"),
+    ("mul", "--theory", "poly", "--arity", "-2", "3", "4"),
+    ("compose", "--theory", "poly", "--arity", "-1", "x1", "/", "3"),
+])
+def test_negative_arity_exits_2(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: negative arity {argv[4]}\n"
+
+
+@pytest.mark.parametrize("arity", [2.9, True, "2", -1, None])
+def test_morphism_file_arity_must_be_a_json_integer(tmp_path, arity):
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps({"arity": arity, "components": ["x1"]}))
+    code, out, err = run_cli("compose", "--theory", "poly", f"@{path}", "/",
+                             "x1", "x2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: arity must be an integer >= 0\n"
+
+
 def test_compose_with_disagreeing_declared_arities_exits_2(tmp_path):
     f1, f2 = tmp_path / "f1.json", tmp_path / "f2.json"
     f1.write_text(json.dumps({"arity": 1, "components": ["x1*x1"]}))
@@ -417,7 +438,7 @@ def _argv(draw):
     argv = [command]
     theory = None
     if draw(st.booleans()):
-        theory = draw(st.sampled_from([s.cli for s in dm.THEORIES.values()]))
+        theory = draw(st.sampled_from(list(dm.THEORIES)))
         argv += ["--theory", theory]
     argv += ["--field", draw(st.sampled_from(("Q", "F2", "F5", "F4")))]
     misplaced = draw(st.integers(0, 7)) == 0
@@ -426,7 +447,7 @@ def _argv(draw):
     if (power or misplaced) and draw(st.booleans()):
         argv += ["--cap", str(draw(st.sampled_from((-1, 0, 1, 2, 4, 5000))))]
     if (command != "check" or misplaced) and draw(st.booleans()):
-        argv += ["--arity", str(draw(st.integers(0, 4)))]
+        argv += ["--arity", str(draw(st.integers(-2, 4)))]
     if command == "check":
         argv += ["--trials", str(draw(st.integers(-1, 2))),
                  "--seed", str(draw(st.integers(0, 10 ** 6)))]
@@ -453,6 +474,7 @@ def _argv(draw):
 @example(["convert", "--", "x1^[2000]"])
 @example(["derive", "--theory", "poly", "--", "1" * 5000 + "*x1"])
 @example(["derive", "--", "x" + "1" * 5000])
+@example(["derive", "--theory", "poly", "--arity", "-1", "--", "3"])
 def test_fuzzed_argv_exits_0_1_or_2(argv):
     code, _, err = run_cli(*argv)
     assert code in (0, 1, 2)

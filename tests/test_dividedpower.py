@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import diffmonads as dm
 from diffmonads import (DPElement, MultiIndex, SeriesElement, dp_power_coeff,
-                        factorial, parse_element, prime_field, rationals)
+                        parse_element, prime_field, rationals)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -107,14 +108,18 @@ def test_partial_combinator_examples():
         parse_element("x2^[1]*dx1^[1] + x1^[1]*dx2^[1]", theory, 4, base_arity=2)
 
 
-def test_partial_combinator_agrees_with_composed_derivative():
-    # the combinator is defined directly on monomials; it must match the
-    # sum over i of (d f/d x_i) * y_i plus the constant part times y_i
-    theory = dm.make_theory("divided", Q)
+@pytest.mark.parametrize("kind,times", [
+    ("divided", lambda yi, g: g * yi),
+    ("zinbiel", lambda yi, g: yi.half_shuffle(g)),
+])
+def test_partial_combinator_agrees_with_composed_derivative(kind, times):
+    # the combinator is defined directly on keys; it must match the sum over
+    # i of (d f/d x_i) * y_i (y_i < d f/d x_i for words) plus the constant
+    # part times y_i
     cfg = dm.GenConfig(seed=23)
     rng = dm.SplitMix64(23)
     for field in (Q, F2, F3):
-        th = dm.make_theory("divided", field)
+        th = dm.make_theory(kind, field)
         for _ in range(25):
             f = dm.random_element(th, cfg, rng, arity=3, max_degree=4)
             n = f.arity
@@ -122,7 +127,7 @@ def test_partial_combinator_agrees_with_composed_derivative():
             for i in range(n):
                 reduced, const = f.partial(i)
                 yi = th.eta(n + i, 2 * n)
-                built = built + reduced.extend_arity(2 * n) * yi
+                built = built + times(yi, reduced.extend_arity(2 * n))
                 built = built + yi.scale(const)
             assert built == f.partial_combinator()
 

@@ -57,7 +57,7 @@ def _inputs(kind: str, field, count: int = 40):
         n = rng.randint(1, 4)
         if kind == "zinbiel":
             yield ZinElement(n, field, _random_coeffs(rng, field, n, _word))
-        elif kind == "powerseries":
+        elif kind == "power":
             yield SeriesElement(n, CAP, True, field,
                                 _random_coeffs(rng, field, n, _monomial))
         else:
