@@ -37,37 +37,44 @@ index), so a failure report replays exactly.  Composition-heavy axioms use
 smaller element bounds than the linear ones: without a degree cap, word
 lengths and degrees multiply under substitution, and the uncapped theories
 would otherwise blow up combinatorially.
+
+Importing this module loads the element core, and neither ``generators`` nor
+``syntax``: building a theory with :func:`make_theory` and computing in it
+calls neither.  :func:`run_axiom` and :func:`run_trial` import
+``generators`` once per call and hand it to the draws of their trials, and a
+report imports ``syntax`` when it writes an element (:func:`_text`).  Both
+look their functions up in the module at call time.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from functools import lru_cache
 
-from . import generators as gen
 from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch
 from .powerseries import MAX_DEGREE, WIDTH, SeriesElement, _combinator_coeffs
 from .scalars import FieldSpec, accumulate
-from .syntax import format_element
 from .zinbiel import ZinElement
 
 
-@dataclass(frozen=True)
-class TheorySpec:
+class TheorySpec(namedtuple("TheorySpec", "name element cap cap_option "
+                                          "reduced bounds product")):
     """One row of :data:`THEORIES`: everything that tells theories apart
-    outside their element classes."""
+    outside their element classes.
 
-    name: str            # display name in reports
-    element: type        # the element class
-    cap: int | None      # the degree cap, unless cap_option
-    cap_option: bool     # the cap comes from the caller and must be >= 1
-    reduced: bool        # elements have no constant term
-    bounds: dict         # composition depth -> (degree, terms) caps of draws
-    product: object      # (a, b) -> the algebra's product; None: linear forms
+    ``name`` is the display name in reports and ``element`` the element
+    class.  ``cap`` is the degree cap, unless ``cap_option``: then the cap
+    comes from the caller and must be >= 1.  ``reduced`` elements have no
+    constant term.  ``bounds`` maps a composition depth to the (degree,
+    terms) caps of draws.  ``product`` is (a, b) -> the algebra's product,
+    None for linear forms.
+    """
+
+    __slots__ = ()
 
 
 _UNCAPPED_BOUNDS = {1: (3, 2), 2: (2, 2)}
@@ -456,14 +463,36 @@ def _text(value, base: int | None = None) -> str:
     if isinstance(value, Morphism):
         return "[" + "; ".join(_text(c, base) for c in value.components) + "]"
     if isinstance(value, Element):
+        from .syntax import format_element
+
         return format_element(value, base_arity=base)
     if isinstance(value, tuple):
         return str([str(v) for v in value])
     return str(value)
 
 
-@dataclass
-class Failure:
+class _Record:
+    """The repr and the equality of a record over its ``__slots__``, written
+    as a dataclass writes them: ``Name(field=value, ...)``, and equal to a
+    record of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class Failure(_Record):
     """The first unequal equation of a trial: the trial's seed, the inputs it
     drew by name, the two sides, and the base block size of the sides.
 
@@ -473,11 +502,15 @@ class Failure:
     the sides with ``base`` variables in the base block.
     """
 
-    seed: int
-    inputs: dict
-    lhs: object
-    rhs: object
-    base: int | None = None
+    __slots__ = ("seed", "inputs", "lhs", "rhs", "base")
+
+    def __init__(self, seed: int, inputs: dict, lhs, rhs,
+                 base: int | None = None):
+        self.seed = seed
+        self.inputs = inputs
+        self.lhs = lhs
+        self.rhs = rhs
+        self.base = base
 
     def to_json(self) -> dict:
         return {"seed": self.seed,
@@ -486,12 +519,18 @@ class Failure:
                 "rhs": _text(self.rhs, self.base)}
 
 
-@dataclass
-class AxiomReport:
-    axiom: str
-    trials: int
-    failures: list = dataclass_field(default_factory=list)
-    millis: int = 0
+class AxiomReport(_Record):
+    """The trials of one axiom, its failures (a fresh list by default) and
+    its wall time in milliseconds."""
+
+    __slots__ = ("axiom", "trials", "failures", "millis")
+
+    def __init__(self, axiom: str, trials: int, failures: list | None = None,
+                 millis: int = 0):
+        self.axiom = axiom
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.millis = millis
 
     @property
     def passed(self) -> bool:
@@ -511,13 +550,15 @@ class AxiomReport:
 class _Draw:
     """The random draws of one trial, from its own stream: arities up to the
     configured one, and elements and morphisms within the (degree, terms)
-    bounds of the axiom's composition depth."""
+    bounds of the axiom's composition depth, made by the ``generators``
+    module ``gen``."""
 
-    __slots__ = ("theory", "cfg", "rng", "degree", "terms")
+    __slots__ = ("theory", "cfg", "rng", "degree", "terms", "gen")
 
-    def __init__(self, theory: Theory, cfg: gen.GenConfig, rng, bounds: tuple):
+    def __init__(self, theory: Theory, cfg, rng, bounds: tuple, gen):
         self.theory, self.cfg, self.rng = theory, cfg, rng
         self.degree, self.terms = bounds
+        self.gen = gen
 
     def arity(self) -> int:
         return self.rng.randint(1, self.cfg.arity)
@@ -526,13 +567,14 @@ class _Draw:
         return self.rng.randint(0, m - 1)
 
     def element(self, arity: int):
-        return gen.random_element(self.theory, self.cfg, self.rng, arity=arity,
-                                  max_degree=self.degree, max_terms=self.terms)
+        return self.gen.random_element(self.theory, self.cfg, self.rng,
+                                       arity=arity, max_degree=self.degree,
+                                       max_terms=self.terms)
 
     def morphism(self, source: int, target: int) -> Morphism:
-        return gen.random_morphism(self.theory, self.cfg, source, target,
-                                   self.rng, max_degree=self.degree,
-                                   max_terms=self.terms)
+        return self.gen.random_morphism(self.theory, self.cfg, source, target,
+                                        self.rng, max_degree=self.degree,
+                                        max_terms=self.terms)
 
 
 # -- the CD axioms on morphisms ---------------------------------------------------
@@ -717,7 +759,7 @@ def axiom_ids() -> list[str]:
     return list(_AXIOMS)
 
 
-def _plan(axiom: str, theory: Theory, cfg: gen.GenConfig) -> tuple:
+def _plan(axiom: str, theory: Theory, cfg) -> tuple:
     """The equations of ``axiom`` and the (degree, terms) bounds of its
     draws: the configured ones, within the caps of its composition depth."""
     equations, depth = _AXIOMS[axiom]
@@ -726,27 +768,30 @@ def _plan(axiom: str, theory: Theory, cfg: gen.GenConfig) -> tuple:
     return equations, (min(d, caps[0]), min(t, caps[1]))
 
 
-def _trial(theory: Theory, cfg: gen.GenConfig, plan: tuple, seed: int,
-           rng) -> Failure | None:
-    """One trial from the stream ``rng`` of ``seed``: the first unequal
-    equation as a Failure, or None when every equation holds."""
+def _trial(theory: Theory, cfg, plan: tuple, seed: int, rng,
+           gen) -> Failure | None:
+    """One trial from the stream ``rng`` of ``seed``, drawn by the
+    ``generators`` module ``gen``: the first unequal equation as a Failure,
+    or None when every equation holds."""
     equations, bounds = plan
-    for inputs, lhs, rhs, base in equations(theory,
-                                            _Draw(theory, cfg, rng, bounds)):
+    for inputs, lhs, rhs, base in equations(
+            theory, _Draw(theory, cfg, rng, bounds, gen)):
         if lhs != rhs:
             return Failure(seed, inputs, lhs, rhs, base)
     return None
 
 
-def run_trial(axiom: str, theory: Theory, cfg: gen.GenConfig,
+def run_trial(axiom: str, theory: Theory, cfg,
               seed: int) -> Failure | None:
     """Replay one trial of ``axiom`` from its seed, as :func:`run_axiom`
     runs it: the Failure it records, or None when the trial passes."""
+    from . import generators as gen
+
     return _trial(theory, cfg, _plan(axiom, theory, cfg), seed,
-                  gen.SplitMix64(seed))
+                  gen.SplitMix64(seed), gen)
 
 
-def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
+def run_axiom(axiom: str, theory: Theory, cfg,
               trials: int) -> AxiomReport:
     """Run one axiom's trials: compare the equations each trial yields and
     record the first unequal one.  Trial k runs from the seed
@@ -756,38 +801,40 @@ def run_axiom(axiom: str, theory: Theory, cfg: gen.GenConfig,
     them from its seed alone.  ValueError for fewer than one trial."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    from . import generators as gen
+
     plan = _plan(axiom, theory, cfg)
     started = time.perf_counter()
     failures = []
     for seed, rng in gen.trial_streams(cfg.seed, gen.stable_hash(axiom),
                                        trials):
-        failure = _trial(theory, cfg, plan, seed, rng)
+        failure = _trial(theory, cfg, plan, seed, rng, gen)
         if failure is not None:
             failures.append(failure)
     millis = int((time.perf_counter() - started) * 1000)
     return AxiomReport(axiom, trials, failures, millis)
 
 
-def check_cd_axioms(theory: Theory, cfg: gen.GenConfig,
+def check_cd_axioms(theory: Theory, cfg,
                     trials: int = 200) -> list[AxiomReport]:
     return [run_axiom(a, theory, cfg, trials)
             for a in axiom_ids() if a.startswith("CD.")]
 
 
-def check_dc_axioms(theory: Theory, cfg: gen.GenConfig,
+def check_dc_axioms(theory: Theory, cfg,
                     trials: int = 200) -> list[AxiomReport]:
     return [run_axiom(a, theory, cfg, trials)
             for a in axiom_ids() if a.startswith("dc.")]
 
 
-def check_monad_and_unit_laws(theory: Theory, cfg: gen.GenConfig,
+def check_monad_and_unit_laws(theory: Theory, cfg,
                               trials: int = 200) -> list[AxiomReport]:
     return [run_axiom(a, theory, cfg, trials)
             for a in axiom_ids()
             if a.startswith("monad.") or a.startswith("du.")]
 
 
-def check_all(theory: Theory, cfg: gen.GenConfig,
+def check_all(theory: Theory, cfg,
               trials: int = 200) -> list[AxiomReport]:
     return [run_axiom(a, theory, cfg, trials) for a in axiom_ids()]
 
@@ -855,7 +902,7 @@ class MutatedTheory(Theory):
         self.partial = row[1]
 
 
-def mutation_is_caught(mutation: str, field: FieldSpec, cfg: gen.GenConfig,
+def mutation_is_caught(mutation: str, field: FieldSpec, cfg,
                        trials: int = 200, cap: int = 6) -> dict:
     """Run every checker against a mutated combinator.
 

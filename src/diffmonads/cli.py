@@ -24,7 +24,6 @@ import sys
 
 from . import cdc
 from .errors import DiffmonadError
-from .generators import GenConfig
 from .scalars import prime_field, rationals
 from .syntax import format_element, parse_element
 from .zinbiel import divided_to_zinbiel
@@ -194,6 +193,8 @@ def _cmd_check(args) -> int:
         raise DiffmonadError(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
         raise DiffmonadError(f"--jobs must be at least 1, got {args.jobs}")
+    from .generators import GenConfig
+
     theory = _theory_from_args(args)
     reports = cdc.check_all(theory, GenConfig(seed=args.seed), args.trials)
     ok = all(r.passed for r in reports)
@@ -232,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     divided.add_argument("--theory", default="divided", choices=["divided"])
     divided.add_argument("--field", default="Q", help="Q or F<p>")
     divided.add_argument("--json", action="store_true")
-    divided.set_defaults(cap=None)
+    # hidden, so that a --cap here is named in the error, not taken for an
+    # operand
+    divided.add_argument("--cap", type=int, default=None,
+                         help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="diffmonads",

@@ -77,7 +77,7 @@ is its oracle and the caller's fallback.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ShapeMismatch, TooLarge
 from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,

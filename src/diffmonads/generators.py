@@ -47,9 +47,10 @@ import functools
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
+from .cdc import Morphism
 from .dividedpower import DPElement
 from .errors import TooLarge
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
@@ -187,16 +188,12 @@ def trial_streams(seed: int, salt: int, trials: int):
             yield trial_seed, SplitMix64(trial_seed, heads[k::size])
 
 
-@dataclass
-class GenConfig:
+class GenConfig(namedtuple("GenConfig", "seed arity max_degree max_terms "
+                                        "coeff_min coeff_max",
+                            defaults=(0, 3, 4, 4, -3, 3))):
     """Bounds for random elements; the same config yields the same stream."""
 
-    seed: int = 0
-    arity: int = 3
-    max_degree: int = 4
-    max_terms: int = 4
-    coeff_min: int = -3
-    coeff_max: int = 3
+    __slots__ = ()
 
 
 # -- random elements and morphisms -------------------------------------------
@@ -287,8 +284,6 @@ def random_morphism(theory, cfg: GenConfig, source: int, target: int,
                     rng: SplitMix64 | None = None, *,
                     max_degree: int | None = None,
                     max_terms: int | None = None):
-    from .cdc import Morphism  # deferred: cdc imports this module
-
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     comps = tuple(random_element(theory, cfg, rng, arity=source,
                                  max_degree=max_degree, max_terms=max_terms)

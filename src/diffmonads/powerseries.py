@@ -49,9 +49,9 @@ returns None, and the caller substitutes the materialized sums.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .element import Element
 from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge

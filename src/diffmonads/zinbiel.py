@@ -36,10 +36,10 @@ the element core, and every caller charges the interleavings to its budget
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
-from typing import Sequence
 
 from .dividedpower import DPElement
 from .element import Element

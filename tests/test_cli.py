@@ -148,6 +148,11 @@ def test_cap_acts_on_the_power_theory_only():
         (2, "", "error: degree 7 exceeds cap 6\n")
     code, _, err = run_cli("mul", "--theory", "poly", "--cap", "6", "x1", "x2")
     assert (code, err) == (2, "error: the poly theory takes no --cap\n")
+    # dpow and convert hide --cap, so it is named, not taken for an operand
+    for argv in (("dpow", "--cap", "4", "x1", "2"),
+                 ("convert", "--cap", "4", "x1")):
+        assert run_cli(*argv) == \
+            (2, "", "error: the divided theory takes no --cap\n")
 
 
 def test_arity_inference_reads_every_variable_token():
