@@ -5,10 +5,14 @@ Commands: derive, compose, mul, dpow, convert, check.  Each takes --theory
 and convert take only --theory divided, their default.  --cap is the degree
 cap of the power theory, the default theory, 6 when omitted; other theories
 reject it, and dpow and convert do not take it.  --arity, the number of
-variables, is taken by every command but check, which draws its own; when
-omitted it is the highest variable number given.
+variables, at least 0, is taken by every command but check, which draws its
+own; when omitted it is the highest variable number given.
 Expressions follow the grammar in the syntax module; morphisms can be given
 as @file.json holding {"arity": n, "components": ["expr", ...]}.
+
+A call of main builds only the parser of the command it runs.  When the
+first argument names no command (--help, a missing or an unknown command)
+it builds the parser of every command.  No parser is cached between calls.
 
 Exit codes: 0 on success (and all axioms passing), 1 when an axiom check
 fails, 2 on usage, parse, shape, field or @file errors and on expansions
@@ -109,9 +113,18 @@ def _load_components(parts: list[str],
     return exprs, declared
 
 
+def _arity_flag(args) -> int | None:
+    """--arity, None when omitted; a negative one is a usage error."""
+    if args.arity is not None and args.arity < 0:
+        raise DiffmonadError(f"--arity must be at least 0, got {args.arity}")
+    return args.arity
+
+
 def _parse_elements(args, theory: cdc.Theory, exprs: list[str]):
     """(elements, arity) of the element commands: --arity, else inferred."""
-    arity = args.arity if args.arity is not None else _infer_arity(exprs)
+    arity = _arity_flag(args)
+    if arity is None:
+        arity = _infer_arity(exprs)
     return [parse_element(e, theory, arity) for e in exprs], arity
 
 
@@ -137,7 +150,7 @@ def _cmd_compose(args) -> int:
     split = args.parts.index("/")
     outer_exprs, outer_arity = _load_components(args.parts[:split])
     inner_exprs, inner_arity = _load_components(args.parts[split + 1:],
-                                                args.arity)
+                                                _arity_flag(args))
     if not outer_exprs or not inner_exprs:
         raise DiffmonadError("compose needs both an outer and an inner morphism")
     if inner_arity is None:
@@ -219,70 +232,79 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The parents carry --help, built once each instead of once per command:
-    # building the parser is most of the time of a small command.
-    common = argparse.ArgumentParser()
-    common.add_argument("--theory", default="power",
-                        choices=list(cdc.THEORIES))
-    common.add_argument("--field", default="Q", help="Q or F<p>")
-    common.add_argument("--cap", type=int, default=None,
-                        help="degree cap of the power theory (default 6)")
-    common.add_argument("--json", action="store_true")
-    divided = argparse.ArgumentParser()
-    divided.add_argument("--theory", default="divided", choices=["divided"])
-    divided.add_argument("--field", default="Q", help="Q or F<p>")
-    divided.add_argument("--json", action="store_true")
-    # hidden, so that a --cap here is named in the error, not taken for an
-    # operand
-    divided.add_argument("--cap", type=int, default=None,
-                         help=argparse.SUPPRESS)
+_COMMANDS = ("derive", "compose", "mul", "dpow", "convert", "check")
 
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command ``only`` alone.
+
+    Building a subparser is most of the time of a small command, so main
+    builds only the one it runs; no parser is cached between calls.  The
+    metavar keeps the usage line of a one-command parser the same as that
+    of the full one, which has none, so that its error for a missing
+    command names "command".
+    """
     parser = argparse.ArgumentParser(
         prog="diffmonads",
         description="Exact computations and axiom checks for differential "
                     "theories of power series, divided powers, and words.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
 
-    def command(name, fn, summary, parent=common, arity=True):
-        p = sub.add_parser(name, parents=[parent], help=summary,
-                           add_help=False)
+    def command(name, fn, summary, divided=False, arity=True):
+        if only is not None and name != only:
+            return None
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
+        p.add_argument("--theory", default="divided" if divided else "power",
+                       choices=["divided"] if divided else list(cdc.THEORIES))
+        p.add_argument("--field", default="Q", help="Q or F<p>")
+        # hidden where it does not act, so that a --cap there is named in
+        # the error, not taken for an operand
+        p.add_argument("--cap", type=int, default=None,
+                       help=argparse.SUPPRESS if divided else
+                       "degree cap of the power theory (default 6)")
+        p.add_argument("--json", action="store_true")
         if arity:
             p.add_argument("--arity", type=int, default=None,
                            help="number of variables (inferred when omitted)")
         return p
 
-    p = command("derive", _cmd_derive, "apply the differential combinator")
-    p.add_argument("expr")
-    p = command("compose", _cmd_compose,
-                "substitute: OUTER / INNER[,INNER...]")
-    p.add_argument("parts", nargs="+")
-    p = command("mul", _cmd_mul, "product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = command("dpow", _cmd_dpow, "divided power f^[n]", parent=divided)
-    p.add_argument("expr")
-    p.add_argument("n", type=int)
-    p = command("convert", _cmd_convert, "expand divided powers into words",
-                parent=divided)
-    p.add_argument("expr")
-    p = command("check", _cmd_check, "run every axiom suite for one theory",
-                arity=False)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="at least 1; accepted for compatibility and "
-                        "ignored: the checks run serially, because threads "
-                        "only add overhead to this pure-Python work")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock millis in JSON output")
+    if p := command("derive", _cmd_derive,
+                    "apply the differential combinator"):
+        p.add_argument("expr")
+    if p := command("compose", _cmd_compose,
+                    "substitute: OUTER / INNER[,INNER...]"):
+        p.add_argument("parts", nargs="+")
+    if p := command("mul", _cmd_mul, "product of two elements"):
+        p.add_argument("left")
+        p.add_argument("right")
+    if p := command("dpow", _cmd_dpow, "divided power f^[n]", divided=True):
+        p.add_argument("expr")
+        p.add_argument("n", type=int)
+    if p := command("convert", _cmd_convert,
+                    "expand divided powers into words", divided=True):
+        p.add_argument("expr")
+    if p := command("check", _cmd_check,
+                    "run every axiom suite for one theory", arity=False):
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="at least 1; accepted for compatibility and "
+                            "ignored: the checks run serially, because "
+                            "threads only add overhead to this pure-Python "
+                            "work")
+        p.add_argument("--timing", action="store_true",
+                       help="include wall-clock millis in JSON output")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

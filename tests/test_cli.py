@@ -171,7 +171,7 @@ def test_docstring_lists_the_commands():
     listed = re.search(r"Commands: ([\w, ]+)\.", cli.__doc__).group(1)
     sub = next(a for a in cli.build_parser()._actions
                if a.dest == "command")
-    assert listed.split(", ") == list(sub.choices)
+    assert listed.split(", ") == list(sub.choices) == list(cli._COMMANDS)
 
 
 def test_unknown_prime_field_exits_2():
@@ -357,11 +357,13 @@ def test_compose_with_declared_arity_0_exits_2(tmp_path):
     ("derive", "--theory", "poly", "--arity", "-1", "3"),
     ("mul", "--theory", "poly", "--arity", "-2", "3", "4"),
     ("compose", "--theory", "poly", "--arity", "-1", "x1", "/", "3"),
+    ("derive", "--theory", "power", "--arity", "-1", "x1"),
+    ("compose", "--theory", "power", "--arity", "-1", "x1", "/", "x1"),
 ])
 def test_negative_arity_exits_2(argv):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
-    assert err == f"error: negative arity {argv[4]}\n"
+    assert err == f"error: --arity must be at least 0, got {argv[4]}\n"
 
 
 @pytest.mark.parametrize("arity", [2.9, True, "2", -1, None])
