@@ -8,27 +8,24 @@ differential category axioms.
 
 ``import diffmonads`` loads what building a theory and computing in it
 needs: the scalars, the element core and its three element modules, the
-errors, and ``cdc``, the morphism layer and the axiom checkers.  Two modules
-load on first use instead, because building a theory never calls them:
+errors, and ``category``, the theories, morphisms and structural maps.
+Three modules load on first use instead, because building a theory never
+calls them:
 
-* ``generators``, the random elements and morphisms, the trial streams and
-  the brute-force oracles, loads on the first axiom run
-  (``cdc.run_axiom``, ``cdc.run_trial``);
-* ``syntax``, the parser and printer of expressions, loads on the first
-  failure report written and on ``import diffmonads.cli``.
+* ``cdc``, the axiom checks and the near-miss combinators, on ``check``;
+* ``generators``, the random draws, trial streams and oracles, with ``cdc``;
+* ``syntax``, the parser and printer of expressions, on the first failure
+  report written and on ``import diffmonads.cli``.
 
-Either also loads on the first access to one of its names here, such as
-``diffmonads.GenConfig`` or ``diffmonads.parse_element`` (PEP 562).  Such a
+Each also loads on the first access to one of its names here, such as
+``diffmonads.check_all`` or ``diffmonads.parse_element`` (PEP 562).  Such a
 name is looked up in its module on every access, never copied here.
 """
 
-from .cdc import (THEORIES, AxiomReport, Morphism, MutatedTheory, Theory,
-                  check_all, check_cd_axioms, check_dc_axioms,
-                  check_monad_and_unit_laws, codiagonal, compose,
-                  diagonal, differentiate, identity, injection,
-                  interchange_map, is_dlinear, lift_map, linearize,
-                  make_theory, mutation_is_caught, pairing, product_map,
-                  projection)
+from .category import (THEORIES, Morphism, Theory, codiagonal, compose,
+                       diagonal, differentiate, identity, injection,
+                       interchange_map, is_dlinear, lift_map, linearize,
+                       make_theory, pairing, product_map, projection)
 from .dividedpower import DPElement
 from .element import Element
 from .errors import (ArityError, DiffmonadError, DivisionByZero, MixedFields,
@@ -43,6 +40,8 @@ __version__ = "0.1.0"
 
 # name -> the module, loaded on first use, that defines it
 _LAZY = dict.fromkeys(
+    ("cdc", "AxiomReport", "MutatedTheory", "check_all",
+     "mutation_is_caught"), "cdc") | dict.fromkeys(
     ("generators", "GenConfig", "SplitMix64", "enumerate_basis",
      "half_shuffle_oracle", "interleavings", "mix", "naive_substitute_oracle",
      "random_element", "random_morphism", "stable_hash",

@@ -1,20 +1,4 @@
-"""Lawvere-style category layer and the exact axiom checkers.
-
-Morphisms n -> m are m-tuples of elements over n variables; composition is
-substitution.  Products of objects are sums of arities, which makes the
-structural maps (identities, projections, injections, the sum map, the lift
-map ell and the interchange map c) linear: each component is a sum of
-variables or zero.  A structural map carries that *linear spec*, the tuple of
-variables that each component sums, and its components are built once per
-theory and spec, each as one coefficient dict of unit keys; the specs of the
-named maps are cached per process.  Composing along a structural map rewrites
-the keys of the outer components directly (``substitute_linear``) where the
-theory's keys can follow the spec; packed monomials follow renamings, and a
-spec with sums (the sum map) takes the generic substitution of the memoized
-components.  The generic substitution, which the monad laws, CD.5, dc.4 and
-the registration check still exercise, is the oracle of the key rewrites.
-Differentiation applies the theory's combinator componentwise and doubles the
-source arity.
+"""Exact checks of the Cartesian differential axioms on ``category``.
 
 Two axiom families are checked by exact equality on randomly generated
 instances:
@@ -38,418 +22,28 @@ smaller element bounds than the linear ones: without a degree cap, word
 lengths and degrees multiply under substitution, and the uncapped theories
 would otherwise blow up combinatorially.
 
-Importing this module loads the element core, and neither ``generators`` nor
-``syntax``: building a theory with :func:`make_theory` and computing in it
-calls neither.  :func:`run_axiom` and :func:`run_trial` import
-``generators`` once per call and hand it to the draws of their trials, and a
-report imports ``syntax`` when it writes an element (:func:`_text`).  Both
-look their functions up in the module at call time.
+This module loads on first use, and ``generators`` with it; a report
+imports ``syntax`` when it writes an element (:func:`_text`).
 """
 
 from __future__ import annotations
 
-import operator
 import time
-from collections import namedtuple
-from functools import lru_cache
 
+from . import generators
+# What the checker uses, and make_theory, which it does not: bench/tracing.py
+# wraps cdc.compose, cdc.differentiate, cdc.make_theory and cdc.run_axiom,
+# found in vars(cdc), and bench/workloads.py reads cdc.MUTATIONS.
+from .category import (Morphism, Theory, _along, _block, _injection_spec,
+                       _interchange_spec, _lift_spec, codiagonal, compose,
+                       differentiate, identity, injection, interchange_map,
+                       lift_map, make_theory, pairing, product_map, projection)
 from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch
 from .powerseries import MAX_DEGREE, WIDTH, SeriesElement, _combinator_coeffs
-from .scalars import FieldSpec, accumulate
+from .scalars import FieldSpec
 from .zinbiel import ZinElement
-
-
-class TheorySpec(namedtuple("TheorySpec", "name element cap cap_option "
-                                          "reduced bounds product")):
-    """One row of :data:`THEORIES`: everything that tells theories apart
-    outside their element classes.
-
-    ``name`` is the display name in reports and ``element`` the element
-    class.  ``cap`` is the degree cap, unless ``cap_option``: then the cap
-    comes from the caller and must be >= 1.  ``reduced`` elements have no
-    constant term.  ``bounds`` maps a composition depth to the (degree,
-    terms) caps of draws.  ``product`` is (a, b) -> the algebra's product,
-    None for linear forms.
-    """
-
-    __slots__ = ()
-
-
-_UNCAPPED_BOUNDS = {1: (3, 2), 2: (2, 2)}
-
-THEORIES = {  # keyed by the --theory choice
-    "poly": TheorySpec("Polynomial", SeriesElement, None, False, False,
-                       {1: (4, 3), 2: (3, 2)}, operator.mul),
-    "power": TheorySpec("PowerSeries", SeriesElement, None, True, True, {},
-                        operator.mul),
-    "divided": TheorySpec("DividedPower", DPElement, None, False, True,
-                          _UNCAPPED_BOUNDS, operator.mul),
-    "zinbiel": TheorySpec("Zinbiel", ZinElement, None, False, True,
-                          _UNCAPPED_BOUNDS, lambda a, b: a.half_shuffle(b)),
-    "trivial": TheorySpec("Trivial", SeriesElement, 1, False, True, {}, None),
-}
-
-
-class _Shapes(dict):
-    """arity -> the shape of a theory's elements, one tuple per arity: the
-    arity followed by the theory's values of the element's ``SHAPE`` names."""
-
-    def __init__(self, tail: tuple):
-        super().__init__()
-        self.tail = tail
-
-    def __missing__(self, arity: int) -> tuple:
-        shape = self[arity] = (arity,) + self.tail
-        return shape
-
-
-class Theory:
-    """A differential theory: its row of :data:`THEORIES`, a field and a cap.
-
-    The trivial theory is the identity monad; its elements are the linear
-    forms, realized here as cap-1 reduced series (degree exactly one), for
-    which substitution is linear substitution and the combinator relabels
-    into the dual block.  It has no product, and its random elements draw no
-    degree.
-    """
-
-    __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
-                 "structural", "samplers")
-
-    mutation = None  # in a MutatedTheory, the name of its near-miss combinator
-
-    def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
-        spec = THEORIES.get(kind)
-        if spec is None:
-            raise ShapeMismatch(f"unknown theory kind {kind!r}")
-        if not spec.cap_option:
-            cap = spec.cap
-        elif cap is None or cap < 1:
-            raise ShapeMismatch("power series need a degree cap >= 1")
-        self.kind = kind
-        self.spec = spec
-        self.element = spec.element
-        self.field = field
-        self.cap = cap
-        self.shapes = _Shapes(tuple(getattr(self, name)
-                                    for name in self.element.SHAPE[1:]))
-        self.structural: dict = {}  # (source, spec) -> the components
-        # (coeff_min, coeff_max, max_degree, max_terms) -> the sampler of
-        # generators.random_element
-        self.samplers: dict = {}
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def reduced(self) -> bool:
-        return self.spec.reduced
-
-    # -- element constructors ----------------------------------------------
-
-    def zero(self, arity: int):
-        return self.element._make(self.shapes[arity], {})
-
-    def eta(self, i: int, arity: int):
-        """The monad unit on the i-th basis vector: the degree-1 element x_i."""
-        if not 0 <= i < arity:
-            raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        element = self.element
-        return element._make(self.shapes[arity],
-                             {element._key_of_letters((i,)): 1})
-
-    def eta_tuple(self, arity: int) -> tuple:
-        return self.linear_components(arity, _block(0, arity))
-
-    def linear_components(self, source: int, spec: tuple) -> tuple:
-        """The components of the structural map source -> len(spec): the i-th
-        is the sum of the variables in ``spec[i]`` (zero when it is empty).
-
-        Structural maps are immutable, so the components are built once per
-        theory and spec; ``spec`` is a tuple of tuples of variable indices.
-        Each component is one coefficient dict of unit keys, so a variable
-        repeated in a sum adds up (and vanishes in characteristic 2).  The
-        memo holds no morphism, which would refer back to the theory and
-        keep it alive until a garbage collection.
-        """
-        comps = self.structural.get((source, spec))
-        if comps is None:
-            element = self.element
-            unit = element._key_of_letters
-            shape = self.shapes[source]
-            p = self.field.p
-            built = []
-            for variables in spec:
-                coeffs: dict = {}
-                for v in variables:
-                    if not 0 <= v < source:
-                        raise ShapeMismatch(f"variable {v} out of range for "
-                                            f"arity {source}")
-                    accumulate(coeffs, unit((v,)), 1, p)
-                built.append(element._make(shape, coeffs))
-            comps = self.structural[source, spec] = tuple(built)
-        return comps
-
-    def linear_map(self, source: int, spec: tuple) -> "Morphism":
-        """The structural map source -> len(spec) of linear spec ``spec``."""
-        return Morphism._make(self, source, len(spec),
-                              self.linear_components(source, spec), spec)
-
-    # -- the differential structure ------------------------------------------
-
-    def partial(self, f):
-        """The differential combinator transformation on elements."""
-        return f.partial_combinator()
-
-    def eta_counit(self, f):
-        """eta after counit: the degree-1 part of an element."""
-        out = self.zero(f.arity)
-        for i, c in enumerate(f.counit()):
-            if c:
-                out = out + self.eta(i, f.arity).scale(c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, Theory):
-            return NotImplemented
-        return (self.kind, self.field, self.cap, self.mutation) == \
-               (other.kind, other.field, other.cap, other.mutation)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.cap, self.mutation))
-
-    def __repr__(self) -> str:
-        cap = f", cap={self.cap}" if self.spec.cap_option else ""
-        mutation = f", mutation={self.mutation!r}" if self.mutation else ""
-        return f"Theory({self.name}, {self.field!r}{cap}{mutation})"
-
-
-def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
-    """Build a theory from its name in :data:`THEORIES`, and smoke-check that
-    the unit tuple is the identity."""
-    t = Theory(kind, field, cap)
-    n = 2
-    sample = t.eta(0, n) + t.eta(1, n).scale(field.embed(2))
-    if t.spec.product is not None:
-        sample = sample + t.spec.product(t.eta(0, n), t.eta(1, n))
-    if sample.substitute(t.eta_tuple(n)) != sample:
-        raise ShapeMismatch("registration check failed: substitution along "
-                            "the unit tuple is not the identity")
-    return t
-
-
-# -- morphisms ----------------------------------------------------------------
-
-
-class Morphism:
-    """An m-tuple of elements over n variables: a map n -> m.
-
-    ``linear`` is the linear spec of a structural map (see
-    :meth:`Theory.linear_map`) and None for every other morphism.
-
-    The public constructor checks the component count and every component's
-    shape.  The operations on morphisms, here and in ``random_morphism``,
-    check their operands and build their results with the unchecked
-    :meth:`_make`, whose components have the right count and shape by
-    construction.
-    """
-
-    __slots__ = ("theory", "source", "target", "components", "linear")
-
-    def __init__(self, theory: Theory, source: int, target: int, components):
-        components = tuple(components)
-        if len(components) != target:
-            raise ShapeMismatch(f"expected {target} components, "
-                                f"got {len(components)}")
-        shape = theory.shapes[source]
-        for c in components:
-            if c.shape != shape:
-                raise ShapeMismatch("component shape disagrees with morphism")
-        self.theory = theory
-        self.source = source
-        self.target = target
-        self.components = components
-        self.linear = None
-
-    @classmethod
-    def _make(cls, theory: Theory, source: int, target: int,
-              components: tuple, linear: tuple | None = None) -> "Morphism":
-        """Internal constructor: ``components`` is a tuple of ``target``
-        elements of the theory's shape at ``source``."""
-        self = cls.__new__(cls)
-        self.theory = theory
-        self.source = source
-        self.target = target
-        self.components = components
-        self.linear = linear
-        return self
-
-    @staticmethod
-    def zero(theory: Theory, source: int, target: int) -> "Morphism":
-        return theory.linear_map(source, ((),) * target)
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        if (self.theory, self.source, self.target) != \
-           (other.theory, other.source, other.target):
-            raise ShapeMismatch("morphism shapes differ")
-        return Morphism._make(self.theory, self.source, self.target,
-                              tuple(a + b for a, b in
-                                    zip(self.components, other.components)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (self.theory, self.source, self.target) == \
-               (other.theory, other.source, other.target) and \
-               self.components == other.components
-
-    def __repr__(self) -> str:
-        return f"<morphism {self.source}->{self.target} {self.theory.name}>"
-
-
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner: substitute inner's components into outer's, or,
-    when inner is a structural map, compose each along its spec (``_along``)."""
-    if outer.theory != inner.theory:
-        raise ShapeMismatch("morphisms from different theories")
-    if outer.source != inner.target:
-        raise ShapeMismatch(f"cannot compose {inner.target} -> with "
-                            f"source {outer.source}")
-    spec = inner.linear
-    if spec is None:
-        comps = tuple(c.substitute(inner.components, arity=inner.source)
-                      for c in outer.components)
-    else:
-        comps = tuple(_along(inner.theory, c, inner.source, spec)
-                      for c in outer.components)
-    return Morphism._make(outer.theory, inner.source, outer.target, comps)
-
-
-def _along(theory: Theory, f, source: int, spec: tuple):
-    """The element f composed with the structural map source -> len(spec) of
-    linear spec ``spec``: its keys rewritten where the theory can follow the
-    spec, else the generic substitution of the map's memoized components."""
-    got = f.substitute_linear(spec, source)
-    if got is None:
-        got = f.substitute(theory.linear_components(source, spec),
-                           arity=source)
-    return got
-
-
-def pairing(p: Morphism, q: Morphism) -> Morphism:
-    if p.theory != q.theory or p.source != q.source:
-        raise ShapeMismatch("pairing needs a common source")
-    if p.linear is not None and q.linear is not None:
-        return p.theory.linear_map(p.source, p.linear + q.linear)
-    return Morphism._make(p.theory, p.source, p.target + q.target,
-                          p.components + q.components)
-
-
-def product_map(p: Morphism, q: Morphism) -> Morphism:
-    """p x q, realized by relabeling each factor into its block."""
-    if p.theory != q.theory:
-        raise ShapeMismatch("morphisms from different theories")
-    src = p.source + q.source
-    if p.linear is not None and q.linear is not None:
-        shifted = tuple(tuple(p.source + i for i in variables)
-                        for variables in q.linear)
-        return p.theory.linear_map(src, p.linear + shifted)
-    left = tuple(c.extend_arity(src, 0) for c in p.components)
-    right = tuple(c.extend_arity(src, p.source) for c in q.components)
-    return Morphism._make(p.theory, src, p.target + q.target, left + right)
-
-
-@lru_cache(maxsize=1024)
-def _block(start: int, count: int) -> tuple:
-    """The spec of the variables start, ..., start + count - 1, one each."""
-    return tuple((i,) for i in range(start, start + count))
-
-
-@lru_cache(maxsize=1024)
-def _injection_spec(n: int, m: int, which: int) -> tuple:
-    """The spec of iota_0 : n -> n + m or of iota_1 : m -> n + m."""
-    if which == 0:
-        return _block(0, n) + ((),) * m
-    return ((),) * n + _block(0, m)
-
-
-@lru_cache(maxsize=1024)
-def _lift_spec(n: int) -> tuple:
-    """The spec of ell = iota_0 x iota_1 : n x n -> (n x n) x (n x n)."""
-    return _block(0, n) + ((),) * (2 * n) + _block(n, n)
-
-
-@lru_cache(maxsize=1024)
-def _interchange_spec(n: int) -> tuple:
-    """The spec of c = <pi_0 x pi_0, pi_1 x pi_1>, which swaps the middle
-    blocks of (n x n) x (n x n)."""
-    return _block(0, n) + _block(2 * n, n) + _block(n, n) + _block(3 * n, n)
-
-
-def identity(theory: Theory, n: int) -> Morphism:
-    return theory.linear_map(n, _block(0, n))
-
-
-def projection(theory: Theory, n: int, m: int, which: int) -> Morphism:
-    """pi_0 or pi_1 out of the product n x m = n + m."""
-    if which == 0:
-        return theory.linear_map(n + m, _block(0, n))
-    return theory.linear_map(n + m, _block(n, m))
-
-
-def injection(theory: Theory, n: int, m: int, which: int) -> Morphism:
-    """iota_0 = <1, 0> : n -> n + m or iota_1 = <0, 1> : m -> n + m."""
-    return theory.linear_map(n if which == 0 else m,
-                             _injection_spec(n, m, which))
-
-
-def diagonal(theory: Theory, n: int) -> Morphism:
-    return theory.linear_map(n, _block(0, n) * 2)
-
-
-def codiagonal(theory: Theory, n: int) -> Morphism:
-    """The sum map pi_0 + pi_1 : n x n -> n."""
-    return theory.linear_map(2 * n, tuple((i, n + i) for i in range(n)))
-
-
-def lift_map(theory: Theory, n: int) -> Morphism:
-    """ell = iota_0 x iota_1 : n x n -> (n x n) x (n x n)."""
-    return theory.linear_map(2 * n, _lift_spec(n))
-
-
-def interchange_map(theory: Theory, n: int) -> Morphism:
-    """c = <pi_0 x pi_0, pi_1 x pi_1>, swapping the middle blocks."""
-    return theory.linear_map(4 * n, _interchange_spec(n))
-
-
-def differentiate(p: Morphism) -> Morphism:
-    """Componentwise differential combinator; the source arity doubles."""
-    comps = tuple(p.theory.partial(c) for c in p.components)
-    return Morphism._make(p.theory, 2 * p.source, p.target, comps)
-
-
-def linearize(p: Morphism) -> Morphism:
-    """D[p] restricted to the dual block: compose with iota_1."""
-    return compose(differentiate(p), injection(p.theory, p.source, p.source, 1))
-
-
-def is_dlinear(p: Morphism) -> bool:
-    """Whether p equals its own linearization.
-
-    Cross-checked against the counit characterization: a component is fixed
-    by eta-after-counit exactly when it is a combination of unit variables.
-    """
-    by_linearization = linearize(p) == p
-    by_counit = all(p.theory.eta_counit(c) == c for c in p.components)
-    if by_linearization != by_counit:
-        raise AssertionError("linearization and counit characterizations "
-                             "of D-linearity disagree")
-    return by_linearization
 
 
 # -- axiom reports ------------------------------------------------------------
@@ -550,15 +144,13 @@ class AxiomReport(_Record):
 class _Draw:
     """The random draws of one trial, from its own stream: arities up to the
     configured one, and elements and morphisms within the (degree, terms)
-    bounds of the axiom's composition depth, made by the ``generators``
-    module ``gen``."""
+    bounds of the axiom's composition depth."""
 
-    __slots__ = ("theory", "cfg", "rng", "degree", "terms", "gen")
+    __slots__ = ("theory", "cfg", "rng", "degree", "terms")
 
-    def __init__(self, theory: Theory, cfg, rng, bounds: tuple, gen):
+    def __init__(self, theory: Theory, cfg, rng, bounds: tuple):
         self.theory, self.cfg, self.rng = theory, cfg, rng
         self.degree, self.terms = bounds
-        self.gen = gen
 
     def arity(self) -> int:
         return self.rng.randint(1, self.cfg.arity)
@@ -567,14 +159,15 @@ class _Draw:
         return self.rng.randint(0, m - 1)
 
     def element(self, arity: int):
-        return self.gen.random_element(self.theory, self.cfg, self.rng,
-                                       arity=arity, max_degree=self.degree,
-                                       max_terms=self.terms)
+        return generators.random_element(self.theory, self.cfg, self.rng,
+                                         arity=arity, max_degree=self.degree,
+                                         max_terms=self.terms)
 
     def morphism(self, source: int, target: int) -> Morphism:
-        return self.gen.random_morphism(self.theory, self.cfg, source, target,
-                                        self.rng, max_degree=self.degree,
-                                        max_terms=self.terms)
+        return generators.random_morphism(self.theory, self.cfg, source,
+                                          target, self.rng,
+                                          max_degree=self.degree,
+                                          max_terms=self.terms)
 
 
 # -- the CD axioms on morphisms ---------------------------------------------------
@@ -768,31 +361,25 @@ def _plan(axiom: str, theory: Theory, cfg) -> tuple:
     return equations, (min(d, caps[0]), min(t, caps[1]))
 
 
-def _trial(theory: Theory, cfg, plan: tuple, seed: int, rng,
-           gen) -> Failure | None:
-    """One trial from the stream ``rng`` of ``seed``, drawn by the
-    ``generators`` module ``gen``: the first unequal equation as a Failure,
-    or None when every equation holds."""
+def _trial(theory: Theory, cfg, plan: tuple, seed: int, rng) -> Failure | None:
+    """One trial from the stream ``rng`` of ``seed``: the first unequal
+    equation as a Failure, or None when every equation holds."""
     equations, bounds = plan
     for inputs, lhs, rhs, base in equations(
-            theory, _Draw(theory, cfg, rng, bounds, gen)):
+            theory, _Draw(theory, cfg, rng, bounds)):
         if lhs != rhs:
             return Failure(seed, inputs, lhs, rhs, base)
     return None
 
 
-def run_trial(axiom: str, theory: Theory, cfg,
-              seed: int) -> Failure | None:
+def run_trial(axiom: str, theory: Theory, cfg, seed: int) -> Failure | None:
     """Replay one trial of ``axiom`` from its seed, as :func:`run_axiom`
     runs it: the Failure it records, or None when the trial passes."""
-    from . import generators as gen
-
     return _trial(theory, cfg, _plan(axiom, theory, cfg), seed,
-                  gen.SplitMix64(seed), gen)
+                  generators.SplitMix64(seed))
 
 
-def run_axiom(axiom: str, theory: Theory, cfg,
-              trials: int) -> AxiomReport:
+def run_axiom(axiom: str, theory: Theory, cfg, trials: int) -> AxiomReport:
     """Run one axiom's trials: compare the equations each trial yields and
     record the first unequal one.  Trial k runs from the seed
     ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the opening
@@ -801,37 +388,16 @@ def run_axiom(axiom: str, theory: Theory, cfg,
     them from its seed alone.  ValueError for fewer than one trial."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    from . import generators as gen
-
     plan = _plan(axiom, theory, cfg)
     started = time.perf_counter()
     failures = []
-    for seed, rng in gen.trial_streams(cfg.seed, gen.stable_hash(axiom),
-                                       trials):
-        failure = _trial(theory, cfg, plan, seed, rng, gen)
+    for seed, rng in generators.trial_streams(
+            cfg.seed, generators.stable_hash(axiom), trials):
+        failure = _trial(theory, cfg, plan, seed, rng)
         if failure is not None:
             failures.append(failure)
     millis = int((time.perf_counter() - started) * 1000)
     return AxiomReport(axiom, trials, failures, millis)
-
-
-def check_cd_axioms(theory: Theory, cfg,
-                    trials: int = 200) -> list[AxiomReport]:
-    return [run_axiom(a, theory, cfg, trials)
-            for a in axiom_ids() if a.startswith("CD.")]
-
-
-def check_dc_axioms(theory: Theory, cfg,
-                    trials: int = 200) -> list[AxiomReport]:
-    return [run_axiom(a, theory, cfg, trials)
-            for a in axiom_ids() if a.startswith("dc.")]
-
-
-def check_monad_and_unit_laws(theory: Theory, cfg,
-                              trials: int = 200) -> list[AxiomReport]:
-    return [run_axiom(a, theory, cfg, trials)
-            for a in axiom_ids()
-            if a.startswith("monad.") or a.startswith("du.")]
 
 
 def check_all(theory: Theory, cfg,

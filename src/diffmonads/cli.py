@@ -13,6 +13,8 @@ as @file.json holding {"arity": n, "components": ["expr", ...]}.
 A call of main builds only the parser of the command it runs.  When the
 first argument names no command (--help, a missing or an unknown command)
 it builds the parser of every command.  No parser is cached between calls.
+Importing this module loads ``category`` and ``syntax``; ``check`` alone
+loads ``cdc`` and ``generators``, when it runs.
 
 Exit codes: 0 on success (and all axioms passing), 1 when an axiom check
 fails, 2 on usage, parse, shape, field or @file errors and on expansions
@@ -26,7 +28,7 @@ import json
 import re
 import sys
 
-from . import cdc
+from . import category
 from .errors import DiffmonadError
 from .scalars import prime_field, rationals
 from .syntax import format_element, parse_element
@@ -45,9 +47,9 @@ def _field_from_flag(text: str):
         raise DiffmonadError(f"bad field {text!r}: {exc}") from None
 
 
-def _theory_from_args(args) -> cdc.Theory:
-    theory = cdc.make_theory(args.theory, _field_from_flag(args.field),
-                             6 if args.cap is None else args.cap)
+def _theory_from_args(args) -> category.Theory:
+    theory = category.make_theory(args.theory, _field_from_flag(args.field),
+                                  6 if args.cap is None else args.cap)
     if args.cap is not None and not theory.spec.cap_option:
         raise DiffmonadError(f"the {args.theory} theory takes no --cap")
     return theory
@@ -120,7 +122,7 @@ def _arity_flag(args) -> int | None:
     return args.arity
 
 
-def _parse_elements(args, theory: cdc.Theory, exprs: list[str]):
+def _parse_elements(args, theory: category.Theory, exprs: list[str]):
     """(elements, arity) of the element commands: --arity, else inferred."""
     arity = _arity_flag(args)
     if arity is None:
@@ -160,13 +162,13 @@ def _cmd_compose(args) -> int:
     if outer_arity != len(inner_exprs):
         raise DiffmonadError(f"outer morphism needs {outer_arity} inner "
                              f"components, got {len(inner_exprs)}")
-    outer = cdc.Morphism(theory, outer_arity, len(outer_exprs),
-                         [parse_element(e, theory, outer_arity)
-                          for e in outer_exprs])
-    inner = cdc.Morphism(theory, inner_arity, len(inner_exprs),
-                         [parse_element(e, theory, inner_arity)
-                          for e in inner_exprs])
-    result = cdc.compose(outer, inner)
+    outer = category.Morphism(theory, outer_arity, len(outer_exprs),
+                              [parse_element(e, theory, outer_arity)
+                               for e in outer_exprs])
+    inner = category.Morphism(theory, inner_arity, len(inner_exprs),
+                              [parse_element(e, theory, inner_arity)
+                               for e in inner_exprs])
+    result = category.compose(outer, inner)
     rendered = [format_element(c, base_arity=inner_arity)
                 for c in result.components]
     _emit(args, {"arity": inner_arity, "components": rendered},
@@ -206,10 +208,11 @@ def _cmd_check(args) -> int:
         raise DiffmonadError(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
         raise DiffmonadError(f"--jobs must be at least 1, got {args.jobs}")
-    from .generators import GenConfig
+    from . import cdc, generators
 
     theory = _theory_from_args(args)
-    reports = cdc.check_all(theory, GenConfig(seed=args.seed), args.trials)
+    reports = cdc.check_all(theory, generators.GenConfig(seed=args.seed),
+                            args.trials)
     ok = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -258,7 +261,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("--theory", default="divided" if divided else "power",
-                       choices=["divided"] if divided else list(cdc.THEORIES))
+                       choices=["divided"] if divided
+                       else list(category.THEORIES))
         p.add_argument("--field", default="Q", help="Q or F<p>")
         # hidden where it does not act, so that a --cap there is named in
         # the error, not taken for an operand

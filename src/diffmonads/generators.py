@@ -39,6 +39,8 @@ The oracles at the bottom recompute the interesting combinatorics by flat
 enumeration (position subsets, raw permutations, term-by-term convolution)
 and share nothing with the main implementations beyond the coefficient and
 key representations (`scalars.accumulate` and `MultiIndex`).
+
+This module loads with ``cdc``; it takes ``Morphism`` from ``category``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from array import array
 from collections import namedtuple
 from math import factorial
 
-from .cdc import Morphism
+from .category import Morphism
 from .dividedpower import DPElement
 from .errors import TooLarge
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement

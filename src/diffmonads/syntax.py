@@ -150,6 +150,9 @@ class _Parser:
 
 def parse_element(text: str, theory, arity: int, base_arity: int | None = None):
     """Parse an expression into the theory's element type over ``arity``."""
+    if arity > theory.element.ARITY_LIMIT:  # checked before a key is built
+        raise TooLarge(f"{arity} variables exceed the limit "
+                       f"{theory.element.ARITY_LIMIT} of packed monomials")
     base = base_arity if base_arity is not None else arity
     parser = _Parser(text, theory.element, theory.field, arity, base)
     terms = parser.expression()

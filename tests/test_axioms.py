@@ -36,14 +36,10 @@ def test_axiom_suites_quick_pass():
 
 def test_report_families():
     theory = dm.make_theory("trivial", Q)
-    cfg = GenConfig(seed=1)
-    cd = dm.check_cd_axioms(theory, cfg, trials=3)
-    assert [r.axiom for r in cd] == [f"CD.{i}" for i in range(1, 8)]
-    dc = dm.check_dc_axioms(theory, cfg, trials=3)
-    assert [r.axiom for r in dc] == [f"dc.{i}" for i in range(1, 7)]
-    laws = dm.check_monad_and_unit_laws(theory, cfg, trials=3)
-    assert [r.axiom for r in laws] == [
-        "monad.assoc", "monad.unit-left", "monad.unit-right", "du.1", "du.2"]
+    reports = dm.check_all(theory, GenConfig(seed=1), trials=3)
+    assert [r.axiom for r in reports] == (
+        [f"CD.{i}" for i in range(1, 8)] + [f"dc.{i}" for i in range(1, 7)] +
+        ["monad.assoc", "monad.unit-left", "monad.unit-right", "du.1", "du.2"])
 
 
 def test_mutations_are_caught():

@@ -4,8 +4,8 @@ import diffmonads as dm
 from diffmonads import (Morphism, ShapeMismatch, codiagonal, compose,
                         diagonal, differentiate, identity, injection,
                         interchange_map, is_dlinear, lift_map, linearize,
-                        pairing, parse_element, prime_field, projection,
-                        rationals)
+                        pairing, parse_element, prime_field, product_map,
+                        projection, rationals)
 
 Q = rationals()
 F5 = prime_field(5)
@@ -148,6 +148,41 @@ def test_pairing_and_product_shapes():
     assert fg.target == 3 and fg.source == 2
     with pytest.raises(ShapeMismatch):
         pairing(f, morph(PW, 1, ["x1"]))
+
+
+@pytest.mark.parametrize("theory", ALL_THEORIES, ids=repr)
+def test_product_map_projects_onto_its_factors(theory):
+    rng = dm.SplitMix64(67)
+    cfg = dm.GenConfig(seed=67)
+    for n, m, k, l in [(1, 1, 1, 1), (2, 1, 1, 3), (3, 2, 2, 1)]:
+        p = dm.random_morphism(theory, cfg, n, m, rng, max_degree=2,
+                               max_terms=3)
+        q = dm.random_morphism(theory, cfg, k, l, rng, max_degree=2,
+                               max_terms=3)
+        pq = product_map(p, q)
+        assert (pq.source, pq.target, pq.linear) == (n + k, m + l, None)
+        assert compose(projection(theory, m, l, 0), pq) == \
+            compose(p, projection(theory, n, k, 0))
+        assert compose(projection(theory, m, l, 1), pq) == \
+            compose(q, projection(theory, n, k, 1))
+
+
+@pytest.mark.parametrize("theory", ALL_THEORIES, ids=repr)
+def test_product_of_structural_maps_takes_the_general_path_alike(theory):
+    def general(f):  # the same map, without its linear spec
+        return Morphism(theory, f.source, f.target, f.components)
+
+    maps = [identity(theory, 2), projection(theory, 2, 1, 1),
+            injection(theory, 1, 2, 0), codiagonal(theory, 2),
+            lift_map(theory, 1), Morphism.zero(theory, 2, 1)]
+    for f in maps:
+        for g in maps:
+            fast = product_map(f, g)
+            assert fast.linear is not None
+            for pair in ((general(f), general(g)), (f, general(g)),
+                         (general(f), g)):
+                slow = product_map(*pair)
+                assert slow.linear is None and slow == fast
 
 
 def test_compose_shape_errors():

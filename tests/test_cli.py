@@ -3,6 +3,7 @@ import json
 import contextlib
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -305,6 +306,26 @@ def test_too_many_variables_exit_2_quickly(argv):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "variables exceed" in err
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("number", ["99999999", "99999999999999999999"])
+@pytest.mark.parametrize("theory", ["power", "divided"])
+def test_huge_variable_numbers_exit_2_before_a_key_is_built(theory, number):
+    code, out, err = run_cli("derive", "--theory", theory, f"x{number}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {number} variables exceed the limit 1024 of "
+                   "packed monomials\n")
+
+
+def test_a_huge_variable_number_allocates_little():
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli("derive", "x99999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 4 << 20  # a key over the arity would take 200 MB
 
 
 def test_words_take_any_number_of_variables():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import diffmonads as dm
-from diffmonads import cdc
+from diffmonads import category, cdc
 from diffmonads.cli import main
 
 SRC = str(Path(dm.__file__).resolve().parent.parent)
@@ -74,8 +74,8 @@ before = set(sys.modules)
 print(json.dumps(sorted(name for name in {names!r}
                         if name in sys.modules and name not in before)))
 """
-DEFERRED = ("dataclasses", "inspect", "diffmonads.generators",
-            "diffmonads.syntax")
+DEFERRED = ("dataclasses", "inspect", "diffmonads.cdc",
+            "diffmonads.generators", "diffmonads.syntax")
 
 
 def loaded_by(body: str, names=DEFERRED) -> list:
@@ -102,6 +102,16 @@ def test_generators_load_for_check_and_not_for_derive():
         list(generators)
 
 
+def test_cdc_loads_generators_and_generators_load_no_cdc():
+    names = ("diffmonads.cdc", "diffmonads.generators")
+    assert loaded_by("import diffmonads.generators", names) == \
+        ["diffmonads.generators"]
+    assert loaded_by("import diffmonads.cdc", names) == list(names)
+    assert loaded_by("import diffmonads as dm\n"
+                     "assert dm.check_all is dm.cdc.check_all", names) == \
+        list(names)
+
+
 FAILING_RUN = """
 theory = dm.MutatedTheory("zinbiel-last-letter", dm.rationals())
 report = dm.cdc.run_axiom("dc.4", theory, dm.GenConfig(seed=7), 5)
@@ -120,15 +130,13 @@ def test_a_failure_report_loads_syntax_when_it_is_written():
     assert done.stdout == json.dumps(here["report"].to_json()) + "\n"
 
 
-# Every public name of the package before generators and syntax loaded on
-# first use, by its defining module.
+# Every public name of the package, by its defining module.
 EXPORTS = {
-    "cdc": ("THEORIES", "AxiomReport", "Morphism", "MutatedTheory", "Theory",
-            "check_all", "check_cd_axioms", "check_dc_axioms",
-            "check_monad_and_unit_laws", "codiagonal", "compose", "diagonal",
-            "differentiate", "identity", "injection", "interchange_map",
-            "is_dlinear", "lift_map", "linearize", "make_theory",
-            "mutation_is_caught", "pairing", "product_map", "projection"),
+    "category": ("THEORIES", "Morphism", "Theory", "codiagonal", "compose",
+                 "diagonal", "differentiate", "identity", "injection",
+                 "interchange_map", "is_dlinear", "lift_map", "linearize",
+                 "make_theory", "pairing", "product_map", "projection"),
+    "cdc": ("AxiomReport", "MutatedTheory", "check_all", "mutation_is_caught"),
     "dividedpower": ("DPElement",),
     "element": ("Element",),
     "errors": ("ArityError", "DiffmonadError", "DivisionByZero",
@@ -192,7 +200,7 @@ def test_records_keep_their_repr_and_equality():
         "TheorySpec(name='Polynomial', element=<class "
         "'diffmonads.powerseries.SeriesElement'>, cap=None, cap_option=False, "
         "reduced=False, bounds={1: (4, 3), 2: (3, 2)}, product=")
-    assert spec == cdc.TheorySpec(spec.name, spec.element, spec.cap,
-                                  spec.cap_option, spec.reduced, spec.bounds,
-                                  spec.product)
+    assert spec == category.TheorySpec(spec.name, spec.element, spec.cap,
+                                       spec.cap_option, spec.reduced,
+                                       spec.bounds, spec.product)
     assert spec != dm.THEORIES["power"]

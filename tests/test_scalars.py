@@ -176,3 +176,26 @@ def test_bool_is_not_a_scalar(field):
     with pytest.raises(TypeError):
         field.one() * False
     assert field.one() != True  # noqa: E712
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_subtraction_negative_powers_hashes_and_text(field):
+    two, three = field.embed(2), field.embed(3)
+    half = field.from_fraction(1, 2)
+    assert three - two == field.one() and two - three == -field.one()
+    assert three - 1 == two and 5 - two == three  # __sub__ and __rsub__
+    assert (5 - two).field is field
+    assert two ** -1 == half and two ** -3 * two ** 3 == field.one()
+    with pytest.raises(DivisionByZero):
+        field.zero() ** -1
+    assert field.zero() ** 0 == field.one()
+    # equal Scalars hash alike, however they were made
+    assert hash(field.from_fraction(4, 2)) == hash(two)
+    assert len({two, field.embed(2), three, field.from_fraction(6, 2)}) == 2
+    if field is Q:
+        assert (str(-two), str(half)) == ("-2", "1/2")
+        assert repr(half) == "Scalar(Q, Fraction(1, 2))"
+    else:
+        assert (str(-two), str(half)) == ("3", "3")
+        assert repr(half) == "Scalar(F5, 3)"
+    assert repr(two) == f"Scalar({field!r}, 2)"
