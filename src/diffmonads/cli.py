@@ -10,9 +10,12 @@ own; when omitted it is the highest variable number given.
 Expressions follow the grammar in the syntax module; morphisms can be given
 as @file.json holding {"arity": n, "components": ["expr", ...]}.
 
-A call of main builds only the parser of the command it runs.  When the
-first argument names no command (--help, a missing or an unknown command)
-it builds the parser of every command.  No parser is cached between calls.
+A call of main parses a known command with that command's own parser,
+``build_parser(command)``.  It builds the full parser, with every command,
+only when the first argument names no command (--help, a missing or an
+unknown command, a leading option) or when the command's parser leaves
+arguments over; the full parser then gives argparse's own help and error
+text.  No parser is cached between calls: see build_parser.
 Importing this module loads ``category`` and ``syntax``; ``check`` alone
 loads ``cdc`` and ``generators``, when it runs.
 
@@ -38,7 +41,7 @@ from .zinbiel import divided_to_zinbiel
 def _field_from_flag(text: str):
     if text == "Q":
         return rationals()
-    m = re.fullmatch(r"F(\d+)", text)
+    m = re.fullmatch(r"F(\d+)", text, re.ASCII)
     if m is None:
         raise DiffmonadError(f"unknown field {text!r}; use Q or F<p>")
     try:
@@ -58,7 +61,7 @@ def _theory_from_args(args) -> category.Theory:
 def _infer_arity(exprs: list[str]) -> int:
     """The highest variable number in the expressions."""
     numbers = [m.group(1) for text in exprs
-               for m in re.finditer(r"x(\d+)", text)]
+               for m in re.finditer(r"x(\d+)", text, re.ASCII)]
     if not numbers:
         raise DiffmonadError("no variables found; cannot infer the arity")
     try:
@@ -235,63 +238,32 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = ("derive", "compose", "mul", "dpow", "convert", "check")
+# name -> (run, summary); dpow and convert act on the divided theory alone
+_COMMANDS = {
+    "derive": (_cmd_derive, "apply the differential combinator"),
+    "compose": (_cmd_compose, "substitute: OUTER / INNER[,INNER...]"),
+    "mul": (_cmd_mul, "product of two elements"),
+    "dpow": (_cmd_dpow, "divided power f^[n]"),
+    "convert": (_cmd_convert, "expand divided powers into words"),
+    "check": (_cmd_check, "run every axiom suite for one theory"),
+}
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command ``only`` alone.
-
-    Building a subparser is most of the time of a small command, so main
-    builds only the one it runs; no parser is cached between calls.  The
-    metavar keeps the usage line of a one-command parser the same as that
-    of the full one, which has none, so that its error for a missing
-    command names "command".
-    """
-    parser = argparse.ArgumentParser(
-        prog="diffmonads",
-        description="Exact computations and axiom checks for differential "
-                    "theories of power series, divided powers, and words.")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
-
-    def command(name, fn, summary, divided=False, arity=True):
-        if only is not None and name != only:
-            return None
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(fn=fn)
-        p.add_argument("--theory", default="divided" if divided else "power",
-                       choices=["divided"] if divided
-                       else list(category.THEORIES))
-        p.add_argument("--field", default="Q", help="Q or F<p>")
-        # hidden where it does not act, so that a --cap there is named in
-        # the error, not taken for an operand
-        p.add_argument("--cap", type=int, default=None,
-                       help=argparse.SUPPRESS if divided else
-                       "degree cap of the power theory (default 6)")
-        p.add_argument("--json", action="store_true")
-        if arity:
-            p.add_argument("--arity", type=int, default=None,
-                           help="number of variables (inferred when omitted)")
-        return p
-
-    if p := command("derive", _cmd_derive,
-                    "apply the differential combinator"):
-        p.add_argument("expr")
-    if p := command("compose", _cmd_compose,
-                    "substitute: OUTER / INNER[,INNER...]"):
-        p.add_argument("parts", nargs="+")
-    if p := command("mul", _cmd_mul, "product of two elements"):
-        p.add_argument("left")
-        p.add_argument("right")
-    if p := command("dpow", _cmd_dpow, "divided power f^[n]", divided=True):
-        p.add_argument("expr")
-        p.add_argument("n", type=int)
-    if p := command("convert", _cmd_convert,
-                    "expand divided powers into words", divided=True):
-        p.add_argument("expr")
-    if p := command("check", _cmd_check,
-                    "run every axiom suite for one theory", arity=False):
+def _add_arguments(p: argparse.ArgumentParser,
+                   name: str) -> argparse.ArgumentParser:
+    """Give ``p`` the options and operands of the command ``name``."""
+    divided = name in ("dpow", "convert")
+    p.set_defaults(fn=_COMMANDS[name][0])
+    p.add_argument("--theory", default="divided" if divided else "power",
+                   choices=["divided"] if divided else list(category.THEORIES))
+    p.add_argument("--field", default="Q", help="Q or F<p>")
+    # hidden where it does not act, so that a --cap there is named in the
+    # error, not taken for an operand
+    p.add_argument("--cap", type=int, default=None,
+                   help=argparse.SUPPRESS if divided else
+                   "degree cap of the power theory (default 6)")
+    p.add_argument("--json", action="store_true")
+    if name == "check":
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--trials", type=int, default=200)
         p.add_argument("--jobs", type=int, default=1,
@@ -301,16 +273,57 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                             "work")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock millis in JSON output")
+        return p
+    p.add_argument("--arity", type=int, default=None,
+                   help="number of variables (inferred when omitted)")
+    if name == "compose":
+        p.add_argument("parts", nargs="+")
+    elif name == "mul":
+        p.add_argument("left")
+        p.add_argument("right")
+    else:
+        p.add_argument("expr")
+    if name == "dpow":
+        p.add_argument("n", type=int)
+    return p
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or the full parser of every command.
+
+    A command's own parser is the subparser that the full parser builds for
+    it (same prog, options and operands), so its help, usage and errors are
+    the same; main builds the full parser only when the command's parser
+    cannot answer alone (see the module docstring).
+
+    Neither parser is cached between calls.  Building one is most of the
+    time of a small command, but a cached parser raised the benchmark's
+    ``cli`` peak RSS by 8.2% (24.98 to 27.03 MB, against its 5% bound): the
+    benchmark keeps a record per timed call, and the cached tree made about
+    2.5 times the calls in a 20 s run.
+    """
+    if command is not None:
+        return _add_arguments(
+            argparse.ArgumentParser(prog=f"diffmonads {command}"), command)
+    parser = argparse.ArgumentParser(
+        prog="diffmonads",
+        description="Exact computations and axiom checks for differential "
+                    "theories of power series, divided powers, and words.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = extra = None
+        if argv and argv[0] in _COMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or extra:  # the full parser's help and errors
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

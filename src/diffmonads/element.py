@@ -79,7 +79,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .errors import ShapeMismatch, TooLarge
+from .errors import ShapeMismatch, TooLarge, too_many_variables
 from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
                       canonical)
 
@@ -119,8 +119,7 @@ class Element:
         ``ARITY_LIMIT``."""
         arity = shape[0]
         if arity > cls.ARITY_LIMIT:
-            raise TooLarge(f"{arity} variables exceed the limit "
-                           f"{cls.ARITY_LIMIT} of {cls.__name__}")
+            raise too_many_variables(arity, cls.ARITY_LIMIT)
         self = cls.__new__(cls)
         self.shape = shape
         self.arity = arity

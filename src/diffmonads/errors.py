@@ -39,6 +39,13 @@ class TooLarge(DiffmonadError):
     """An exhaustive enumeration or oracle exceeded its size bound."""
 
 
+def too_many_variables(arity: int, limit: int) -> TooLarge:
+    """The error of an element over more than ``limit`` variables; only
+    packed monomials have a limit."""
+    return TooLarge(f"{arity} variables exceed the limit {limit} of packed "
+                    "monomials")
+
+
 class ParseError(DiffmonadError):
     """Expression text does not match the grammar."""
 

@@ -54,7 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .element import Element
-from .errors import NonReducedArgument, NotReduced, ShapeMismatch, TooLarge
+from .errors import (NonReducedArgument, NotReduced, ShapeMismatch, TooLarge,
+                     too_many_variables)
 from .scalars import FieldSpec, accumulate, binomial
 
 WIDTH = 16
@@ -71,11 +72,6 @@ MAX_ARITY = 1024
 
 def _too_large(degree: int) -> TooLarge:
     return TooLarge(f"monomial degree {degree} exceeds the limit {MAX_DEGREE}")
-
-
-def _too_many_variables(arity: int) -> TooLarge:
-    return TooLarge(f"{arity} variables exceed the limit {MAX_ARITY} of "
-                    "packed monomials")
 
 
 class MultiIndex:
@@ -153,7 +149,7 @@ class MultiIndex:
         """Every key over ``arity`` variables, and no other, is below this;
         TooLarge past ``MAX_ARITY`` variables."""
         if arity > MAX_ARITY:
-            raise _too_many_variables(arity)
+            raise too_many_variables(arity, MAX_ARITY)
         return 1 << (WIDTH * (arity + 1))
 
     @classmethod
@@ -163,7 +159,7 @@ class MultiIndex:
         if type(key) is not int or key < 0:
             raise ShapeMismatch(f"{key!r} is not a monomial key")
         if key >= _KEY_LIMIT:
-            raise _too_many_variables(key.bit_length() // WIDTH)
+            raise too_many_variables(key.bit_length() // WIDTH, MAX_ARITY)
         if sum(e for _, e in cls.pairs(key)) != key & MAX_DEGREE:
             raise ShapeMismatch(f"{key!r} is not a monomial key")
         return key

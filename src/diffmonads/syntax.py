@@ -14,7 +14,9 @@ Terms:
 * words: ``x1.x2.x1``;
 * scalars: integers ``-3`` or fractions ``2/5`` (reduced mod p over F_p);
 
-joined with ``+`` and ``-``.  The zero element prints as ``0``.
+joined with ``+`` and ``-``.  The zero element prints as ``0``.  The
+grammar is ASCII: digits are ``0-9`` and blanks are ASCII whitespace, so
+any other digit or space is an unexpected character.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import re
 from functools import lru_cache
 
 from .element import Element
-from .errors import ArityError, ParseError, ShapeMismatch, TooLarge
+from .errors import (ArityError, ParseError, ShapeMismatch, TooLarge,
+                     too_many_variables)
 from .powerseries import EMPTY_INDEX
 from .scalars import FieldSpec, Scalar
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)|(?P<sym>[+\-*/^\[\].])")
+_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)|(?P<sym>[+\-*/^\[\].])",
+                    re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -151,8 +155,7 @@ class _Parser:
 def parse_element(text: str, theory, arity: int, base_arity: int | None = None):
     """Parse an expression into the theory's element type over ``arity``."""
     if arity > theory.element.ARITY_LIMIT:  # checked before a key is built
-        raise TooLarge(f"{arity} variables exceed the limit "
-                       f"{theory.element.ARITY_LIMIT} of packed monomials")
+        raise too_many_variables(arity, theory.element.ARITY_LIMIT)
     base = base_arity if base_arity is not None else arity
     parser = _Parser(text, theory.element, theory.field, arity, base)
     terms = parser.expression()

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import diffmonads as dm
 from diffmonads import cli
 from diffmonads.cli import main
+from diffmonads.errors import TooLarge
 
 
 def run_cli(*argv):
@@ -315,6 +316,31 @@ def test_huge_variable_numbers_exit_2_before_a_key_is_built(theory, number):
     assert (code, out) == (2, "")
     assert err == (f"error: {number} variables exceed the limit 1024 of "
                    "packed monomials\n")
+
+
+@pytest.mark.parametrize("theory", ["power", "divided"])
+def test_the_arity_limit_has_one_error_text(theory):
+    """Past the limit, building an element and parsing one say the same."""
+    with pytest.raises(TooLarge) as built:
+        dm.make_theory(theory, dm.rationals()).zero(1025)
+    code, out, err = run_cli("derive", "--theory", theory, "x1025")
+    assert (code, out, err) == (2, "", f"error: {built.value}\n")
+    assert err == "error: 1025 variables exceed the limit 1024 of packed " \
+        "monomials\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive", "--theory", "poly", "--", "x\u0661"),  # Arabic-Indic one
+    ("derive", "--theory", "poly", "--", "2\u0662*x1"),  # Arabic-Indic two
+    ("derive", "--field", "F\u0665", "x1"),  # Arabic-Indic five
+    ("derive", "--", "x\uff11"),  # fullwidth one
+    ("derive", "--", "x1\u3000+ x2"),  # ideographic space
+], ids=["digit-variable", "digit-coefficient", "digit-field",
+        "fullwidth-digit", "ideographic-space"])
+def test_non_ascii_digits_and_spaces_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_a_huge_variable_number_allocates_little():

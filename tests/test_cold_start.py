@@ -40,7 +40,8 @@ def run_in_process(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-# One argv that exits 0 and one that exits 2 for each command.
+# One argv that exits 0 and one that exits 2 for each command, and one with
+# an operand left over, which main parses again with the full parser.
 CLI_CASES = [
     (0, ("derive", "--theory", "zinbiel", "x1.x2")),
     (2, ("derive", "--theory", "zinbiel", "x1..x2")),
@@ -55,11 +56,14 @@ CLI_CASES = [
     (0, ("check", "--theory", "power", "--field", "F5", "--cap", "4",
          "--json", "--trials", "2")),
     (2, ("check", "--theory", "trivial", "--trials", "0")),
+    (2, ("derive", "x1", "extra")),  # leftovers: the full parser's error
 ]
 
 
-@pytest.mark.parametrize("code, argv", CLI_CASES,
-                         ids=[f"{argv[0]}-{code}" for code, argv in CLI_CASES])
+@pytest.mark.parametrize(
+    "code, argv", CLI_CASES,
+    ids=[f"{argv[0]}-{'leftover' if 'extra' in argv else code}"
+         for code, argv in CLI_CASES])
 def test_each_command_in_a_fresh_interpreter(code, argv):
     done = fresh_python("-m", "diffmonads.cli", *argv)
     assert done.returncode == code
