@@ -131,7 +131,7 @@ class Theory:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
         element = self.element
         return element._make(self.shapes[arity],
-                             {element._key_of_letters((i,)): 1})
+                             {element._key(((i, 1),)): 1})
 
     def eta_tuple(self, arity: int) -> tuple:
         return self.linear_components(arity, _block(0, arity))
@@ -150,7 +150,7 @@ class Theory:
         comps = self.structural.get((source, spec))
         if comps is None:
             element = self.element
-            unit = element._key_of_letters
+            key = element._key
             shape = self.shapes[source]
             p = self.field.p
             built = []
@@ -160,7 +160,7 @@ class Theory:
                     if not 0 <= v < source:
                         raise ShapeMismatch(f"variable {v} out of range for "
                                             f"arity {source}")
-                    accumulate(coeffs, unit((v,)), 1, p)
+                    accumulate(coeffs, key(((v, 1),)), 1, p)
                 built.append(element._make(shape, coeffs))
             comps = self.structural[source, spec] = tuple(built)
         return comps

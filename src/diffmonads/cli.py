@@ -6,9 +6,11 @@ and convert take only --theory divided, their default.  --cap is the degree
 cap of the power theory, the default theory, 6 when omitted; other theories
 reject it, and dpow and convert do not take it.  --arity, the number of
 variables, at least 0, is taken by every command but check, which draws its
-own; when omitted it is the highest variable number given.
-Expressions follow the grammar in the syntax module; morphisms can be given
-as @file.json holding {"arity": n, "components": ["expr", ...]}.
+own; when omitted, ``syntax.parse_elements`` infers it as the highest
+variable number given.  Integers are ASCII, [+-]?[0-9]+.  Expressions follow
+the grammar in the syntax module, all read by ``syntax.parse_elements`` (the
+inner morphism of compose first); morphisms can be given as @file.json
+holding {"arity": n, "components": ["expr", ...]}.
 
 A call of main parses a known command with that command's own parser,
 ``build_parser(command)``.  It builds the full parser, with every command,
@@ -34,7 +36,7 @@ import sys
 from . import category
 from .errors import DiffmonadError
 from .scalars import prime_field, rationals
-from .syntax import format_element, parse_element
+from .syntax import format_element, parse_elements
 from .zinbiel import divided_to_zinbiel
 
 
@@ -50,24 +52,22 @@ def _field_from_flag(text: str):
         raise DiffmonadError(f"bad field {text!r}: {exc}") from None
 
 
+def _int(text: str) -> int:
+    """argparse's int over ASCII digits alone: [+-]?[0-9]+, no blanks."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _theory_from_args(args) -> category.Theory:
     theory = category.make_theory(args.theory, _field_from_flag(args.field),
                                   6 if args.cap is None else args.cap)
     if args.cap is not None and not theory.spec.cap_option:
         raise DiffmonadError(f"the {args.theory} theory takes no --cap")
     return theory
-
-
-def _infer_arity(exprs: list[str]) -> int:
-    """The highest variable number in the expressions."""
-    numbers = [m.group(1) for text in exprs
-               for m in re.finditer(r"x(\d+)", text, re.ASCII)]
-    if not numbers:
-        raise DiffmonadError("no variables found; cannot infer the arity")
-    try:
-        return max(map(int, numbers))
-    except ValueError:  # past the interpreter's digit limit
-        raise DiffmonadError("number too long") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -82,10 +82,13 @@ def _read_morphism_file(path: str) -> tuple[list[str], int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise DiffmonadError(f'{path}: expected a JSON object with '
+                                 '"arity" and "components"')
         components, arity = data["components"], data["arity"]
     except KeyError as exc:
         raise DiffmonadError(f"{path} has no {exc} entry") from None
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DiffmonadError(f"cannot read a morphism from {path}: {exc}") \
             from None
     if type(arity) is not int or arity < 0:
@@ -125,14 +128,6 @@ def _arity_flag(args) -> int | None:
     return args.arity
 
 
-def _parse_elements(args, theory: category.Theory, exprs: list[str]):
-    """(elements, arity) of the element commands: --arity, else inferred."""
-    arity = _arity_flag(args)
-    if arity is None:
-        arity = _infer_arity(exprs)
-    return [parse_element(e, theory, arity) for e in exprs], arity
-
-
 def _emit_element(args, elem, arity: int, /, **payload) -> None:
     """Print elem with ``arity`` base variables, or as JSON {"result",
     "arity"}; ``payload`` adds or overrides JSON entries."""
@@ -142,7 +137,7 @@ def _emit_element(args, elem, arity: int, /, **payload) -> None:
 
 def _cmd_derive(args) -> int:
     theory = _theory_from_args(args)
-    [elem], arity = _parse_elements(args, theory, [args.expr])
+    [elem], arity = parse_elements([args.expr], theory, _arity_flag(args))
     _emit_element(args, theory.partial(elem), arity, arity=2 * arity,
                   base_arity=arity)
     return 0
@@ -158,20 +153,16 @@ def _cmd_compose(args) -> int:
                                                 _arity_flag(args))
     if not outer_exprs or not inner_exprs:
         raise DiffmonadError("compose needs both an outer and an inner morphism")
-    if inner_arity is None:
-        inner_arity = _infer_arity(inner_exprs)
+    inner, inner_arity = parse_elements(inner_exprs, theory, inner_arity)
     if outer_arity is None:
-        outer_arity = len(inner_exprs)
-    if outer_arity != len(inner_exprs):
+        outer_arity = len(inner)
+    if outer_arity != len(inner):
         raise DiffmonadError(f"outer morphism needs {outer_arity} inner "
-                             f"components, got {len(inner_exprs)}")
-    outer = category.Morphism(theory, outer_arity, len(outer_exprs),
-                              [parse_element(e, theory, outer_arity)
-                               for e in outer_exprs])
-    inner = category.Morphism(theory, inner_arity, len(inner_exprs),
-                              [parse_element(e, theory, inner_arity)
-                               for e in inner_exprs])
-    result = category.compose(outer, inner)
+                             f"components, got {len(inner)}")
+    outer, _ = parse_elements(outer_exprs, theory, outer_arity)
+    result = category.compose(
+        category.Morphism(theory, outer_arity, len(outer), outer),
+        category.Morphism(theory, inner_arity, len(inner), inner))
     rendered = [format_element(c, base_arity=inner_arity)
                 for c in result.components]
     _emit(args, {"arity": inner_arity, "components": rendered},
@@ -183,14 +174,15 @@ def _cmd_mul(args) -> int:
     theory = _theory_from_args(args)
     if theory.spec.product is None:
         raise DiffmonadError(f"the {theory.kind} theory has no product")
-    (a, b), arity = _parse_elements(args, theory, [args.left, args.right])
+    (a, b), arity = parse_elements([args.left, args.right], theory,
+                                   _arity_flag(args))
     _emit_element(args, a * b, arity)
     return 0
 
 
 def _cmd_dpow(args) -> int:
     theory = _theory_from_args(args)
-    [elem], arity = _parse_elements(args, theory, [args.expr])
+    [elem], arity = parse_elements([args.expr], theory, _arity_flag(args))
     try:
         power = elem.divided_power(args.n)
     except ValueError as exc:
@@ -201,7 +193,7 @@ def _cmd_dpow(args) -> int:
 
 def _cmd_convert(args) -> int:
     theory = _theory_from_args(args)
-    [elem], arity = _parse_elements(args, theory, [args.expr])
+    [elem], arity = parse_elements([args.expr], theory, _arity_flag(args))
     _emit_element(args, divided_to_zinbiel(elem), arity)
     return 0
 
@@ -217,24 +209,19 @@ def _cmd_check(args) -> int:
     reports = cdc.check_all(theory, generators.GenConfig(seed=args.seed),
                             args.trials)
     ok = all(r.passed for r in reports)
-    if args.json:
-        payload = {
-            "theory": theory.name,
-            "field": repr(theory.field),
-            "cap": theory.cap,
-            "seed": args.seed,
-            "trials": args.trials,
-            "passed": ok,
-            "reports": [r.to_json(include_millis=args.timing)
-                        for r in reports],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in reports:
-            status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
-            print(f"{r.axiom:<18} trials={r.trials} {status} [{r.millis} ms]")
-        print(f"{'all axioms pass' if ok else 'AXIOM FAILURES'} for "
-              f"{theory.name} over {theory.field!r}")
+    lines = []
+    for r in reports:
+        status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
+        lines.append(f"{r.axiom:<18} trials={r.trials} {status} "
+                     f"[{r.millis} ms]")
+    lines.append(f"{'all axioms pass' if ok else 'AXIOM FAILURES'} for "
+                 f"{theory.name} over {theory.field!r}")
+    _emit(args, {"theory": theory.name, "field": repr(theory.field),
+                 "cap": theory.cap, "seed": args.seed, "trials": args.trials,
+                 "passed": ok,
+                 "reports": [r.to_json(include_millis=args.timing)
+                             for r in reports]},
+          "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -259,14 +246,14 @@ def _add_arguments(p: argparse.ArgumentParser,
     p.add_argument("--field", default="Q", help="Q or F<p>")
     # hidden where it does not act, so that a --cap there is named in the
     # error, not taken for an operand
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_int, default=None,
                    help=argparse.SUPPRESS if divided else
                    "degree cap of the power theory (default 6)")
     p.add_argument("--json", action="store_true")
     if name == "check":
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--seed", type=_int, default=42)
+        p.add_argument("--trials", type=_int, default=200)
+        p.add_argument("--jobs", type=_int, default=1,
                        help="at least 1; accepted for compatibility and "
                             "ignored: the checks run serially, because "
                             "threads only add overhead to this pure-Python "
@@ -274,7 +261,7 @@ def _add_arguments(p: argparse.ArgumentParser,
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock millis in JSON output")
         return p
-    p.add_argument("--arity", type=int, default=None,
+    p.add_argument("--arity", type=_int, default=None,
                    help="number of variables (inferred when omitted)")
     if name == "compose":
         p.add_argument("parts", nargs="+")
@@ -284,7 +271,7 @@ def _add_arguments(p: argparse.ArgumentParser,
     else:
         p.add_argument("expr")
     if name == "dpow":
-        p.add_argument("n", type=int)
+        p.add_argument("n", type=_int)
     return p
 
 

@@ -50,11 +50,11 @@ A subclass supplies these hooks; the first four work on coefficient dicts:
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
   (the per-key work of the public constructor);
 * ``_key(pairs)``: the key of the basis element with the given (variable,
-  exponent) pairs;
-* ``_key_of_letters(letters)``: the key of the product of the variables in
-  the sequence ``letters``, in that order;
-* ``_key_of_draws(draw, degree, arity)``: ``_key_of_letters`` of ``degree``
-  letters drawn in order as ``draw() % arity`` (random elements);
+  exponent) pairs; a variable repeated in a monomial adds up, and a word
+  keeps the variables in order;
+* ``_key_of_draws(draw, degree, arity)``: the key of the product of
+  ``degree`` variables, each drawn in turn as ``draw() % arity``, without
+  building the pairs (random elements);
 * ``_pairs(key)``: the tuple of the (variable, exponent) pairs of a key, in
   print order; terms print by degree, then by their pairs;
 * ``_degree(key)``: the degree of a key, a builtin so that the counit and

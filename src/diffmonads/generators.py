@@ -308,7 +308,7 @@ def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     element = theory.element
     shape = theory.shapes[arity]
     one = theory.field.one()
-    return [element(*shape, {element._key_of_letters(letters): one})
+    return [element(*shape, {element._key([(v, 1) for v in letters]): one})
             for d in _degree_range(theory, max_degree)
             for letters in element._letters(range(arity), d)]
 

@@ -254,16 +254,6 @@ class MonomialElement(Element):
         return MultiIndex.make(pairs)
 
     @staticmethod
-    def _key_of_letters(letters: Sequence[int]) -> int:
-        degree = len(letters)
-        if degree > MAX_DEGREE:
-            raise _too_large(degree)
-        key = degree
-        for v in letters:
-            key += 1 << (WIDTH * (v + 1))
-        return key
-
-    @staticmethod
     def _key_of_draws(draw, degree: int, arity: int) -> int:
         if degree > MAX_DEGREE:
             raise _too_large(degree)

@@ -17,6 +17,8 @@ Terms:
 joined with ``+`` and ``-``.  The zero element prints as ``0``.  The
 grammar is ASCII: digits are ``0-9`` and blanks are ASCII whitespace, so
 any other digit or space is an unexpected character.
+``parse_elements`` reads the operands of a command: each is tokenized once,
+and an omitted arity is the highest variable number in the tokens.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, element: type, field: FieldSpec,
+    def __init__(self, tokens: list, element: type, field: FieldSpec,
                  arity: int, base_arity: int):
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.i = 0
         self.element = element
         self.field = field
@@ -152,19 +154,37 @@ class _Parser:
         return terms
 
 
-def parse_element(text: str, theory, arity: int, base_arity: int | None = None):
-    """Parse an expression into the theory's element type over ``arity``."""
+def _parse(tokens: list, theory, arity: int, base: int):
+    """The element of the theory that ``tokens`` spell over ``arity``."""
     if arity > theory.element.ARITY_LIMIT:  # checked before a key is built
         raise too_many_variables(arity, theory.element.ARITY_LIMIT)
-    base = base_arity if base_arity is not None else arity
-    parser = _Parser(text, theory.element, theory.field, arity, base)
-    terms = parser.expression()
+    terms = _Parser(tokens, theory.element, theory.field, arity,
+                    base).expression()
     if theory.reduced and any(k is None for k, _ in terms):
         raise ParseError("constant terms are only allowed in the polynomial "
                          "theory", 0)
     return theory.element.from_terms(
         *theory.shapes[arity],
         [(EMPTY_INDEX if k is None else k, c) for k, c in terms])
+
+
+def parse_elements(texts, theory, arity: int | None = None):
+    """(elements, arity) of the expressions ``texts`` over ``arity``; when it
+    is None, the arity is the highest variable number in them."""
+    tokens = [_tokenize(text) for text in texts]
+    if arity is None:
+        numbers = [value[1] for toks in tokens
+                   for tag, value, _ in toks if tag == "var"]
+        if not numbers:
+            raise ArityError("no variables found; cannot infer the arity")
+        arity = max(numbers)
+    return [_parse(toks, theory, arity, arity) for toks in tokens], arity
+
+
+def parse_element(text: str, theory, arity: int, base_arity: int | None = None):
+    """Parse an expression into the theory's element type over ``arity``."""
+    return _parse(_tokenize(text), theory, arity,
+                  arity if base_arity is None else base_arity)
 
 
 # -- printing ---------------------------------------------------------------

@@ -151,8 +151,6 @@ class ZinElement(Element):
     def _key(pairs) -> Word:
         return tuple(map(_variable, pairs))
 
-    _key_of_letters = staticmethod(tuple)
-
     @staticmethod
     def _key_of_draws(draw, degree: int, arity: int) -> Word:
         return tuple([draw() % arity for _ in range(degree)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import diffmonads as dm
-from diffmonads import cli
+from diffmonads import cli, syntax
 from diffmonads.cli import main
 from diffmonads.errors import TooLarge
 
@@ -203,6 +203,26 @@ def test_morphism_file_without_components_exits_2(tmp_path):
                            "x1")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("top", [[1, 2], "x1", 3],
+                         ids=["list", "string", "number"])
+def test_morphism_file_must_hold_a_json_object(tmp_path, top):
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(top))
+    code, out, err = run_cli("compose", "x1", "/", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err == (f'error: {path}: expected a JSON object with "arity" and '
+                   '"components"\n')
+
+
+def test_deeply_nested_morphism_file_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli("compose", "x1", "/", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read a morphism from {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_unbounded_divided_power_exits_2_quickly():
@@ -454,6 +474,51 @@ def test_check_needs_at_least_one_job(jobs):
                              "--jobs", jobs)
     assert (code, out) == (2, "")
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("value", ["\u0662", "\uff12", " 2 "],
+                         ids=["arabic-indic", "fullwidth", "blanks"])
+@pytest.mark.parametrize("argv", [
+    ("derive", "--cap", "{}", "x1"),
+    ("derive", "--arity", "{}", "x1"),
+    ("check", "--theory", "trivial", "--seed", "{}"),
+    ("check", "--theory", "trivial", "--trials", "{}"),
+    ("check", "--theory", "trivial", "--jobs", "{}"),
+    ("dpow", "--", "x1^[1]", "{}"),
+], ids=["cap", "arity", "seed", "trials", "jobs", "n"])
+def test_integer_options_take_ascii_digits_only(argv, value):
+    code, out, err = run_cli(*(value if a == "{}" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"invalid int value: {value!r}\n")
+    assert "Traceback" not in err
+
+
+def test_integer_options_take_a_sign_and_leading_zeros():
+    assert run_cli("dpow", "--", "x1^[1]", "+002") == (0, "x1^[2]\n", "")
+
+
+@pytest.mark.parametrize("argv, operands", [
+    (("derive", "x1*x2"), ["x1*x2"]),
+    (("mul", "--theory", "zinbiel", "x1", "x2.x1"), ["x1", "x2.x1"]),
+    (("compose", "x1*x2", "/", "x1", "x1^2"), ["x1", "x1^2", "x1*x2"]),
+    (("dpow", "x1^[1]", "2"), ["x1^[1]"]),
+    (("convert", "x1^[2]"), ["x1^[2]"]),
+], ids=["derive", "mul", "compose", "dpow", "convert"])
+def test_each_operand_is_tokenized_once(monkeypatch, argv, operands):
+    seen = []
+    tokenize = syntax._tokenize
+    monkeypatch.setattr(syntax, "_tokenize",
+                        lambda text: seen.append(text) or tokenize(text))
+    assert run_cli(*argv)[0] == 0
+    assert seen == operands
+
+
+def test_an_operand_that_does_not_tokenize_is_named_before_the_arity():
+    assert run_cli("derive", "1 $") == \
+        (2, "", "error: unexpected character '$' (at position 2)\n")
+    # the inner morphism is read first
+    assert run_cli("compose", "x1 $", "/", "1 %") == \
+        (2, "", "error: unexpected character '%' (at position 2)\n")
 
 
 # -- fuzz: any argv from a small grammar exits 0, 1 or 2 ----------------------

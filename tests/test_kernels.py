@@ -7,8 +7,8 @@
   every head and block boundary and chunk boundary.  Its memory does not
   grow with the trial count.
 * ``random_element`` writes its draws out in a sampler kept per theory and
-  bounds; the loop of ``randint`` calls, ``_key_of_letters`` and
-  ``accumulate`` that it replaces is the reference, on ordinary and on
+  bounds; the loop of ``randint`` calls, ``_key`` over (variable, 1) pairs
+  and ``accumulate`` that it replaces is the reference, on ordinary and on
   degenerate bounds.
 * The packed-key combinators of series and divided powers add a per-arity
   step to each key; the loop of ``MultiIndex.pairs``, ``move`` and
@@ -171,8 +171,8 @@ def reference_random_element(theory, cfg, rng, *, arity, max_degree,
                 if c and canonical(c, p):
                     c = canonical(c, p)
                     break
-            key = theory.element._key_of_letters(
-                [rng.randint(0, n - 1) for _ in range(d)])
+            key = theory.element._key(
+                [(rng.randint(0, n - 1), 1) for _ in range(d)])
             accumulate(coeffs, key, c, p)
         if coeffs:
             return theory.element._make(theory.shapes[n], coeffs)

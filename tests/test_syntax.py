@@ -1,8 +1,12 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
-from diffmonads import (ArityError, ParseError, format_element, parse_element,
-                        prime_field, rationals, variable_name)
+from diffmonads import (ArityError, ParseError, TooLarge, format_element,
+                        parse_element, prime_field, rationals, variable_name)
+from diffmonads.syntax import parse_elements
 
 Q = rationals()
 F7 = prime_field(7)
@@ -120,3 +124,64 @@ def test_exponent_validation():
         parse_element("x1^[0]", td, 1)
     with pytest.raises(ParseError):
         parse_element("x1^2", td, 1)  # divided powers need brackets
+
+
+# -- parse_elements: one tokenization per operand, the arity from its tokens --
+
+# (theory, exponent suffixes, factor separator) of each notation
+_NOTATIONS = [(dm.make_theory("poly", Q), ("", "^2", "^13"), "*"),
+              (dm.make_theory("divided", Q), ("", "^[1]", "^[3]"), "*"),
+              (dm.make_theory("zinbiel", Q), ("",), ".")]
+
+
+def _old_arity(texts):
+    """The arity rule the CLI once kept beside the grammar: the highest
+    number after an ``x``, read with its own pattern; None without one."""
+    return max((int(n) for text in texts
+                for n in re.findall(r"x(\d+)", text, re.ASCII)), default=None)
+
+
+@st.composite
+def _operands(draw):
+    """(theory, operand texts) in the theory's notation; constants, spaces
+    and high variable numbers included."""
+    theory, exponents, sep = draw(st.sampled_from(_NOTATIONS))
+    factor = st.builds("x{}{}".format, st.integers(1, 1100),
+                       st.sampled_from(exponents))
+    term = st.builds("{}{}".format, st.sampled_from(("", "3*", "2/5*")),
+                     st.lists(factor, min_size=1, max_size=3).map(sep.join))
+    if theory.kind == "poly":
+        term = term | st.sampled_from(("7", "1/2"))
+    sign = st.sampled_from(("", "-", " "))
+    text = st.builds("{}{}{}".format, sign, term,
+                     st.lists(st.builds("{} {}".format,
+                                        st.sampled_from(("+", "-")), term),
+                              max_size=2).map(" ".join))
+    return theory, draw(st.lists(text, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_the_inferred_arity_is_the_old_rule(case):
+    theory, texts = case
+    expected = _old_arity(texts)
+    if expected is None:
+        with pytest.raises(ArityError, match="no variables found"):
+            parse_elements(texts, theory)
+        return
+    if expected > theory.element.ARITY_LIMIT:
+        with pytest.raises(TooLarge, match=f"^{expected} variables exceed"):
+            parse_elements(texts, theory)
+        return
+    elements, arity = parse_elements(texts, theory)
+    assert arity == expected
+    assert elements == [parse_element(t, theory, arity) for t in texts]
+
+
+def test_parse_elements_takes_a_declared_arity():
+    t = dm.make_theory("poly", Q)
+    elements, arity = parse_elements(["x1", "3"], t, 4)
+    assert arity == 4
+    assert elements == [parse_element("x1", t, 4), parse_element("3", t, 4)]
+    with pytest.raises(ArityError, match="no variables found"):
+        parse_elements(["3", "1/2"], t)
