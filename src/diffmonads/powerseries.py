@@ -139,12 +139,6 @@ class MultiIndex:
         return ((key >> WIDTH) << (WIDTH * (offset + 1))) | (key & MAX_DEGREE)
 
     @staticmethod
-    def move(key: int, var: int, to: int) -> int:
-        """Move one unit of exponent from ``var`` (present in ``key``) to
-        ``to``; the degree is unchanged."""
-        return key - (1 << (WIDTH * (var + 1))) + (1 << (WIDTH * (to + 1)))
-
-    @staticmethod
     def bound(arity: int) -> int:
         """Every key over ``arity`` variables, and no other, is below this;
         TooLarge past ``MAX_ARITY`` variables."""

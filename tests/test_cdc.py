@@ -24,9 +24,18 @@ def morph(theory, source, exprs):
     return Morphism(theory, source, len(comps), comps)
 
 
-def test_registration_smoke_check_runs():
-    for kind in ("power", "poly", "divided", "zinbiel", "trivial"):
-        dm.make_theory(kind, Q, 4)
+UNIT_LAW_THEORIES = [dm.make_theory(kind, field, cap) for kind in dm.THEORIES
+                     for field in (Q, prime_field(2), prime_field(3), F5)
+                     for cap in ((1, 2, 6) if kind == "power" else (6,))]
+
+
+@pytest.mark.parametrize("theory", UNIT_LAW_THEORIES, ids=repr)
+def test_unit_tuple_substitutes_as_the_identity(theory):
+    x1, x2 = theory.eta(0, 2), theory.eta(1, 2)
+    sample = x1 + x2.scale(theory.field.embed(2))
+    if theory.spec.product is not None:
+        sample = sample + theory.spec.product(x1, x2)
+    assert sample.substitute(theory.eta_tuple(2)) == sample
 
 
 def test_compose_unit_laws():
@@ -100,15 +109,38 @@ def test_linearize_examples():
     assert not is_dlinear(morph(PL, 1, ["x1 + 2"]))  # constants are not linear
 
 
+def structural_maps(theory):
+    return [identity(theory, 2), projection(theory, 2, 1, 0),
+            projection(theory, 2, 1, 1), injection(theory, 2, 2, 0),
+            injection(theory, 2, 2, 1), codiagonal(theory, 2),
+            lift_map(theory, 1), interchange_map(theory, 1),
+            diagonal(theory, 2), Morphism.zero(theory, 2, 2)]
+
+
 def test_structural_maps_are_dlinear():
     for theory in ALL_THEORIES:
-        maps = [identity(theory, 2), projection(theory, 2, 1, 0),
-                projection(theory, 2, 1, 1), injection(theory, 2, 2, 0),
-                injection(theory, 2, 2, 1), codiagonal(theory, 2),
-                lift_map(theory, 1), interchange_map(theory, 1),
-                diagonal(theory, 2), Morphism.zero(theory, 2, 2)]
-        for p in maps:
+        for p in structural_maps(theory):
             assert is_dlinear(p)
+
+
+@pytest.mark.parametrize("theory", ALL_THEORIES, ids=repr)
+def test_dlinear_exactly_when_eta_counit_fixes_every_component(theory):
+    # the linearization and the counit characterizations of D-linearity agree
+    cfg = dm.GenConfig(seed=67)
+    rng = dm.SplitMix64(67)
+    maps = structural_maps(theory)
+    for _ in range(20):
+        p = dm.random_morphism(theory, cfg, 2, 2, rng, max_degree=3,
+                               max_terms=3)
+        maps += [p, linearize(p)]
+    verdicts = set()
+    for p in maps:
+        by_counit = all(theory.eta_counit(c) == c for c in p.components)
+        assert is_dlinear(p) == by_counit
+        verdicts.add(by_counit)
+    # both sides are reached, but every linear form of the trivial theory is
+    # D-linear
+    assert verdicts == ({True} if theory.kind == "trivial" else {True, False})
 
 
 def test_dlinear_maps_compose():

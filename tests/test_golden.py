@@ -109,7 +109,6 @@ def _drop_smallest_key(substitute):
 def test_planted_substitution_defect_reports_are_unchanged(monkeypatch):
     fields = {"Q": dm.rationals(), "F3": dm.prime_field(3),
               "F5": dm.prime_field(5)}
-    # built before the defect: make_theory's registration check substitutes
     theories = [dm.make_theory(kind, fields[field], cap)
                 for kind, field, cap in PLANTED_CONFIGS]
     for cls in (dm.SeriesElement, dm.DPElement, dm.ZinElement):

@@ -11,7 +11,7 @@
   and ``accumulate`` that it replaces is the reference, on ordinary and on
   degenerate bounds.
 * The packed-key combinators of series and divided powers add a per-arity
-  step to each key; the loop of ``MultiIndex.pairs``, ``move`` and
+  step to each key; the loop of ``MultiIndex.pairs``, key arithmetic and
   ``accumulate`` is the reference, and the coefficients must be canonical
   (residues over F_p with zeros dropped, integral rationals as ``int``).
 """
@@ -289,16 +289,17 @@ def test_random_element_of_too_many_variables_is_too_large():
 
 
 def reference_combinator(f):
-    """The combinator as a loop of ``pairs``, ``move`` and ``accumulate``:
-    series multiply by the exponent, divided powers do not."""
+    """The combinator as a loop of ``pairs`` and ``accumulate``: one unit of
+    x_v moves to its dual x_{n+v} by key arithmetic, as keys multiply by
+    adding.  Series multiply by the exponent, divided powers do not."""
     n = f.arity
     p = f.field.p
     series = isinstance(f, SeriesElement)
     out: dict = {}
     for key, c in f.coeffs.items():
         for v, e in MultiIndex.pairs(key):
-            accumulate(out, MultiIndex.move(key, v, n + v),
-                       c * e if series else c, p)
+            moved = key - MultiIndex.single(v) + MultiIndex.single(n + v)
+            accumulate(out, moved, c * e if series else c, p)
     return f._make((2 * n,) + f.shape[1:], out)
 
 

@@ -2,10 +2,11 @@
 them.
 
 Each mutant is checked against an independent recomputation: the key map
-written with ``MultiIndex.pairs``/``move`` and summed with ``accumulate``,
-built through the public constructors.  Inputs are random elements with
-Fraction coefficients over Q, and with coefficients over F2, F3 and F5,
-where a product c * e that vanishes must drop out.
+written with ``MultiIndex.pairs`` and sums of ``MultiIndex.single`` keys,
+summed with ``accumulate`` and built through the public constructors.
+Inputs are random elements with Fraction coefficients over Q, and with
+coefficients over F2, F3 and F5, where a product c * e that vanishes must
+drop out.
 """
 
 import random
@@ -80,8 +81,8 @@ def _moved_terms(f, skip: tuple = ()) -> dict:
     for key, c in f.coeffs.items():
         for v, e in MultiIndex.pairs(key):
             if v not in skip:
-                accumulate(out, MultiIndex.move(key, v, n + v), c * e,
-                           f.field.p)
+                moved = key - MultiIndex.single(v) + MultiIndex.single(n + v)
+                accumulate(out, moved, c * e, f.field.p)
     return out
 
 
