@@ -7,14 +7,14 @@ map ell and the interchange map c) linear: each component is a sum of
 variables or zero.  A structural map carries that *linear spec*, the tuple of
 variables that each component sums, and its components are built once per
 theory and spec, each as one coefficient dict of unit keys; the specs of the
-named maps are cached per process.  Composing along a structural map rewrites
-the keys of the outer components directly (``substitute_linear``) where the
-theory's keys can follow the spec; packed monomials follow renamings, and a
-spec with sums (the sum map) takes the generic substitution of the memoized
-components.  The generic substitution, which the monad laws, CD.5 and dc.4
-still exercise, is the oracle of the key rewrites.
-Differentiation applies the theory's combinator componentwise and doubles the
-source arity.
+named maps are cached per process; the monad's units are the identity's.
+Composing an element along a structural map (:func:`along`) rewrites its keys
+directly (``substitute_linear``) where the theory's keys can follow the spec;
+packed monomials follow renamings, and a spec with sums (the sum map) takes
+the generic substitution of the memoized components.  The generic
+substitution, which the monad laws, CD.5 and dc.4 still exercise, is the
+oracle of the key rewrites.  Differentiation applies the theory's combinator
+componentwise and doubles the source arity.
 
 This module loads with the package and needs only the element core.  The
 checks that this category is Cartesian differential are in ``cdc``.
@@ -126,12 +126,10 @@ class Theory:
         return self.element._make(self.shapes[arity], {})
 
     def eta(self, i: int, arity: int):
-        """The monad unit on the i-th basis vector: the degree-1 element x_i."""
+        """The monad unit x_i, the i-th component of the memoized identity."""
         if not 0 <= i < arity:
             raise ShapeMismatch(f"variable {i} out of range for arity {arity}")
-        element = self.element
-        return element._make(self.shapes[arity],
-                             {element._key(((i, 1),)): 1})
+        return self.eta_tuple(arity)[i]
 
     def eta_tuple(self, arity: int) -> tuple:
         return self.linear_components(arity, _block(0, arity))
@@ -278,30 +276,27 @@ class Morphism:
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner: substitute inner's components into outer's, or,
-    when inner is a structural map, compose each along its spec (``_along``)."""
+    when inner is a structural map, compose each along it (:func:`along`)."""
     if outer.theory != inner.theory:
         raise ShapeMismatch("morphisms from different theories")
     if outer.source != inner.target:
         raise ShapeMismatch(f"cannot compose {inner.target} -> with "
                             f"source {outer.source}")
-    spec = inner.linear
-    if spec is None:
+    if inner.linear is None:
         comps = tuple(c.substitute(inner.components, arity=inner.source)
                       for c in outer.components)
     else:
-        comps = tuple(_along(inner.theory, c, inner.source, spec)
-                      for c in outer.components)
+        comps = tuple(along(c, inner) for c in outer.components)
     return Morphism._make(outer.theory, inner.source, outer.target, comps)
 
 
-def _along(theory: Theory, f, source: int, spec: tuple):
-    """The element f composed with the structural map source -> len(spec) of
-    linear spec ``spec``: its keys rewritten where the theory can follow the
-    spec, else the generic substitution of the map's memoized components."""
-    got = f.substitute_linear(spec, source)
+def along(f, m: Morphism):
+    """The element f composed with the structural map m: f's keys rewritten
+    along ``m.linear`` where the theory can follow it, else the generic
+    substitution of m's memoized components."""
+    got = f.substitute_linear(m.linear, m.source)
     if got is None:
-        got = f.substitute(theory.linear_components(source, spec),
-                           arity=source)
+        got = f.substitute(m.components, arity=m.source)
     return got
 
 

@@ -22,14 +22,15 @@ Importing this module loads ``category`` and ``syntax``; ``check`` alone
 loads ``cdc`` and ``generators``, when it runs.
 
 Exit codes: 0 on success (and all axioms passing), 1 when an axiom check
-fails, 2 on usage, parse, shape, field or @file errors and on expansions
-past a size bound.
+fails, 2 on usage, parse, shape, field or @file errors, on expansions past a
+size bound, and silently on a closed stdout (``| head``) and on Ctrl-C.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -71,10 +72,9 @@ def _theory_from_args(args) -> category.Theory:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    # flushed, so that a closed pipe raises in main, not at shutdown
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json
+          else text, flush=True)
 
 
 def _read_morphism_file(path: str) -> tuple[list[str], int]:
@@ -317,6 +317,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except DiffmonadError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # see _emit; the flush at shutdown goes nowhere
+        sys.stdout = open(os.devnull, "w")
+        return 2
+    except KeyboardInterrupt:
         return 2
 
 

@@ -95,8 +95,9 @@ class _Parser:
         if self.peek() == "/":
             self.take()
             den, pos = self.take("num")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
+            if not self.field.raw(den):  # 0, or a multiple of p in F_p
+                raise ParseError(f"denominator {den} is zero in {self.field}"
+                                 if den else "zero denominator", pos)
             return self.field.from_fraction(num, den)
         return self.field.embed(num)
 
@@ -137,16 +138,12 @@ class _Parser:
         return self.basis(), self.field.one()
 
     def expression(self):
+        """Terms joined by + and -; the first may carry a sign."""
         terms = []
-        op = "+"
-        if self.peek() in ("+", "-"):
+        while not terms or self.peek() in ("+", "-"):
             op = self.peek()
-            self.take()
-        key, c = self.term()
-        terms.append((key, -c if op == "-" else c))
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.take()
+            if op in ("+", "-"):
+                self.take()
             key, c = self.term()
             terms.append((key, -c if op == "-" else c))
         if self.peek() != "end":

@@ -105,6 +105,33 @@ def test_check_exit_codes(monkeypatch):
     assert code == 1
 
 
+def test_ctrl_c_exits_2_without_a_traceback(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "derive", (interrupted, "interrupted"))
+    assert run_cli("derive", "x1") == (2, "", "")
+
+
+@pytest.mark.parametrize("field", [dm.rationals(), dm.prime_field(5)],
+                         ids=repr)
+def test_a_size_bound_inside_check_names_its_axiom_and_seed(field):
+    """At cap 20 a product of monad.assoc passes the size bound: the error
+    names the axiom and the trial seed, and run_trial replays it."""
+    code, out, err = run_cli("check", "--theory", "power", "--cap", "20",
+                             "--field", repr(field))
+    assert (code, out) == (2, "")
+    m = re.fullmatch(r"error: monad\.assoc trial seed (\d+): products "
+                     r"expand over \d+ term products\n", err)
+    assert m, err
+    from diffmonads import cdc
+
+    theory = dm.make_theory("power", field, 20)
+    with pytest.raises(TooLarge, match="products expand over"):
+        cdc.run_trial("monad.assoc", theory, dm.GenConfig(seed=42),
+                      int(m.group(1)))
+
+
 def test_check_json_deterministic_across_runs_and_jobs():
     args = ("check", "--theory", "power", "--field", "F5", "--cap", "4",
             "--seed", "42", "--trials", "10", "--json")
@@ -181,6 +208,24 @@ def test_unknown_prime_field_exits_2():
                            "x1*x2")
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--theory", "poly", "--", "1/0*x1"), "zero denominator (at position 2)"),
+    (("--field", "F5", "--", "1/5*x1"),
+     "denominator 5 is zero in F5 (at position 2)"),
+    (("--field", "F5", "--", "x2 - 2/15*x1"),
+     "denominator 15 is zero in F5 (at position 7)"),
+])
+def test_a_vanishing_denominator_exits_2_at_its_position(argv, message):
+    assert run_cli("derive", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_divided_power_product_past_the_degree_limit_exits_2():
+    assert run_cli("mul", "--theory", "divided", "x1^[40000]",
+                   "x1^[40000]") == \
+        (2, "", "error: divided power product exceeds the degree limit "
+                "65535\n")
 
 
 def test_zeroth_divided_power_exits_2():

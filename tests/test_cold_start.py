@@ -24,12 +24,17 @@ from diffmonads.cli import main
 SRC = str(Path(dm.__file__).resolve().parent.parent)
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this tree."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports the package from this tree."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -69,6 +74,31 @@ def test_each_command_in_a_fresh_interpreter(code, argv):
     assert done.returncode == code
     assert "Traceback" not in done.stderr
     assert (done.returncode, done.stdout, done.stderr) == run_in_process(argv)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ("derive", "x1"),
+    ("check", "--theory", "trivial", "--trials", "2", "--json"),
+], ids=["derive", "check"])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    """stdout is a pipe whose read end is closed before the command runs, as
+    in ``diffmonads derive x1 | true``: main exits 2, and neither it nor the
+    flush at shutdown writes to stderr, with or without buffered stdout."""
+    read, write = os.pipe()
+    os.close(read)
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        done = subprocess.run([sys.executable, "-m", "diffmonads.cli", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "")
 
 
 LOADED = """

@@ -40,3 +40,11 @@ def test_right_nested_takes_words_only():
     word = _x1_plus_x2(THEORIES["zinbiel"])
     with pytest.raises(dm.ShapeMismatch):
         dm.right_nested([word, _x1_plus_x2(THEORIES["divided"])])
+
+
+@pytest.mark.parametrize("theory", THEORIES.values(), ids=repr)
+def test_a_nullary_substitution_needs_a_target_arity(theory):
+    nullary = theory.zero(0)
+    with pytest.raises(dm.ShapeMismatch, match="target arity required"):
+        nullary.substitute([])
+    assert nullary.substitute([], arity=2) == theory.zero(2)

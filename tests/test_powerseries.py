@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
-from diffmonads import (MultiIndex, NonReducedArgument, SeriesElement,
-                        ShapeMismatch, parse_element, prime_field, rationals)
+from diffmonads import (MultiIndex, NonReducedArgument, NotReduced,
+                        SeriesElement, ShapeMismatch, parse_element,
+                        prime_field, rationals)
 
 Q = rationals()
 F3 = prime_field(3)
@@ -246,3 +247,16 @@ def test_public_constructor_rejects_bool_coefficients():
         SeriesElement(1, 4, True, Q, {MultiIndex.single(0): True})
     with pytest.raises(TypeError):
         SeriesElement(1, 4, True, F3, {MultiIndex.single(0): False})
+
+
+def test_a_series_that_is_not_reduced_has_no_combinator_or_substitution():
+    """A single derivative lowers the cap and may leave a constant, so it is
+    not reduced: d/dx1 of x1^2 at cap 4 is 2*x1 at cap 3."""
+    d = series("x1^2", 1, cap=4).partial(0)
+    assert (d.cap, d.reduced) == (3, False)
+    with pytest.raises(NotReduced, match="combinator"):
+        d.partial_combinator()
+    with pytest.raises(NotReduced, match="capped substitution"):
+        d.substitute([series("x1", 1, cap=3)])
+    with pytest.raises(NotReduced, match="capped substitution"):
+        d.substitute_linear(((0,),), 1)
