@@ -7,14 +7,18 @@ map ell and the interchange map c) linear: each component is a sum of
 variables or zero.  A structural map carries that *linear spec*, the tuple of
 variables that each component sums, and its components are built once per
 theory and spec, each as one coefficient dict of unit keys; the specs of the
-named maps are cached per process; the monad's units are the identity's.
-Composing an element along a structural map (:func:`along`) rewrites its keys
-directly (``substitute_linear``) where the theory's keys can follow the spec;
-packed monomials follow renamings, and a spec with sums (the sum map) takes
-the generic substitution of the memoized components.  The generic
+named maps, and of the product of two structural maps, are cached per
+process; the monad's units are the identity's.  Composing an element along
+a structural map (:func:`along`) rewrites its keys directly
+(``substitute_linear``) where the theory's keys can follow the spec: words
+follow every spec, and packed monomials every spec whose targets are
+pairwise distinct, renamings alike and sums (the sum map) at exponents up
+to 1, as in the derivatives that CD.2 and dc.2 compose.  A spec with a
+repeated target (the diagonal), or a summed exponent above 1, takes the
+generic substitution of the memoized components.  The generic
 substitution, which the monad laws, CD.5 and dc.4 still exercise, is the
-oracle of the key rewrites.  Differentiation applies the theory's combinator
-componentwise and doubles the source arity.
+oracle of the key rewrites.  Differentiation applies the theory's
+combinator componentwise and doubles the source arity.
 
 This module loads with the package and needs only the element core.  The
 checks that this category is Cartesian differential are in ``cdc``.
@@ -315,9 +319,8 @@ def product_map(p: Morphism, q: Morphism) -> Morphism:
         raise ShapeMismatch("morphisms from different theories")
     src = p.source + q.source
     if p.linear is not None and q.linear is not None:
-        shifted = tuple(tuple(p.source + i for i in variables)
-                        for variables in q.linear)
-        return p.theory.linear_map(src, p.linear + shifted)
+        return p.theory.linear_map(src, _product_spec(p.linear, p.source,
+                                                      q.linear))
     left = tuple(c.extend_arity(src, 0) for c in p.components)
     right = tuple(c.extend_arity(src, p.source) for c in q.components)
     return Morphism._make(p.theory, src, p.target + q.target, left + right)
@@ -327,6 +330,20 @@ def product_map(p: Morphism, q: Morphism) -> Morphism:
 def _block(start: int, count: int) -> tuple:
     """The spec of the variables start, ..., start + count - 1, one each."""
     return tuple((i,) for i in range(start, start + count))
+
+
+@lru_cache(maxsize=1024)
+def _product_spec(left: tuple, source: int, right: tuple) -> tuple:
+    """The spec of p x q, for p of spec ``left`` out of ``source`` variables
+    and q of spec ``right``: q's variables shifted past p's block."""
+    return left + tuple(tuple(source + i for i in variables)
+                        for variables in right)
+
+
+@lru_cache(maxsize=1024)
+def _sum_spec(n: int) -> tuple:
+    """The spec of the sum map n x n -> n: x_i goes to x_i + x_{n+i}."""
+    return tuple((i, n + i) for i in range(n))
 
 
 @lru_cache(maxsize=1024)
@@ -373,7 +390,7 @@ def diagonal(theory: Theory, n: int) -> Morphism:
 
 def codiagonal(theory: Theory, n: int) -> Morphism:
     """The sum map pi_0 + pi_1 : n x n -> n."""
-    return theory.linear_map(2 * n, tuple((i, n + i) for i in range(n)))
+    return theory.linear_map(2 * n, _sum_spec(n))
 
 
 def lift_map(theory: Theory, n: int) -> Morphism:

@@ -222,8 +222,8 @@ def _cd5(theory, draw):
 def _cd6(theory, draw):
     n, m = draw.arity(), draw.arity()
     f = draw.morphism(n, m)
-    yield ({"f": f}, compose(differentiate(differentiate(f)),
-                             lift_map(theory, n)), differentiate(f), n)
+    df = differentiate(f)
+    yield {"f": f}, compose(differentiate(df), lift_map(theory, n)), df, n
 
 
 def _cd7(theory, draw):
@@ -273,8 +273,8 @@ def _dc4(theory, draw):
 def _dc5(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    ddt = theory.partial(theory.partial(t))
-    yield {"t": t}, along(ddt, lift_map(theory, n)), theory.partial(t), n
+    dt = theory.partial(t)
+    yield {"t": t}, along(theory.partial(dt), lift_map(theory, n)), dt, n
 
 
 def _dc6(theory, draw):

@@ -69,19 +69,37 @@ A subclass supplies these hooks; the first four work on coefficient dicts:
 Every subclass also has ``substitute_linear(spec, arity)``: ``substitute``
 along a linear map, given as its *spec*, the tuple of variables that each
 argument sums (an empty tuple is the zero argument).  It rewrites keys
-directly, or returns None for a spec that its keys cannot follow (packed
-monomials follow only renamings); ``substitute`` with the materialized sums
-is its oracle and the caller's fallback.
+directly, or returns None for a spec that its keys cannot follow: packed
+monomials follow a spec whose targets are pairwise distinct, renamings
+alike and sums such as the sum map at exponents up to 1, and decline a
+spec with a repeated target, such as the diagonal, or an element with a
+summed exponent above 1; words follow every spec.  ``substitute`` with the
+materialized sums is its oracle and the caller's fallback, and it still
+runs where the rewrite declines, in the monad laws, and in CD.5 and dc.4,
+which substitute random elements.  A spec's variable range is resolved
+once per spec (:func:`_span`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .errors import ShapeMismatch, TooLarge, too_many_variables
 from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
                       canonical)
+
+
+@lru_cache(maxsize=1024)
+def _span(spec: tuple) -> tuple[int, int]:
+    """The least variable that the linear spec ``spec`` sums and one more
+    than the greatest; (0, 0) when it sums none.  Resolved once per spec, so
+    the range check of ``_linear_shape`` is two comparisons."""
+    variables = [v for sums in spec for v in sums]
+    if not variables:
+        return 0, 0
+    return min(variables), max(variables) + 1
 
 
 class Element:
@@ -278,17 +296,17 @@ class Element:
                 accumulate(out, k, ck * c, p)
         return self._make(shape, out)
 
-    def _linear_shape(self, spec: Sequence[tuple], arity: int) -> tuple:
+    def _linear_shape(self, spec: tuple, arity: int) -> tuple:
         """The shape of substituting along a linear map: the checks of
         ``_target`` for a spec whose sums are over ``arity`` variables."""
         if len(spec) != self.arity:
             raise ShapeMismatch(f"{self.arity} arguments expected, "
                                 f"got {len(spec)}")
-        for variables in spec:
-            for v in variables:
-                if not 0 <= v < arity:
-                    raise ShapeMismatch(f"variable {v} out of range for "
-                                        f"arity {arity}")
+        low, high = _span(spec)
+        if low < 0 or high > arity:
+            v = low if low < 0 else high - 1
+            raise ShapeMismatch(f"variable {v} out of range for "
+                                f"arity {arity}")
         return (arity,) + self.shape[1:]
 
     # -- the product and the differential structure ------------------------

@@ -39,11 +39,19 @@ divided powers; its key check is ``MultiIndex.check`` followed by reads of
 the degree field and the key size.  The truncated product is the ``_times``
 of series, which their substitution uses.
 
-Substitution along a linear map (``substitute_linear``) rewrites keys only
-for a *renaming*, a map that sends every variable to one variable or to zero
-and no two variables to the same one: it moves runs of exponent fields and
-keeps the coefficients, and never truncates.  For every other linear map it
-returns None, and the caller substitutes the materialized sums.
+Substitution along a linear map (``substitute_linear``) rewrites keys for
+a map whose targets are pairwise distinct, each spec compiled once
+(``_compile``).  A variable sent to one variable or to zero, as by a
+*renaming*, moves its run of exponent fields or drops the key.  A variable
+sent to a sum of variables, as by the sum map x -> x + x', is followed at
+exponent 0 or 1 only: x_v goes to the sum of its targets with the
+coefficient unchanged, for divided powers too, since x^[1] = x.  Distinct
+targets make every output key come from one input key, so nothing is
+summed, and the degree is kept, so nothing is truncated.  It returns None
+for a map with a repeated target (the diagonal), for an element with a
+summed exponent above 1, and once the output passes ``ENUMERATION_LIMIT``
+terms; the caller then substitutes the materialized sums, the generic
+substitution that the monad laws, CD.5 and dc.4 also run.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from functools import lru_cache
 from .element import Element
 from .errors import (NonReducedArgument, NotReduced, ShapeMismatch, TooLarge,
                      too_many_variables)
-from .scalars import FieldSpec, accumulate, binomial
+from .scalars import ENUMERATION_LIMIT, FieldSpec, accumulate, binomial
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -164,30 +172,34 @@ _KEY_LIMIT = MultiIndex.bound(MAX_ARITY)
 
 
 @lru_cache(maxsize=1024)
-def _renaming(spec: tuple):
-    """The key rewrite of a linear map that sends every variable to one
-    variable or to zero, and no two variables to the same one: the mask of
-    the exponent fields whose variables go to zero, and the moves
-    (shift, mask, shift_to) of runs of consecutive fields.  None for every
-    other map."""
+def _compile(spec: tuple):
+    """The key rewrite of the linear map ``spec``, resolved once per spec:
+    None when two variables of ``spec`` share a target (the diagonal, a
+    variable repeated in one sum); else (zero_mask, moves, sums): the mask
+    of the exponent fields whose variables go to zero, the moves (shift,
+    mask, shift_to) of runs of consecutive fields whose variables go to one
+    variable each, and per variable that goes to a sum, (shift, the unit
+    keys of its targets' exponents)."""
+    targets = [t for variables in spec for t in variables]
+    if len(set(targets)) != len(targets):
+        return None
     zero_mask = 0
     runs: list = []  # [first source variable, first target, length]
-    seen = set()
-    for v, targets in enumerate(spec):
-        if not targets:
+    sums = []
+    for v, variables in enumerate(spec):
+        if not variables:
             zero_mask |= MAX_DEGREE << (WIDTH * (v + 1))
-            continue
-        if len(targets) > 1 or targets[0] in seen:
-            return None
-        t = targets[0]
-        seen.add(t)
-        if runs and runs[-1][0] + runs[-1][2] == v and \
-                runs[-1][1] + runs[-1][2] == t:
+        elif len(variables) > 1:
+            sums.append((WIDTH * (v + 1),
+                         tuple(1 << WIDTH * (t + 1) for t in variables)))
+        elif runs and runs[-1][0] + runs[-1][2] == v and \
+                runs[-1][1] + runs[-1][2] == variables[0]:
             runs[-1][2] += 1
         else:
-            runs.append([v, t, 1])
-    return zero_mask, tuple((WIDTH * (v + 1), (1 << (WIDTH * n)) - 1,
-                             WIDTH * (t + 1)) for v, t, n in runs)
+            runs.append([v, variables[0], 1])
+    moves = tuple((WIDTH * (v + 1), (1 << (WIDTH * n)) - 1, WIDTH * (t + 1))
+                  for v, t, n in runs)
+    return zero_mask, moves, tuple(sums)
 
 
 @lru_cache(maxsize=32)
@@ -230,7 +242,8 @@ def _combinator_coeffs(coeffs: dict, arity: int, p: int | None) -> dict:
 
 class MonomialElement(Element):
     """The key hooks of :class:`Element` for packed monomial keys, and the
-    substitution along renamings, shared by series and divided powers."""
+    substitution along linear maps with distinct targets, shared by series
+    and divided powers."""
 
     __slots__ = ()
 
@@ -283,21 +296,35 @@ class MonomialElement(Element):
                 raise ShapeMismatch(f"degree {deg} exceeds cap {cap}")
 
     def substitute_linear(self, spec: tuple, arity: int):
-        """Substitute for variable i the variable in ``spec[i]``, or zero when
-        it is empty, with ``arity`` variables in the result; None when
-        ``spec`` is not a renaming (see the module docstring)."""
+        """Substitute for variable i the sum of the variables in ``spec[i]``,
+        or zero when it is empty, with ``arity`` variables in the result;
+        None where the keys cannot follow ``spec`` (see the module
+        docstring)."""
         shape = self._linear_shape(spec, arity)
-        renaming = _renaming(spec)
-        if renaming is None:
+        plan = _compile(spec)
+        if plan is None:
             return None
-        zero_mask, moves = renaming
+        zero_mask, moves, sums = plan
         out = {}
         for key, c in self.coeffs.items():
-            if not key & zero_mask:
-                new = key & MAX_DEGREE
-                for shift, mask, to in moves:
-                    new += ((key >> shift) & mask) << to
+            if key & zero_mask:
+                continue
+            new = key & MAX_DEGREE
+            for shift, mask, to in moves:
+                new += ((key >> shift) & mask) << to
+            if not sums:
                 out[new] = c
+                continue
+            keys = [new]
+            for shift, units in sums:
+                e = (key >> shift) & MAX_DEGREE
+                if e > 1:
+                    return None
+                if e:
+                    keys = [k + u for k in keys for u in units]
+            if len(out) + len(keys) > ENUMERATION_LIMIT:
+                return None
+            out.update(dict.fromkeys(keys, c))
         return self._make(shape, out)
 
 

@@ -1,7 +1,9 @@
 """Substitution along linear maps against the generic substitution.
 
 ``substitute_linear(spec, m)`` rewrites keys directly, or gives None where
-the keys cannot follow the spec (packed monomials follow only renamings);
+the keys cannot follow the spec (packed monomials follow a spec whose
+targets are pairwise distinct, at summed exponents up to 1, and decline one
+with a repeated target or an element with a summed exponent above 1);
 substituting the materialized sums of variables is its oracle.  Both run on
 random elements of the 9 acceptance configurations, for fixed specs that
 cover zero entries, sums of two and three variables, shared targets and a
@@ -9,6 +11,8 @@ variable repeated in one sum, and for specs drawn at random.  Composing with
 a structural map, which falls back to the generic substitution where the
 rewrite gives None, is checked against composing with its components.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +23,7 @@ from diffmonads import (Morphism, ShapeMismatch, TooLarge, ZinElement,
                         codiagonal, compose, diagonal, identity, injection,
                         interchange_map, lift_map, pairing, prime_field,
                         product_map, projection, rationals)
+from diffmonads.powerseries import MultiIndex
 
 CONFIGS = [("poly", None, None), ("power", None, 4), ("power", 5, 4),
            ("divided", None, None), ("divided", 2, None),
@@ -268,3 +273,90 @@ def test_repeated_variables_add_up(theory):
     for spec in (((2,),), ((0, 2),), ((-1,),), ((), (0, 5))):
         with pytest.raises(ShapeMismatch):
             theory.linear_components(2, spec)
+
+
+def has_repeated_target(spec):
+    """Some variable is a target twice: of two variables, or twice in one
+    sum."""
+    targets = [t for variables in spec for t in variables]
+    return len(set(targets)) != len(targets)
+
+
+def is_summed_power(key, spec):
+    """The packed ``key`` has an exponent above 1 on a variable that
+    ``spec`` sends to a sum."""
+    return any(MultiIndex.exponent(key, v) > 1
+               for v, variables in enumerate(spec) if len(variables) > 1)
+
+
+def has_summed_power(f, spec):
+    return any(is_summed_power(key, spec) for key in f.coeffs)
+
+
+def without_summed_powers(f, spec):
+    """``f`` without its keys of a summed power: the part that the key
+    rewrite follows."""
+    return f._like({key: c for key, c in f.coeffs.items()
+                    if not is_summed_power(key, spec)})
+
+
+def past_p(theory, arity):
+    """Monomials x_v^e with e at and past p (2 and 3 over Q) on each
+    variable v, and their product with x_0, within the theory's cap; over Q
+    with coefficient 1/2, so that a rewrite that multiplied coefficients
+    could make it integral."""
+    p = theory.field.p or 2
+    cap = theory.cap or 2 * p + 2
+    c = Fraction(1, 2) if theory.field.p is None else 1
+    key = theory.element._key
+    terms = [(key(((v, e),)), c) for v in range(arity) for e in (p, p + 1)
+             if e <= cap]
+    terms += [(key(((v, e), (0, 1))), c) for v in range(arity)
+              for e in (p, p + 1) if e + 1 <= cap]
+    return theory.element.from_terms(*theory.shapes[arity], terms)
+
+
+@pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=ORACLE_IDS)
+def test_axiom_specs_rewrite_like_the_generic_substitution(theory):
+    """Along every structural map of the axioms, and the diagonal, the key
+    rewrite equals the substitution of the map's components, with canonical
+    coefficients.  It declines only for packed monomials: a spec with a
+    repeated target (the diagonal), or an element with a summed exponent
+    above 1, such as one at and past p.  The random elements run both
+    whole and without their summed powers, so that the sums are rewritten."""
+    packed = theory.element is not ZinElement
+    specs = axiom_specs(theory) | {(n, diagonal(theory, n).linear)
+                                   for n in (1, 2, 3)}
+    for arity, spec in sorted(specs):
+        comps = theory.linear_components(arity, spec)
+        elements = []
+        for seed in range(6):
+            f = random_element(theory, seed, len(spec))
+            elements += [f, without_summed_powers(f, spec)] if packed else [f]
+        if theory.cap != 1:
+            elements.append(past_p(theory, len(spec)))
+        for f in elements:
+            got = f.substitute_linear(spec, arity)
+            declines = packed and (has_repeated_target(spec)
+                                   or has_summed_power(f, spec))
+            assert (got is None) == declines
+            if got is not None:
+                assert got == f.substitute(comps, arity=arity)
+                assert all(c and (type(c) is int or c.denominator != 1)
+                           for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("kind,cap", [("poly", None), ("power", 20000),
+                                      ("divided", None)])
+def test_a_high_power_of_a_renamed_variable_composes_along_a_sum(kind, cap):
+    """x1^10 * x2^10000 along (x1 + x2, x3): the rewrite declines the summed
+    power and the generic substitution composes its 11 terms, as the
+    exponent of the renamed x2 costs nothing to expand."""
+    theory = dm.make_theory(kind, rationals(), cap or 6)
+    text = "x1^[10]*x2^[10000]" if kind == "divided" else "x1^10*x2^10000"
+    f = dm.parse_element(text, theory, 2)
+    sum_then_rename = product_map(codiagonal(theory, 1), identity(theory, 1))
+    assert sum_then_rename.linear == ((0, 1), (2,))
+    assert f.substitute_linear(sum_then_rename.linear, 3) is None
+    got = compose(Morphism(theory, 2, 1, (f,)), sum_then_rename)
+    assert len(got.components[0].coeffs) == 11
