@@ -13,7 +13,7 @@ Three modules load on first use instead, because building a theory never
 calls them:
 
 * ``cdc``, the axiom checks and the near-miss combinators, on ``check``;
-* ``generators``, the random draws, trial streams and oracles, with ``cdc``;
+* ``generators``, the random draws and trial streams, with ``cdc``;
 * ``syntax``, the parser and printer of expressions, on the first failure
   report written and on ``import diffmonads.cli``.
 
@@ -42,10 +42,9 @@ __version__ = "0.1.0"
 _LAZY = dict.fromkeys(
     ("cdc", "AxiomReport", "MutatedTheory", "check_all",
      "mutation_is_caught"), "cdc") | dict.fromkeys(
-    ("generators", "GenConfig", "SplitMix64", "enumerate_basis",
-     "half_shuffle_oracle", "interleavings", "mix", "naive_substitute_oracle",
-     "random_element", "random_morphism", "stable_hash",
-     "symmetrized_expand_oracle"), "generators") | dict.fromkeys(
+    ("generators", "GenConfig", "SplitMix64", "enumerate_basis", "mix",
+     "random_element", "random_morphism", "stable_hash"),
+    "generators") | dict.fromkeys(
     ("syntax", "format_element", "parse_element", "variable_name"), "syntax")
 
 # every public name, submodules included, as a star import bound them when

@@ -287,10 +287,11 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
         raise ShapeMismatch(f"cannot compose {inner.target} -> with "
                             f"source {outer.source}")
     if inner.linear is None:
-        comps = tuple(c.substitute(inner.components, arity=inner.source)
-                      for c in outer.components)
+        args, arity = inner.components, inner.source
+        comps = tuple([c.substitute(args, arity=arity)
+                       for c in outer.components])
     else:
-        comps = tuple(along(c, inner) for c in outer.components)
+        comps = tuple([along(c, inner) for c in outer.components])
     return Morphism._make(outer.theory, inner.source, outer.target, comps)
 
 
@@ -405,8 +406,9 @@ def interchange_map(theory: Theory, n: int) -> Morphism:
 
 def differentiate(p: Morphism) -> Morphism:
     """Componentwise differential combinator; the source arity doubles."""
-    comps = tuple(p.theory.partial(c) for c in p.components)
-    return Morphism._make(p.theory, 2 * p.source, p.target, comps)
+    theory = p.theory
+    return Morphism._make(theory, 2 * p.source, p.target,
+                          tuple(map(theory.partial, p.components)))
 
 
 def linearize(p: Morphism) -> Morphism:

@@ -20,7 +20,9 @@ Trial seeds derive deterministically from (master seed, axiom id, trial
 index), so a failure report replays exactly.  Composition-heavy axioms use
 smaller element bounds than the linear ones: without a degree cap, word
 lengths and degrees multiply under substitution, and the uncapped theories
-would otherwise blow up combinatorially.
+would otherwise blow up combinatorially.  The draws are bounded by
+construction, not by what a user gives, so the trials run under a size
+budget of their own (``CHECK_LIMIT``).
 
 This module loads on first use, and ``generators`` with it; a report
 imports ``syntax`` when it writes an element (:func:`_text`).
@@ -41,7 +43,7 @@ from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch, TooLarge
 from .powerseries import MAX_DEGREE, WIDTH, SeriesElement, _combinator_coeffs
-from .scalars import FieldSpec
+from .scalars import FieldSpec, size_budget
 from .zinbiel import ZinElement
 
 
@@ -141,32 +143,31 @@ class AxiomReport(_Record):
 
 
 class _Draw:
-    """The random draws of one trial, from its own stream: arities up to the
-    configured one, and elements and morphisms within the (degree, terms)
-    bounds of the axiom's composition depth."""
+    """The random draws of an axiom's trials: arities up to the configured
+    one, and elements and morphisms from the theory's sampler for the
+    (degree, terms) bounds of the axiom's composition depth.  It is made once
+    per run of the axiom, and each trial points ``next`` at the output
+    function of its own stream (:func:`_trial`)."""
 
-    __slots__ = ("theory", "cfg", "rng", "degree", "terms")
+    __slots__ = ("theory", "arities", "sample", "next")
 
-    def __init__(self, theory: Theory, cfg, rng, bounds: tuple):
-        self.theory, self.cfg, self.rng = theory, cfg, rng
-        self.degree, self.terms = bounds
+    def __init__(self, theory: Theory, arities: int, sample):
+        self.theory, self.arities, self.sample = theory, arities, sample
 
     def arity(self) -> int:
-        return self.rng.randint(1, self.cfg.arity)
+        return 1 + self.next() % self.arities
 
     def index(self, m: int) -> int:
-        return self.rng.randint(0, m - 1)
+        return self.next() % m
 
     def element(self, arity: int):
-        return generators.random_element(self.theory, self.cfg, self.rng,
-                                         arity=arity, max_degree=self.degree,
-                                         max_terms=self.terms)
+        return self.sample(self.next, arity)
 
     def morphism(self, source: int, target: int) -> Morphism:
-        return generators.random_morphism(self.theory, self.cfg, source,
-                                          target, self.rng,
-                                          max_degree=self.degree,
-                                          max_terms=self.terms)
+        sample, draw = self.sample, self.next
+        return Morphism._make(self.theory, source, target,
+                              tuple([sample(draw, source)
+                                     for _ in range(target)]))
 
 
 # -- the CD axioms on morphisms ---------------------------------------------------
@@ -327,23 +328,37 @@ def _du2(theory, draw):
            theory.eta_counit(t), n)
 
 
-# Each axiom: the generator of its equations, and its composition depth, the
-# number of times random elements are substituted into random elements.
-# Degrees multiply under substitution in the uncapped theories, so deeper
-# axioms draw smaller instances: the theory's row caps the degree and terms
-# of draws per depth.  The power theory's row has none: truncation bounds the
-# degree of a product, not its cost, so at a high cap monad.assoc can pass a
-# size bound (cap 16 over Q and 17 over F5, at seed 42 and 200 trials).
+# Each axiom: the generator of its equations; its composition depth, the
+# number of times random elements are substituted into random elements; and
+# its stream head, the outputs finalized up front for each of its trials
+# (generators.trial_streams).  Degrees multiply under substitution in the
+# uncapped theories, so deeper axioms draw smaller instances: the theory's
+# row caps the degree and terms of draws per depth.  The power theory's row
+# has none: truncation bounds the degree of a product, not its cost, which
+# is why the checker runs under a size budget of its own (CHECK_LIMIT).
+# A head is near the 85th percentile of the outputs that the axiom's trials
+# draw at the default GenConfig over the acceptance configs, so most trials
+# start no block of their own, and 200 trials of every axiom fit the stream
+# cache; only speed depends on it.
 _AXIOMS = {
-    "CD.1": (_cd1, 0), "CD.2": (_cd2, 0), "CD.3": (_cd3, 0),
-    "CD.4": (_cd4, 0), "CD.5": (_cd5, 1), "CD.6": (_cd6, 0),
-    "CD.7": (_cd7, 0),
-    "dc.1": (_dc1, 0), "dc.2": (_dc2, 0), "dc.3": (_dc3, 0),
-    "dc.4": (_dc4, 1), "dc.5": (_dc5, 0), "dc.6": (_dc6, 0),
-    "monad.assoc": (_monad_assoc, 2), "monad.unit-left": (_monad_unit_left, 0),
-    "monad.unit-right": (_monad_unit_right, 0),
-    "du.1": (_du1, 0), "du.2": (_du2, 0),
+    "CD.1": (_cd1, 0, 82), "CD.2": (_cd2, 0, 42), "CD.3": (_cd3, 0, 2),
+    "CD.4": (_cd4, 0, 75), "CD.5": (_cd5, 1, 55), "CD.6": (_cd6, 0, 44),
+    "CD.7": (_cd7, 0, 43),
+    "dc.1": (_dc1, 0, 21), "dc.2": (_dc2, 0, 20), "dc.3": (_dc3, 0, 1),
+    "dc.4": (_dc4, 1, 42), "dc.5": (_dc5, 0, 20), "dc.6": (_dc6, 0, 21),
+    "monad.assoc": (_monad_assoc, 2, 66),
+    "monad.unit-left": (_monad_unit_left, 0, 45),
+    "monad.unit-right": (_monad_unit_right, 0, 20),
+    "du.1": (_du1, 0, 1), "du.2": (_du2, 0, 21),
 }
+
+# The size bound of the checker's expansions (scalars.size_budget), in place
+# of ENUMERATION_LIMIT, which bounds what a user gives.  The draws are
+# bounded by GenConfig and the rows' draw bounds: composites of depth-2
+# draws of degree at most 4 have degree at most 64, so a power cap past 64
+# truncates nothing and costs no more than 64.  At this bound the power
+# theory passes at every cap from 1 to 64 over Q, F2 and F5 at seeds 1-30.
+CHECK_LIMIT = 10 ** 7
 
 
 def axiom_ids() -> list[str]:
@@ -351,20 +366,25 @@ def axiom_ids() -> list[str]:
 
 
 def _plan(axiom: str, theory: Theory, cfg) -> tuple:
-    """The equations of ``axiom`` and the (degree, terms) bounds of its
-    draws: the configured ones, within the caps of its composition depth."""
-    equations, depth = _AXIOMS[axiom]
+    """The equations of ``axiom``, the draws of its trials (:class:`_Draw`),
+    within the configured bounds and the caps of its composition depth, and
+    its stream head.  ValueError("empty range") for an arity below 1."""
+    equations, depth, head = _AXIOMS[axiom]
     d, t = cfg.max_degree, cfg.max_terms
     caps = theory.spec.bounds.get(depth, (d, t))
-    return equations, (min(d, caps[0]), min(t, caps[1]))
+    if cfg.arity < 1:
+        raise ValueError("empty range")
+    sample = generators.sampler(theory, cfg, min(d, caps[0]), min(t, caps[1]))
+    return equations, _Draw(theory, cfg.arity, sample), head
 
 
-def _trial(theory: Theory, cfg, plan: tuple, seed: int, rng) -> Failure | None:
-    """One trial from the stream ``rng`` of ``seed``: the first unequal
-    equation as a Failure, or None when every equation holds."""
-    equations, bounds = plan
-    for inputs, lhs, rhs, base in equations(
-            theory, _Draw(theory, cfg, rng, bounds)):
+def _trial(plan: tuple, seed: int, next_u64) -> Failure | None:
+    """One trial from the output function ``next_u64`` of the stream of
+    ``seed``: the first unequal equation as a Failure, or None when every
+    equation holds."""
+    equations, draw, _ = plan
+    draw.next = next_u64
+    for inputs, lhs, rhs, base in equations(draw.theory, draw):
         if lhs != rhs:
             return Failure(seed, inputs, lhs, rhs, base)
     return None
@@ -373,31 +393,34 @@ def _trial(theory: Theory, cfg, plan: tuple, seed: int, rng) -> Failure | None:
 def run_trial(axiom: str, theory: Theory, cfg, seed: int) -> Failure | None:
     """Replay one trial of ``axiom`` from its seed, as :func:`run_axiom`
     runs it: the Failure it records, or None when the trial passes."""
-    return _trial(theory, cfg, _plan(axiom, theory, cfg), seed,
-                  generators.SplitMix64(seed))
+    with size_budget(CHECK_LIMIT):
+        return _trial(_plan(axiom, theory, cfg), seed,
+                      generators.SplitMix64(seed).next_u64)
 
 
 def run_axiom(axiom: str, theory: Theory, cfg, trials: int) -> AxiomReport:
     """Run one axiom's trials: compare the equations each trial yields and
     record the first unequal one.  Trial k runs from the seed
-    ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the opening
-    outputs of the trials' streams come in chunks from
-    ``generators.trial_streams``, and :func:`run_trial` replays any one of
-    them from its seed alone.  ValueError for fewer than one trial; a
-    TooLarge from a trial is raised again with the axiom and the seed."""
+    ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the heads of the
+    trials' streams come in chunks from ``generators.trial_streams``, and
+    :func:`run_trial` replays any one of them from its seed alone.  The
+    trials run under the checker's size budget, ``CHECK_LIMIT``.  ValueError
+    for fewer than one trial; a TooLarge from a trial is raised again with
+    the axiom and the seed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = _plan(axiom, theory, cfg)
     started = time.perf_counter()
     failures = []
-    for seed, rng in generators.trial_streams(
-            cfg.seed, generators.stable_hash(axiom), trials):
-        try:
-            failure = _trial(theory, cfg, plan, seed, rng)
-        except TooLarge as exc:
-            raise TooLarge(f"{axiom} trial seed {seed}: {exc}") from exc
-        if failure is not None:
-            failures.append(failure)
+    with size_budget(CHECK_LIMIT):
+        for seed, rng in generators.trial_streams(
+                cfg.seed, generators.stable_hash(axiom), trials, plan[2]):
+            try:
+                failure = _trial(plan, seed, rng.next_u64)
+            except TooLarge as exc:
+                raise TooLarge(f"{axiom} trial seed {seed}: {exc}") from exc
+            if failure is not None:
+                failures.append(failure)
     millis = int((time.perf_counter() - started) * 1000)
     return AxiomReport(axiom, trials, failures, millis)
 

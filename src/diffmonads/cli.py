@@ -284,10 +284,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     cannot answer alone (see the module docstring).
 
     Neither parser is cached between calls.  Building one is most of the
-    time of a small command, but a cached parser raised the benchmark's
-    ``cli`` peak RSS by 8.2% (24.98 to 27.03 MB, against its 5% bound): the
-    benchmark keeps a record per timed call, and the cached tree made about
-    2.5 times the calls in a 20 s run.
+    time of a small command: a cached parser made 2.27 to 2.30 times the
+    benchmark's ``cli`` commands per second.  But it raised that workload's
+    peak RSS by 7% to 11% in 20 s runs (24.87 to 26.58 MB, and 25.75 to
+    28.62 MB), against its 5% bound: the benchmark keeps a record per timed
+    call, and the cached parser made more than twice the calls.
     """
     if command is not None:
         return _add_arguments(

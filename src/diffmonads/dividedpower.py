@@ -27,8 +27,8 @@ from .element import Element
 from .errors import TooLarge
 from .powerseries import (MAX_DEGREE, WIDTH, MonomialElement, MultiIndex,
                           _dual_steps)
-from .scalars import (ENUMERATION_LIMIT, accumulate, binomial, dp_power_coeff,
-                      multinomial)
+from .scalars import (accumulate, binomial, dp_power_coeff, multinomial,
+                      size_limit)
 
 
 def _compositions(n: int, k: int):
@@ -100,10 +100,10 @@ class DPElement(MonomialElement):
     def _power(self, known: dict, n: int, spent: int) -> tuple:
         """known[1]^[n] for n >= 1 by composition-expansion, and ``spent`` as
         it was: the C(n+k-1, k-1) compositions of a support of k terms have
-        their own bound, ``ENUMERATION_LIMIT``, checked up front."""
+        their own bound, the size bound (``size_limit``), checked up front."""
         terms = list(known[1].items())
         count = binomial(n + len(terms) - 1, len(terms) - 1)
-        if count > ENUMERATION_LIMIT:
+        if count > size_limit():
             raise TooLarge(f"divided power expands over {count} compositions")
         p = self.field.p
         out: dict = {}
@@ -126,10 +126,6 @@ class DPElement(MonomialElement):
         return out, spent
 
     __mul__ = Element._product  # bound per theory: see Element
-
-    def mul_int_power(self, n: int) -> "DPElement":
-        """Plain n-fold product f * f * ... * f (n >= 1), on one budget."""
-        return self._like(Element._power(self, {1: self.coeffs}, n, 0)[0])
 
     def divided_power(self, n: int) -> "DPElement":
         """f^[n] for n >= 1 (see ``_power``)."""

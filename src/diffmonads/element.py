@@ -87,8 +87,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import ShapeMismatch, TooLarge, too_many_variables
-from .scalars import (ENUMERATION_LIMIT, FieldSpec, Scalar, accumulate,
-                      canonical)
+from .scalars import FieldSpec, Scalar, accumulate, canonical, size_limit
 
 
 @lru_cache(maxsize=1024)
@@ -243,9 +242,9 @@ class Element:
 
     def _charge(self, spent: int, a: dict, b: dict) -> int:
         """``spent`` plus the cost of the product of a and b (``_cost``);
-        TooLarge past ``ENUMERATION_LIMIT``."""
+        TooLarge past the size bound in force (``scalars.size_limit``)."""
         spent += self._cost(a, b)
-        if spent > ENUMERATION_LIMIT:
+        if spent > size_limit():
             raise TooLarge(f"products expand over {spent} {self._UNIT}")
         return spent
 

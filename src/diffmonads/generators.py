@@ -1,4 +1,5 @@
-"""Deterministic generators and naive brute-force oracles.
+"""Deterministic generators: the splitmix64 stream, trial streams and random
+elements.
 
 The PRNG is splitmix64: state advances by the golden-gamma constant
 0x9E3779B97F4A7C15 and outputs are finalized with the xor-shift/multiply
@@ -17,7 +18,7 @@ next lane into the high half of a lane, where the mask clears them, and a
 64-bit lane times a 64-bit constant is below 2^128, so no carry crosses into
 the next lane.  The last xor-shift only spoils high halves, which are never
 read: the low halves are read out through ``int.to_bytes`` and an
-``array('Q')``.  Blocks grow from 8 to 64 outputs, so a trial that draws a
+``array('Q')``.  Blocks grow from 8 to 64 outputs, so a stream that draws a
 few values pays for a short block only.  The scalar :func:`_finalize` stays
 for :func:`mix` and as the reference of the blocks.
 
@@ -25,20 +26,25 @@ The trials of one axiom get their streams from :func:`trial_streams`.  Trial
 k of an axiom runs from seed ``mix(seed, stable_hash(axiom), k)``, and the
 last step of :func:`mix` is the finalizer on a value that grows by one with
 k, so the seeds of a chunk of trials are one lane-parallel pass, and the
-first ``STREAM_HEAD`` outputs of all their streams are a second.  A chunk
-holds at most ``TRIAL_CHUNK`` trials, so memory does not grow with the trial
-count.  Each trial's :class:`SplitMix64` starts with its precomputed outputs
-and resumes at output ``STREAM_HEAD`` with the blocks above: the stream is
-the one ``SplitMix64(seed)`` makes, which is how a single trial replays from
-its recorded seed.
+first ``head`` outputs of all their streams, trial after trial, are a second.
+Each axiom has its own head (``cdc._AXIOMS``), near the 85th percentile of
+the outputs its trials draw, so most trials draw within their head, and a
+trial starts its blocks only when it runs past it.  A chunk holds at most
+``TRIAL_CHUNK`` trials, so memory does not grow with the trial count.  The
+seeds of a trial do not depend on the theory, so every theory checked at one
+seed draws from the same chunks, and a cache of chunks finalizes each once
+per process.  The cache keeps the chunks of the latest seed, and drops the
+least recently used while it holds more than ``CACHE_OUTPUTS`` outputs.  A
+new seed empties it: a caller that moves on to another seed does not read
+the old chunks again, and holding them would only raise the peak memory.  A
+trial's stream reads a copy of its head, never the cached array, and
+resumes at output ``head`` with the blocks above: it is the stream that
+``SplitMix64(seed)`` makes, which is how a single trial replays from its
+recorded seed.
 
-:func:`random_element` takes the constants of its loop from a sampler that
-is built once per theory and bounds and kept in ``theory.samplers``.
-
-The oracles at the bottom recompute the interesting combinatorics by flat
-enumeration (position subsets, raw permutations, term-by-term convolution)
-and share nothing with the main implementations beyond the coefficient and
-key representations (`scalars.accumulate` and `MultiIndex`).
+:func:`sampler` builds the draws of a random element for a theory and bounds
+once, and keeps them in ``theory.samplers``; :func:`random_element` and the
+checker's trials both draw through it.
 
 This module loads with ``cdc``; it takes ``Morphism`` from ``category``.
 """
@@ -50,14 +56,10 @@ import itertools
 import sys
 from array import array
 from collections import namedtuple
-from math import factorial
 
 from .category import Morphism
-from .dividedpower import DPElement
 from .errors import TooLarge
-from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
-from .scalars import ENUMERATION_LIMIT, accumulate
-from .zinbiel import ZinElement
+from .scalars import size_limit
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -103,22 +105,31 @@ def _blocks(state: int):
         state = (state + size * _GAMMA) & MASK64
 
 
+class _Rest(int):
+    """The state of a stream after its head: iterating it yields the outputs
+    that follow, from blocks that start only then."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(_blocks(self))
+
+
 class SplitMix64:
     """The splitmix64 generator; 64-bit outputs, pure function of the seed.
 
     ``next_u64`` is an instance attribute, a builtin callable that returns
-    the next output from the current block, so a caller that draws many
-    values (``random_element``) calls it directly.  ``head``, when given,
-    is the first ``len(head)`` outputs of the stream from ``seed``, already
-    finalized (see :func:`trial_streams`); the blocks resume after them.
+    the next output, so a caller that draws many values (a sampler) calls
+    it directly.  ``head``, when given, is the first ``len(head)`` outputs
+    of the stream from ``seed``, already finalized (see
+    :func:`trial_streams`); the blocks resume after them.
     """
 
     __slots__ = ("next_u64",)
 
     def __init__(self, seed: int, head=()):
         self.next_u64 = itertools.chain(
-            head, itertools.chain.from_iterable(
-                _blocks((seed + len(head) * _GAMMA) & MASK64))).__next__
+            head, _Rest((seed + len(head) * _GAMMA) & MASK64)).__next__
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]: ``next_u64()`` by modulo
@@ -147,47 +158,104 @@ def mix(*parts: int) -> int:
     return h
 
 
-# Trials per chunk of :func:`trial_streams`, and the outputs per trial that
-# it finalizes up front: most trials draw fewer than STREAM_HEAD values.
+# Trials per chunk of :func:`trial_streams`, and the outputs (seeds and
+# heads) that its cache of chunks holds at most, 1 MiB as array('Q'): enough
+# for 200 trials of every axiom, so that the theories checked after the
+# first at one seed finalize nothing again.
 TRIAL_CHUNK = 64
-STREAM_HEAD = 24
+CACHE_OUTPUTS = 1 << 17
 
 
 @functools.lru_cache(maxsize=TRIAL_CHUNK)
-def _chunk_constants(size: int) -> tuple:
-    """(ones, index, mask, head steps, head mask) of a chunk of ``size``
-    trials.  The seed pass has ``size`` lanes of 128 bits, lane k holding
-    index k; the head pass has STREAM_HEAD * size lanes, lane j*size + k
-    holding output j+1 of trial k, that is (j+1)*gamma past its seed."""
+def _seed_constants(size: int) -> tuple:
+    """(ones, index, mask) of the seed pass of a chunk of ``size`` trials:
+    ``size`` lanes of 128 bits, lane k holding index k."""
     ones = sum(1 << (128 * k) for k in range(size))
     index = sum(k << (128 * k) for k in range(size))
-    head_ones = sum(1 << (128 * k) for k in range(size * STREAM_HEAD))
-    head_steps = sum((j + 1) * _GAMMA << (128 * (j * size + k))
-                     for j in range(STREAM_HEAD) for k in range(size))
-    return ones, index, MASK64 * ones, head_steps, MASK64 * head_ones
+    return ones, index, MASK64 * ones
 
 
-def trial_streams(seed: int, salt: int, trials: int):
-    """Yield (seed_k, stream) for k in range(trials): seed_k is
-    ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, made in two
-    lane-parallel passes per chunk (see the module docstring)."""
-    base = mix(seed, salt) + _GAMMA
+@functools.lru_cache(maxsize=64)
+def _head_steps(head: int) -> bytes:
+    """The ``head`` lanes of one trial's head pass as native-order bytes:
+    lane j holds (j+1)*gamma, what output j+1 of a stream adds to its
+    seed."""
+    return sum((j + 1) * _GAMMA << (128 * j)
+               for j in range(head)).to_bytes(16 * head, sys.byteorder)
+
+
+# The mask of one 128-bit lane, as native-order bytes.
+_LANE_MASK = MASK64.to_bytes(16, sys.byteorder)
+
+
+def _finalize_chunk(root: int, start: int, size: int, head: int) -> tuple:
+    """The seeds ``mix(seed, salt, k)`` of the ``size`` trials from
+    ``start``, where ``root`` is ``mix(seed, salt)``, and the first ``head``
+    outputs of each of their streams, trial after trial, as two arrays."""
     order = sys.byteorder
+    ones, index, mask = _seed_constants(size)
+    # the last step of mix, for the trials start .. start + size - 1
+    z = _finalize_lanes(((root + _GAMMA + start) & MASK64) * ones + index,
+                        mask)
+    lanes = (z & mask).to_bytes(16 * size, order)
+    seeds = array("Q", lanes)[_LOW_HALVES]
+    # each seed in ``head`` lanes, stepped and finalized as a block is; in
+    # either byte order, trial k's run of lanes is where its seed lane is
+    rows = b"".join([lanes[i:i + 16] * head for i in range(0, len(lanes), 16)])
+    z = _finalize_lanes(int.from_bytes(rows, order) +
+                        int.from_bytes(_head_steps(head) * size, order),
+                        int.from_bytes(_LANE_MASK * (size * head), order))
+    heads = array("Q", z.to_bytes(16 * size * head, order))[_LOW_HALVES]
+    return seeds, heads
+
+
+class _ChunkCache:
+    """The (seeds, heads) of chunks of trial streams at one seed, keyed by
+    the arguments of :func:`_finalize_chunk`, (mix(seed, salt), first
+    trial, trials, head), the least recently used first; ``held`` counts
+    their outputs (see the module docstring)."""
+
+    def __init__(self):
+        self.seed = None
+        self.chunks: dict = {}
+        self.held = 0
+
+    def get(self, seed: int, key: tuple) -> tuple:
+        """``_finalize_chunk(*key)`` for a chunk of trials at ``seed``,
+        finalized when it is not held; a new seed empties the cache, and the
+        least recently used chunks go while it holds more than
+        ``CACHE_OUTPUTS`` outputs."""
+        chunks = self.chunks
+        if seed != self.seed:
+            chunks.clear()
+            self.seed, self.held = seed, 0
+        got = chunks.pop(key, None)
+        if got is None:
+            got = _finalize_chunk(*key)
+            self.held += key[2] * (key[3] + 1)
+        chunks[key] = got
+        while self.held > CACHE_OUTPUTS:
+            old = next(iter(chunks))
+            del chunks[old]
+            self.held -= old[2] * (old[3] + 1)
+        return got
+
+
+_CHUNKS = _ChunkCache()
+
+
+def trial_streams(seed: int, salt: int, trials: int, head: int):
+    """Yield (seed_k, stream) for k in range(trials): seed_k is
+    ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, its first
+    ``head`` outputs finalized per chunk of trials and cached (see the
+    module docstring)."""
+    root = mix(seed, salt)
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
-        ones, index, mask, head_steps, head_mask = _chunk_constants(size)
-        # the last step of mix, for the trials start .. start + size - 1
-        z = _finalize_lanes(((base + start) & MASK64) * ones + index, mask)
-        lanes = (z & mask).to_bytes(16 * size, order)
-        seeds = array("Q", lanes)[_LOW_HALVES]
-        # every seed in each of STREAM_HEAD runs of lanes, stepped and
-        # finalized as a block is
-        z = _finalize_lanes(int.from_bytes(lanes * STREAM_HEAD, order) +
-                            head_steps, head_mask)
-        heads = array("Q", z.to_bytes(16 * size * STREAM_HEAD,
-                                      order))[_LOW_HALVES]
+        seeds, heads = _CHUNKS.get(seed, (root, start, size, head))
         for k, trial_seed in enumerate(seeds):
-            yield trial_seed, SplitMix64(trial_seed, heads[k::size])
+            yield trial_seed, SplitMix64(trial_seed,
+                                         heads[k * head:(k + 1) * head])
 
 
 class GenConfig(namedtuple("GenConfig", "seed arity max_degree max_terms "
@@ -208,6 +276,22 @@ def _degree_range(theory, max_degree: int) -> range:
     return range(1 if theory.reduced else 0, max_degree + 1)
 
 
+def sampler(theory, cfg: GenConfig, max_degree: int | None = None,
+            max_terms: int | None = None):
+    """``sample(draw, arity)``, the draws of :func:`random_element` within
+    the bounds of ``cfg`` from the output function ``draw``; ``max_degree``
+    and ``max_terms`` override those of ``cfg``.  Built on the first call
+    with these bounds and kept in ``theory.samplers`` (see
+    :func:`_sampler`)."""
+    bounds = (cfg.coeff_min, cfg.coeff_max,
+              cfg.max_degree if max_degree is None else max_degree,
+              cfg.max_terms if max_terms is None else max_terms)
+    sample = theory.samplers.get(bounds)
+    if sample is None:
+        sample = theory.samplers[bounds] = _sampler(theory, *bounds)
+    return sample
+
+
 def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
                    arity: int | None = None, max_degree: int | None = None,
                    max_terms: int | None = None):
@@ -219,17 +303,12 @@ def random_element(theory, cfg: GenConfig, rng: SplitMix64 | None = None, *,
     draw whose terms cancel is retried, so the result is never the zero
     element.  A draw from an empty range raises ValueError.
 
-    The draws are made by the theory's sampler for these bounds, built on
-    the first call with them (see :func:`_sampler`).
+    The draws are made by the theory's sampler for these bounds
+    (:func:`sampler`).
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
-    bounds = (cfg.coeff_min, cfg.coeff_max,
-              max_degree if max_degree is not None else cfg.max_degree,
-              max_terms if max_terms is not None else cfg.max_terms)
-    sample = theory.samplers.get(bounds)
-    if sample is None:
-        sample = theory.samplers[bounds] = _sampler(theory, *bounds)
-    return sample(rng.next_u64, arity if arity is not None else cfg.arity)
+    return sampler(theory, cfg, max_degree, max_terms)(
+        rng.next_u64, arity if arity is not None else cfg.arity)
 
 
 def _sampler(theory, coeff_min: int, coeff_max: int, max_degree: int,
@@ -303,7 +382,7 @@ def basis_count(theory, arity: int, max_degree: int) -> int:
 
 def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     """Complete, duplicate-free basis up to the degree bound."""
-    if basis_count(theory, arity, max_degree) > ENUMERATION_LIMIT:
+    if basis_count(theory, arity, max_degree) > size_limit():
         raise TooLarge("basis enumeration exceeds the size bound")
     element = theory.element
     shape = theory.shapes[arity]
@@ -311,93 +390,3 @@ def enumerate_basis(theory, arity: int, max_degree: int) -> list:
     return [element(*shape, {element._key([(v, 1) for v in letters]): one})
             for d in _degree_range(theory, max_degree)
             for letters in element._letters(range(arity), d)]
-
-
-# -- independent oracles ------------------------------------------------------
-
-
-def interleavings(u: tuple, w: tuple) -> dict:
-    """Multiset of interleavings of two words, by position subsets."""
-    n, m = len(u), len(w)
-    if n + m > 16:
-        raise TooLarge("interleaving enumeration exceeds the size bound")
-    out: dict = {}
-    for positions in itertools.combinations(range(n + m), n):
-        slots: list = [None] * (n + m)
-        for letter, p in zip(u, positions):
-            slots[p] = letter
-        it = iter(w)
-        word = tuple(slot if slot is not None else next(it) for slot in slots)
-        out[word] = out.get(word, 0) + 1
-    return out
-
-
-def half_shuffle_oracle(a: ZinElement, b: ZinElement) -> ZinElement:
-    """Head-fixed shuffle, recomputed from raw position subsets."""
-    p = a.field.p
-    out: dict = {}
-    for v, cv in a.coeffs.items():
-        for w, cw in b.coeffs.items():
-            c = cv * cw
-            for word, count in interleavings(v[1:], w).items():
-                accumulate(out, (v[0],) + word, c * count, p)
-    return ZinElement(a.arity, a.field, out)
-
-
-def symmetrized_expand_oracle(f: DPElement) -> ZinElement:
-    """Expand divided monomials into words via raw permutation counting.
-
-    Every distinct arrangement of the letter multiset must occur exactly
-    prod(r_i!) times among all permutations; the exact division is asserted.
-    """
-    p = f.field.p
-    out: dict = {}
-    for mi, c in f.coeffs.items():
-        letters = []
-        repeat = 1
-        for v, e in MultiIndex.pairs(mi):
-            letters.extend([v] * e)
-            repeat *= factorial(e)
-        if len(letters) > 8:
-            raise TooLarge("permutation enumeration exceeds the size bound")
-        counts: dict = {}
-        for perm in itertools.permutations(letters):
-            counts[perm] = counts.get(perm, 0) + 1
-        for word, count in counts.items():
-            q, r = divmod(count, repeat)
-            if r or q != 1:
-                raise AssertionError("permutation counting is inconsistent")
-            accumulate(out, word, c, p)
-    return ZinElement(f.arity, f.field, out)
-
-
-def naive_substitute_oracle(f: SeriesElement, args) -> SeriesElement:
-    """Substitution by literal term-by-term convolution, truncated at the end."""
-
-    p = f.field.p
-
-    def naive_mul(d1: dict, d2: dict) -> dict:
-        out: dict = {}
-        for m1, c1 in d1.items():
-            for m2, c2 in d2.items():
-                accumulate(out, MultiIndex.mul(m1, m2), c1 * c2, p)
-        return out
-
-    out_arity = args[0].arity if args else f.arity
-    total: dict = {}
-    size = 0
-    for mi, c in f.coeffs.items():
-        term = {EMPTY_INDEX: 1}
-        for v, e in MultiIndex.pairs(mi):
-            for _ in range(e):
-                term = naive_mul(term, args[v].coeffs)
-                size += len(term)
-                if size > ENUMERATION_LIMIT:
-                    raise TooLarge("naive expansion exceeds the size bound")
-        for mk, ck in term.items():
-            accumulate(total, mk, ck * c, p)
-    if f.cap is not None:
-        total = {mi: c for mi, c in total.items()
-                 if MultiIndex.degree(mi) <= f.cap}
-    reduced = f.reduced and all(a.reduced for a in args)
-    return SeriesElement(out_arity, f.cap, reduced, f.field, total)

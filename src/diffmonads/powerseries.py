@@ -49,9 +49,10 @@ coefficient unchanged, for divided powers too, since x^[1] = x.  Distinct
 targets make every output key come from one input key, so nothing is
 summed, and the degree is kept, so nothing is truncated.  It returns None
 for a map with a repeated target (the diagonal), for an element with a
-summed exponent above 1, and once the output passes ``ENUMERATION_LIMIT``
-terms; the caller then substitutes the materialized sums, the generic
-substitution that the monad laws, CD.5 and dc.4 also run.
+summed exponent above 1, and once the output has more terms than the size
+bound (``scalars.size_limit``); the caller then substitutes the
+materialized sums, the generic substitution that the monad laws, CD.5 and
+dc.4 also run.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from functools import lru_cache
 from .element import Element
 from .errors import (NonReducedArgument, NotReduced, ShapeMismatch, TooLarge,
                      too_many_variables)
-from .scalars import ENUMERATION_LIMIT, FieldSpec, accumulate, binomial
+from .scalars import FieldSpec, accumulate, binomial, size_limit
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -169,6 +170,10 @@ class MultiIndex:
 
 EMPTY_INDEX = 0
 _KEY_LIMIT = MultiIndex.bound(MAX_ARITY)
+# The exponent field of x_v for the first variables, which random elements
+# draw from: what a letter x_v adds to a key besides its degree.  Small
+# ints, unlike a table over all MAX_ARITY variables.
+_UNITS = tuple(1 << WIDTH * (v + 1) for v in range(32))
 
 
 @lru_cache(maxsize=1024)
@@ -265,8 +270,12 @@ class MonomialElement(Element):
         if degree > MAX_DEGREE:
             raise _too_large(degree)
         key = degree
-        for _ in range(degree):
-            key += 1 << WIDTH * (draw() % arity + 1)
+        if arity <= len(_UNITS):
+            for _ in range(degree):
+                key += _UNITS[draw() % arity]
+        else:
+            for _ in range(degree):
+                key += 1 << WIDTH * (draw() % arity + 1)
         return key
 
     @staticmethod
@@ -305,6 +314,7 @@ class MonomialElement(Element):
         if plan is None:
             return None
         zero_mask, moves, sums = plan
+        limit = size_limit()
         out = {}
         for key, c in self.coeffs.items():
             if key & zero_mask:
@@ -322,7 +332,7 @@ class MonomialElement(Element):
                     return None
                 if e:
                     keys = [k + u for k in keys for u in units]
-            if len(out) + len(keys) > ENUMERATION_LIMIT:
+            if len(out) + len(keys) > limit:
                 return None
             out.update(dict.fromkeys(keys, c))
         return self._make(shape, out)
@@ -438,9 +448,11 @@ class SeriesElement(MonomialElement):
         exactly one unit of dual degree, so the result is reduced at the same
         cap.
         """
-        if self.cap is not None and not self.reduced:
+        n, cap, reduced, field = self.shape
+        if cap is not None and not reduced:
             raise NotReduced("differential combinator needs a reduced series")
-        return Element.partial_combinator(self)
+        return self._make((2 * n, cap, reduced, field),
+                          _combinator_coeffs(self.coeffs, n, field.p))
 
     # -- shape utilities ------------------------------------------------------
 

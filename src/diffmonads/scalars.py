@@ -26,6 +26,7 @@ field.  Nothing in the library ever inverts a factorial inside F_p.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,9 +34,29 @@ from .errors import DivisionByZero, MixedFields, NonIntegralQuotient
 
 PRIME_LIMIT = 1 << 20
 
-# Size bound of every exhaustive expansion or enumeration; beyond it the
-# library raises TooLarge instead of running without limit.
+# Size bound of every exhaustive expansion or enumeration of what a caller
+# gives; beyond it the library raises TooLarge instead of running without
+# limit.  Every bound is read through size_limit(), so that a caller whose
+# sizes are bounded by construction, such as the axiom checker on its own
+# draws, can run under a budget of its own (size_budget).
 ENUMERATION_LIMIT = 10 ** 5
+_budgets = [ENUMERATION_LIMIT]
+
+
+def size_limit() -> int:
+    """The size bound in force: that of the innermost :func:`size_budget`,
+    else ``ENUMERATION_LIMIT``."""
+    return _budgets[-1]
+
+
+@contextmanager
+def size_budget(limit: int):
+    """Run the body under the size bound ``limit``."""
+    _budgets.append(limit)
+    try:
+        yield
+    finally:
+        _budgets.pop()
 
 
 def _is_prime(p: int) -> bool:

@@ -45,7 +45,7 @@ from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch, TooLarge
 from .powerseries import MultiIndex
-from .scalars import ENUMERATION_LIMIT, accumulate, canonical, multinomial
+from .scalars import accumulate, canonical, multinomial, size_limit
 
 Word = tuple  # nonempty tuple of variable indices
 
@@ -197,15 +197,16 @@ class ZinElement(Element):
         """Substitute for letter i the sum of the letters in ``spec[i]``
         (zero when it is empty), with ``arity`` letters in the result.
 
-        A word expands into the product of its letters' sum sizes; above
-        ``ENUMERATION_LIMIT`` words in all it raises TooLarge up front.
+        A word expands into the product of its letters' sum sizes; with
+        more words in all than the size bound (``size_limit``) it raises
+        TooLarge up front.
         """
         shape = self._linear_shape(spec, arity)
         p = self.field.p
         image = spec.__getitem__
         if any(len(variables) > 1 for variables in spec):
             count = sum(prod(map(len, map(image, w))) for w in self.coeffs)
-            if count > ENUMERATION_LIMIT:
+            if count > size_limit():
                 raise TooLarge(f"a linear substitution expands into {count} "
                                "words")
         out: dict = {}
@@ -249,8 +250,8 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
     A monomial x_1^[r_1]...x_p^[r_p] becomes the sum of all distinct words
     using x_i exactly r_i times, each with coefficient one.  This is an
     algebra map for the shuffle product, but it does not commute with the
-    differential combinators.  A monomial with more than
-    ``ENUMERATION_LIMIT`` such words, the multinomial of its exponents,
+    differential combinators.  A monomial with more such words, the
+    multinomial of its exponents, than the size bound (``size_limit``)
     raises TooLarge up front.
     """
     p = f.field.p
@@ -258,7 +259,7 @@ def divided_to_zinbiel(f: DPElement) -> ZinElement:
     for key, c in f.coeffs.items():
         pairs = MultiIndex.pairs(key)
         count = multinomial(e for _, e in pairs)
-        if count > ENUMERATION_LIMIT:
+        if count > size_limit():
             raise TooLarge(f"a monomial expands into {count} words")
         for w in _arrangements([v for v, e in pairs for _ in range(e)]):
             accumulate(out, w, c, p)

@@ -12,6 +12,7 @@ import diffmonads as dm
 from diffmonads import cli, syntax
 from diffmonads.cli import main
 from diffmonads.errors import TooLarge
+from diffmonads.scalars import ENUMERATION_LIMIT
 
 
 def run_cli(*argv):
@@ -115,21 +116,35 @@ def test_ctrl_c_exits_2_without_a_traceback(monkeypatch):
 
 @pytest.mark.parametrize("field", [dm.rationals(), dm.prime_field(5)],
                          ids=repr)
-def test_a_size_bound_inside_check_names_its_axiom_and_seed(field):
-    """At cap 20 a product of monad.assoc passes the size bound: the error
-    names the axiom and the trial seed, and run_trial replays it."""
+def test_a_size_bound_inside_check_names_its_axiom_and_seed(field,
+                                                            monkeypatch):
+    """Under the bound of user input, at cap 20 a product of monad.assoc
+    passes the size bound: the error names the axiom and the trial seed,
+    and run_trial replays it."""
+    from diffmonads import cdc
+
+    monkeypatch.setattr(cdc, "CHECK_LIMIT", ENUMERATION_LIMIT)
     code, out, err = run_cli("check", "--theory", "power", "--cap", "20",
                              "--field", repr(field))
     assert (code, out) == (2, "")
     m = re.fullmatch(r"error: monad\.assoc trial seed (\d+): products "
                      r"expand over \d+ term products\n", err)
     assert m, err
-    from diffmonads import cdc
-
     theory = dm.make_theory("power", field, 20)
     with pytest.raises(TooLarge, match="products expand over"):
         cdc.run_trial("monad.assoc", theory, dm.GenConfig(seed=42),
                       int(m.group(1)))
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("cap", [16, 24, 64])
+def test_every_cap_of_the_power_theory_can_be_checked(cap, field):
+    """The checker's draws run under a budget of their own (CHECK_LIMIT),
+    so high caps pass, while element commands keep the user-input bound."""
+    code, out, err = run_cli("check", "--theory", "power", "--cap", str(cap),
+                             "--field", field)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"all axioms pass for PowerSeries over {field}\n")
 
 
 def test_check_json_deterministic_across_runs_and_jobs():

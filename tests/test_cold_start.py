@@ -176,11 +176,8 @@ EXPORTS = {
     "errors": ("ArityError", "DiffmonadError", "DivisionByZero",
                "MixedFields", "NonIntegralQuotient", "NonReducedArgument",
                "NotReduced", "ParseError", "ShapeMismatch", "TooLarge"),
-    "generators": ("GenConfig", "SplitMix64", "enumerate_basis",
-                   "half_shuffle_oracle", "interleavings", "mix",
-                   "naive_substitute_oracle", "random_element",
-                   "random_morphism", "stable_hash",
-                   "symmetrized_expand_oracle"),
+    "generators": ("GenConfig", "SplitMix64", "enumerate_basis", "mix",
+                   "random_element", "random_morphism", "stable_hash"),
     "powerseries": ("EMPTY_INDEX", "MultiIndex", "SeriesElement"),
     "scalars": ("FieldSpec", "Scalar", "binomial", "dp_power_coeff",
                 "multinomial", "prime_field", "rationals"),

@@ -1,10 +1,10 @@
 import pytest
 
 import diffmonads as dm
-from diffmonads import (GenConfig, SplitMix64, TooLarge, enumerate_basis,
-                        half_shuffle_oracle, interleavings, mix,
-                        naive_substitute_oracle, prime_field, rationals,
-                        stable_hash, symmetrized_expand_oracle)
+from brute_force import (half_shuffle_oracle, interleavings,
+                         naive_substitute_oracle, symmetrized_expand_oracle)
+from diffmonads import (GenConfig, SplitMix64, TooLarge, enumerate_basis, mix,
+                        prime_field, rationals, stable_hash)
 
 Q = rationals()
 

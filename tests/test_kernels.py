@@ -3,9 +3,11 @@
 * ``SplitMix64`` finalizes its outputs in blocks of 128-bit lanes; the
   scalar splitmix64 step is the reference, over several blocks of every size.
 * ``trial_streams`` finalizes the seeds and stream heads of a chunk of
-  trials at once; ``SplitMix64(mix(seed, salt, k))`` is the reference, over
-  every head and block boundary and chunk boundary.  Its memory does not
-  grow with the trial count.
+  trials at once; ``SplitMix64(mix(seed, salt, k))`` is the reference, at
+  every head length of the axiom table, over the block boundaries after the
+  head and the chunk boundaries, and on a chunk read again from its cache.
+  The cache stays under its bound, and memory does not grow with the trial
+  count.
 * ``random_element`` writes its draws out in a sampler kept per theory and
   bounds; the loop of ``randint`` calls, ``_key`` over (variable, 1) pairs
   and ``accumulate`` that it replaces is the reference, on ordinary and on
@@ -104,24 +106,106 @@ def test_randint_and_choice_reduce_the_block_stream():
 # -- the trial streams ----------------------------------------------------------
 
 CHUNK = gen.TRIAL_CHUNK
-# past the head and across the blocks of 8, 16, 32 and 64 outputs after it
-TRIAL_OUTPUTS = 200
+# every stream head of the axiom table
+HEADS = sorted({row[2] for row in dm.cdc._AXIOMS.values()})
+SEEDS = [0, 1, -1, 1 << 63, (1 << 64) - 1, 1 << 70]
 
 
-@pytest.mark.parametrize("seed", [0, 1, -1, 1 << 63, (1 << 64) - 1, 1 << 70])
+def past_the_blocks(head: int) -> int:
+    """Outputs that cross each block boundary after a head of ``head``: into
+    the blocks of 8, 16, 32 and 64 outputs and into the second of 64."""
+    return head + 8 + 16 + 32 + 64 + 1
+
+
+def drawn(streams, outputs: int) -> list:
+    return [(k, [rng.next_u64() for _ in range(outputs)])
+            for k, rng in streams]
+
+
+def reference_streams(seed: int, salt: int, trials: int,
+                      outputs: int) -> list:
+    return drawn(((gen.mix(seed, salt, k), SplitMix64(gen.mix(seed, salt, k)))
+                  for k in range(trials)), outputs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_trial_streams_equal_single_seed_streams(seed):
+    head = HEADS[-1]
+    outputs = past_the_blocks(head)
     for salt in (0, (1 << 64) - 1, gen.stable_hash("CD.5"),
                  gen.stable_hash("dc.4")):
         for trials in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 200):
-            got = [(k, [rng.next_u64() for _ in range(TRIAL_OUTPUTS)])
-                   for k, rng in gen.trial_streams(seed, salt, trials)]
-            want = []
-            for k in range(trials):
-                trial_seed = gen.mix(seed, salt, k)
-                rng = SplitMix64(trial_seed)
-                want.append((trial_seed,
-                             [rng.next_u64() for _ in range(TRIAL_OUTPUTS)]))
-            assert got == want
+            assert drawn(gen.trial_streams(seed, salt, trials, head),
+                         outputs) == \
+                reference_streams(seed, salt, trials, outputs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_streams_equal_single_seed_streams_at_every_head(seed):
+    for salt in (0, gen.stable_hash("monad.assoc")):
+        # longest first, so that a chunk cached for one head length is never
+        # a prefix of the chunk of the next
+        for head in HEADS[::-1] + [0]:
+            outputs = past_the_blocks(head)
+            for trials in (1, CHUNK + 1):
+                assert drawn(gen.trial_streams(seed, salt, trials, head),
+                             outputs) == \
+                    reference_streams(seed, salt, trials, outputs)
+
+
+def test_a_chunk_read_again_comes_from_the_cache(monkeypatch):
+    """A theory checked at a seed after another reads the chunks that the
+    first finalized, and they are as the first found them: no reader
+    mutates a cached array."""
+    cfg = GenConfig(seed=2718)
+    axiom = "monad.assoc"
+    salt, head = gen.stable_hash(axiom), dm.cdc._AXIOMS[axiom][2]
+    trials, outputs = CHUNK + 3, past_the_blocks(head)
+    want = reference_streams(cfg.seed, salt, trials, outputs)
+    assert dm.cdc.run_axiom(axiom, THEORIES[0], cfg, trials).passed
+
+    def finalized_again(*args):
+        raise AssertionError("a cached chunk was finalized again")
+
+    monkeypatch.setattr(gen, "_finalize_chunk", finalized_again)
+    assert drawn(gen.trial_streams(cfg.seed, salt, trials, head),
+                 outputs) == want
+    assert dm.cdc.run_axiom(axiom, THEORIES[1], cfg, trials).passed
+    assert drawn(gen.trial_streams(cfg.seed, salt, trials, head),
+                 outputs) == want
+
+
+def held_outputs() -> int:
+    return sum(size * (head + 1)
+               for _, _, size, head in gen._CHUNKS.chunks)
+
+
+def test_the_stream_cache_stays_under_its_bound(monkeypatch):
+    head = HEADS[-1]
+    # many distinct seeds: a new seed empties the cache
+    for seed in range(40):
+        for _ in gen.trial_streams(seed, 5, CHUNK, head):
+            pass
+        assert gen._CHUNKS.held == held_outputs() == CHUNK * (head + 1)
+    # many chunks of one seed: the least recently used go
+    for salt in range(3 * gen.CACHE_OUTPUTS // (CHUNK * (head + 1))):
+        for _ in gen.trial_streams(7, salt, CHUNK, head):
+            pass
+        assert gen._CHUNKS.held == held_outputs() <= gen.CACHE_OUTPUTS
+    assert gen._CHUNKS.held > gen.CACHE_OUTPUTS - CHUNK * (head + 1)
+    assert (gen.mix(7, salt), 0, CHUNK, head) in gen._CHUNKS.chunks
+    # a chunk larger than the cache is not kept
+    monkeypatch.setattr(gen, "CACHE_OUTPUTS", CHUNK * (head + 1) - 1)
+    assert drawn(gen.trial_streams(7, 5, CHUNK, head), 2) == \
+        reference_streams(7, 5, CHUNK, 2)
+    assert (gen._CHUNKS.held, gen._CHUNKS.chunks) == (0, {})
+
+
+def test_a_full_acceptance_run_fits_the_stream_cache():
+    """200 trials of every axiom: the chunks of the 9 acceptance configs at
+    one seed are finalized once."""
+    assert sum(200 * (head + 1) for _, _, head in dm.cdc._AXIOMS.values()) \
+        <= gen.CACHE_OUTPUTS
 
 
 MEMORY_RUN = """
@@ -148,7 +232,8 @@ def peak_rss_kb(trials: int) -> int:
                     reason="ru_maxrss is in kilobytes on Linux")
 def test_trial_stream_memory_does_not_grow_with_the_trials():
     """Unchunked, the seeds and heads of 100 000 trials would be one int of
-    about 38 MB."""
+    about 38 MB.  The stream cache holds at most ``CACHE_OUTPUTS`` outputs
+    (1 MiB) with their chunks, whatever the trial count."""
     assert peak_rss_kb(100_000) - peak_rss_kb(100) <= 2048
 
 
@@ -273,6 +358,20 @@ def test_theories_that_differ_in_field_or_cap_share_no_sampler():
     samplers = [s for t in theories for s in t.samplers.values()]
     assert len(samplers) == len(theories)
     assert len({id(s) for s in samplers}) == len(theories)
+
+
+@pytest.mark.parametrize("theory", PACKED, ids=PACKED_IDS)
+def test_random_element_past_the_unit_key_table(theory):
+    """Packed keys add the exponent fields of the first variables from a
+    table, and shift the others into place."""
+    units = len(dm.powerseries._UNITS)
+    cfg = GenConfig(coeff_min=-4, coeff_max=4)
+    for seed in range(40):
+        for arity in (units - 1, units, units + 1, 3 * units):
+            got, want, after, expected = both(theory, cfg, seed, arity=arity,
+                                              max_degree=6, max_terms=4)
+            assert same_terms(got, want)
+            assert after == expected
 
 
 def test_random_element_of_too_many_variables_is_too_large():
