@@ -328,28 +328,21 @@ def _du2(theory, draw):
            theory.eta_counit(t), n)
 
 
-# Each axiom: the generator of its equations; its composition depth, the
-# number of times random elements are substituted into random elements; and
-# its stream head, the outputs finalized up front for each of its trials
-# (generators.trial_streams).  Degrees multiply under substitution in the
-# uncapped theories, so deeper axioms draw smaller instances: the theory's
-# row caps the degree and terms of draws per depth.  The power theory's row
-# has none: truncation bounds the degree of a product, not its cost, which
-# is why the checker runs under a size budget of its own (CHECK_LIMIT).
-# A head is near the 85th percentile of the outputs that the axiom's trials
-# draw at the default GenConfig over the acceptance configs, so most trials
-# start no block of their own, and 200 trials of every axiom fit the stream
-# cache; only speed depends on it.
+# Each axiom: the generator of its equations, and its composition depth, the
+# number of times random elements are substituted into random elements.
+# Degrees multiply under substitution in the uncapped theories, so deeper
+# axioms draw smaller instances: the theory's row caps the degree and terms
+# of draws per depth.  The power theory's row has none: truncation bounds the
+# degree of a product, not its cost, which is why the checker runs under a
+# size budget of its own (CHECK_LIMIT).
 _AXIOMS = {
-    "CD.1": (_cd1, 0, 82), "CD.2": (_cd2, 0, 42), "CD.3": (_cd3, 0, 2),
-    "CD.4": (_cd4, 0, 75), "CD.5": (_cd5, 1, 55), "CD.6": (_cd6, 0, 44),
-    "CD.7": (_cd7, 0, 43),
-    "dc.1": (_dc1, 0, 21), "dc.2": (_dc2, 0, 20), "dc.3": (_dc3, 0, 1),
-    "dc.4": (_dc4, 1, 42), "dc.5": (_dc5, 0, 20), "dc.6": (_dc6, 0, 21),
-    "monad.assoc": (_monad_assoc, 2, 66),
-    "monad.unit-left": (_monad_unit_left, 0, 45),
-    "monad.unit-right": (_monad_unit_right, 0, 20),
-    "du.1": (_du1, 0, 1), "du.2": (_du2, 0, 21),
+    "CD.1": (_cd1, 0), "CD.2": (_cd2, 0), "CD.3": (_cd3, 0), "CD.4": (_cd4, 0),
+    "CD.5": (_cd5, 1), "CD.6": (_cd6, 0), "CD.7": (_cd7, 0),
+    "dc.1": (_dc1, 0), "dc.2": (_dc2, 0), "dc.3": (_dc3, 0), "dc.4": (_dc4, 1),
+    "dc.5": (_dc5, 0), "dc.6": (_dc6, 0),
+    "monad.assoc": (_monad_assoc, 2), "monad.unit-left": (_monad_unit_left, 0),
+    "monad.unit-right": (_monad_unit_right, 0),
+    "du.1": (_du1, 0), "du.2": (_du2, 0),
 }
 
 # The size bound of the checker's expansions (scalars.size_budget), in place
@@ -366,23 +359,23 @@ def axiom_ids() -> list[str]:
 
 
 def _plan(axiom: str, theory: Theory, cfg) -> tuple:
-    """The equations of ``axiom``, the draws of its trials (:class:`_Draw`),
-    within the configured bounds and the caps of its composition depth, and
-    its stream head.  ValueError("empty range") for an arity below 1."""
-    equations, depth, head = _AXIOMS[axiom]
+    """The equations of ``axiom`` and the draws of its trials
+    (:class:`_Draw`), within the configured bounds and the caps of its
+    composition depth.  ValueError("empty range") for an arity below 1."""
+    equations, depth = _AXIOMS[axiom]
     d, t = cfg.max_degree, cfg.max_terms
     caps = theory.spec.bounds.get(depth, (d, t))
     if cfg.arity < 1:
         raise ValueError("empty range")
     sample = generators.sampler(theory, cfg, min(d, caps[0]), min(t, caps[1]))
-    return equations, _Draw(theory, cfg.arity, sample), head
+    return equations, _Draw(theory, cfg.arity, sample)
 
 
 def _trial(plan: tuple, seed: int, next_u64) -> Failure | None:
     """One trial from the output function ``next_u64`` of the stream of
     ``seed``: the first unequal equation as a Failure, or None when every
     equation holds."""
-    equations, draw, _ = plan
+    equations, draw = plan
     draw.next = next_u64
     for inputs, lhs, rhs, base in equations(draw.theory, draw):
         if lhs != rhs:
@@ -401,12 +394,12 @@ def run_trial(axiom: str, theory: Theory, cfg, seed: int) -> Failure | None:
 def run_axiom(axiom: str, theory: Theory, cfg, trials: int) -> AxiomReport:
     """Run one axiom's trials: compare the equations each trial yields and
     record the first unequal one.  Trial k runs from the seed
-    ``mix(cfg.seed, stable_hash(axiom), k)``; the seeds and the heads of the
-    trials' streams come in chunks from ``generators.trial_streams``, and
-    :func:`run_trial` replays any one of them from its seed alone.  The
-    trials run under the checker's size budget, ``CHECK_LIMIT``.  ValueError
-    for fewer than one trial; a TooLarge from a trial is raised again with
-    the axiom and the seed."""
+    ``mix(cfg.seed, stable_hash(axiom), k)``; its stream comes from
+    ``generators.trial_streams``, which reads back what the trials of other
+    theories at this seed drew, and :func:`run_trial` replays any one trial
+    from its seed alone.  The trials run under the checker's size budget,
+    ``CHECK_LIMIT``.  ValueError for fewer than one trial; a TooLarge from a
+    trial is raised again with the axiom and the seed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     plan = _plan(axiom, theory, cfg)
@@ -414,7 +407,7 @@ def run_axiom(axiom: str, theory: Theory, cfg, trials: int) -> AxiomReport:
     failures = []
     with size_budget(CHECK_LIMIT):
         for seed, rng in generators.trial_streams(
-                cfg.seed, generators.stable_hash(axiom), trials, plan[2]):
+                cfg.seed, generators.stable_hash(axiom), trials):
             try:
                 failure = _trial(plan, seed, rng.next_u64)
             except TooLarge as exc:

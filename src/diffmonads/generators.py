@@ -19,28 +19,15 @@ next lane into the high half of a lane, where the mask clears them, and a
 the next lane.  The last xor-shift only spoils high halves, which are never
 read: the low halves are read out through ``int.to_bytes`` and an
 ``array('Q')``.  Blocks grow from 8 to 64 outputs, so a stream that draws a
-few values pays for a short block only.  The scalar :func:`_finalize` stays
-for :func:`mix` and as the reference of the blocks.
-
-The trials of one axiom get their streams from :func:`trial_streams`.  Trial
-k of an axiom runs from seed ``mix(seed, stable_hash(axiom), k)``, and the
-last step of :func:`mix` is the finalizer on a value that grows by one with
-k, so the seeds of a chunk of trials are one lane-parallel pass, and the
-first ``head`` outputs of all their streams, trial after trial, are a second.
-Each axiom has its own head (``cdc._AXIOMS``), near the 85th percentile of
-the outputs its trials draw, so most trials draw within their head, and a
-trial starts its blocks only when it runs past it.  A chunk holds at most
-``TRIAL_CHUNK`` trials, so memory does not grow with the trial count.  The
-seeds of a trial do not depend on the theory, so every theory checked at one
-seed draws from the same chunks, and a cache of chunks finalizes each once
-per process.  The cache keeps the chunks of the latest seed, and drops the
-least recently used while it holds more than ``CACHE_OUTPUTS`` outputs.  A
-new seed empties it: a caller that moves on to another seed does not read
-the old chunks again, and holding them would only raise the peak memory.  A
-trial's stream reads a copy of its head, never the cached array, and
-resumes at output ``head`` with the blocks above: it is the stream that
-``SplitMix64(seed)`` makes, which is how a single trial replays from its
-recorded seed.
+few values pays for a short block only; the scalar :func:`_finalize` is their
+reference and serves :func:`mix`.  Trial k of an axiom runs from seed
+``mix(seed, stable_hash(axiom), k)`` whatever the theory, so
+:func:`trial_streams` keeps what each trial of the latest seed has drawn, and
+a stream of that trial reads it back before it finalizes blocks, appending
+them where the memo ends: a memoized output never changes, and each theory
+after the first at a seed finalizes only what it draws past the others.  The
+memo holds ``MEMO_TRIALS`` trials, and a new seed empties it.  A trial
+replays from its seed alone: every stream is ``SplitMix64(seed_k)``.
 
 :func:`sampler` builds the draws of a random element for a theory and bounds
 once, and keeps them in ``theory.samplers``; :func:`random_element` and the
@@ -51,7 +38,6 @@ This module loads with ``cdc``; it takes ``Morphism`` from ``category``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from array import array
@@ -105,14 +91,16 @@ def _blocks(state: int):
         state = (state + size * _GAMMA) & MASK64
 
 
-class _Rest(int):
-    """The state of a stream after its head: iterating it yields the outputs
-    that follow, from blocks that start only then."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(_blocks(self))
+def _memoized(state: int, drawn: array):
+    """The stream after ``state``: ``drawn``, its first outputs, then blocks,
+    each appended to ``drawn`` when it starts where ``drawn`` ends."""
+    yield drawn
+    at = len(drawn)
+    for block in _blocks((state + at * _GAMMA) & MASK64):
+        if len(drawn) == at:
+            drawn.extend(block)
+        at += len(block)
+        yield block
 
 
 class SplitMix64:
@@ -120,16 +108,16 @@ class SplitMix64:
 
     ``next_u64`` is an instance attribute, a builtin callable that returns
     the next output, so a caller that draws many values (a sampler) calls
-    it directly.  ``head``, when given, is the first ``len(head)`` outputs
-    of the stream from ``seed``, already finalized (see
-    :func:`trial_streams`); the blocks resume after them.
+    it directly.  ``drawn``, when given, holds the first outputs of the
+    stream and takes those finalized after them (:func:`trial_streams`).
     """
 
     __slots__ = ("next_u64",)
 
-    def __init__(self, seed: int, head=()):
-        self.next_u64 = itertools.chain(
-            head, _Rest((seed + len(head) * _GAMMA) & MASK64)).__next__
+    def __init__(self, seed: int, drawn: array | None = None):
+        self.next_u64 = itertools.chain.from_iterable(
+            _blocks(seed & MASK64) if drawn is None
+            else _memoized(seed, drawn)).__next__
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]: ``next_u64()`` by modulo
@@ -158,104 +146,41 @@ def mix(*parts: int) -> int:
     return h
 
 
-# Trials per chunk of :func:`trial_streams`, and the outputs (seeds and
-# heads) that its cache of chunks holds at most, 1 MiB as array('Q'): enough
-# for 200 trials of every axiom, so that the theories checked after the
-# first at one seed finalize nothing again.
-TRIAL_CHUNK = 64
-CACHE_OUTPUTS = 1 << 17
+# Trials per seed in the memo of trial_streams; 200 of each of 18 axioms fit.
+MEMO_TRIALS = 4096
 
 
-@functools.lru_cache(maxsize=TRIAL_CHUNK)
-def _seed_constants(size: int) -> tuple:
-    """(ones, index, mask) of the seed pass of a chunk of ``size`` trials:
-    ``size`` lanes of 128 bits, lane k holding index k."""
-    ones = sum(1 << (128 * k) for k in range(size))
-    index = sum(k << (128 * k) for k in range(size))
-    return ones, index, MASK64 * ones
+class _Memo:
+    """The ``trials`` memoized at ``seed``, by salt: the seeds of its first
+    trials and what each one's streams drew."""
+
+    __slots__ = ("seed", "trials", "salts")
+
+    def __init__(self, seed):
+        self.seed, self.trials, self.salts = seed, 0, {}
 
 
-@functools.lru_cache(maxsize=64)
-def _head_steps(head: int) -> bytes:
-    """The ``head`` lanes of one trial's head pass as native-order bytes:
-    lane j holds (j+1)*gamma, what output j+1 of a stream adds to its
-    seed."""
-    return sum((j + 1) * _GAMMA << (128 * j)
-               for j in range(head)).to_bytes(16 * head, sys.byteorder)
+_memo = _Memo(None)
 
 
-# The mask of one 128-bit lane, as native-order bytes.
-_LANE_MASK = MASK64.to_bytes(16, sys.byteorder)
-
-
-def _finalize_chunk(root: int, start: int, size: int, head: int) -> tuple:
-    """The seeds ``mix(seed, salt, k)`` of the ``size`` trials from
-    ``start``, where ``root`` is ``mix(seed, salt)``, and the first ``head``
-    outputs of each of their streams, trial after trial, as two arrays."""
-    order = sys.byteorder
-    ones, index, mask = _seed_constants(size)
-    # the last step of mix, for the trials start .. start + size - 1
-    z = _finalize_lanes(((root + _GAMMA + start) & MASK64) * ones + index,
-                        mask)
-    lanes = (z & mask).to_bytes(16 * size, order)
-    seeds = array("Q", lanes)[_LOW_HALVES]
-    # each seed in ``head`` lanes, stepped and finalized as a block is; in
-    # either byte order, trial k's run of lanes is where its seed lane is
-    rows = b"".join([lanes[i:i + 16] * head for i in range(0, len(lanes), 16)])
-    z = _finalize_lanes(int.from_bytes(rows, order) +
-                        int.from_bytes(_head_steps(head) * size, order),
-                        int.from_bytes(_LANE_MASK * (size * head), order))
-    heads = array("Q", z.to_bytes(16 * size * head, order))[_LOW_HALVES]
-    return seeds, heads
-
-
-class _ChunkCache:
-    """The (seeds, heads) of chunks of trial streams at one seed, keyed by
-    the arguments of :func:`_finalize_chunk`, (mix(seed, salt), first
-    trial, trials, head), the least recently used first; ``held`` counts
-    their outputs (see the module docstring)."""
-
-    def __init__(self):
-        self.seed = None
-        self.chunks: dict = {}
-        self.held = 0
-
-    def get(self, seed: int, key: tuple) -> tuple:
-        """``_finalize_chunk(*key)`` for a chunk of trials at ``seed``,
-        finalized when it is not held; a new seed empties the cache, and the
-        least recently used chunks go while it holds more than
-        ``CACHE_OUTPUTS`` outputs."""
-        chunks = self.chunks
-        if seed != self.seed:
-            chunks.clear()
-            self.seed, self.held = seed, 0
-        got = chunks.pop(key, None)
-        if got is None:
-            got = _finalize_chunk(*key)
-            self.held += key[2] * (key[3] + 1)
-        chunks[key] = got
-        while self.held > CACHE_OUTPUTS:
-            old = next(iter(chunks))
-            del chunks[old]
-            self.held -= old[2] * (old[3] + 1)
-        return got
-
-
-_CHUNKS = _ChunkCache()
-
-
-def trial_streams(seed: int, salt: int, trials: int, head: int):
+def trial_streams(seed: int, salt: int, trials: int):
     """Yield (seed_k, stream) for k in range(trials): seed_k is
-    ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, its first
-    ``head`` outputs finalized per chunk of trials and cached (see the
-    module docstring)."""
-    root = mix(seed, salt)
-    for start in range(0, trials, TRIAL_CHUNK):
-        size = min(TRIAL_CHUNK, trials - start)
-        seeds, heads = _CHUNKS.get(seed, (root, start, size, head))
-        for k, trial_seed in enumerate(seeds):
-            yield trial_seed, SplitMix64(trial_seed,
-                                         heads[k * head:(k + 1) * head])
+    ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, reading and
+    extending what trial k has drawn while the memo holds it.  The memo has
+    no lock: one thread at a time draws from it."""
+    global _memo
+    memo = _memo = _memo if _memo.seed == seed else _Memo(seed)
+    seeds, drawn = memo.salts.setdefault(salt, (array("Q"), []))
+    for k in range(trials):
+        if k == len(seeds) and memo.trials < MEMO_TRIALS:
+            memo.trials += 1
+            seeds.append(mix(seed, salt, k))
+            drawn.append(array("Q"))
+        if k < len(seeds):
+            yield seeds[k], SplitMix64(seeds[k], drawn[k])
+        else:
+            trial_seed = mix(seed, salt, k)
+            yield trial_seed, SplitMix64(trial_seed)
 
 
 class GenConfig(namedtuple("GenConfig", "seed arity max_degree max_terms "

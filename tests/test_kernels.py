@@ -2,11 +2,12 @@
 
 * ``SplitMix64`` finalizes its outputs in blocks of 128-bit lanes; the
   scalar splitmix64 step is the reference, over several blocks of every size.
-* ``trial_streams`` finalizes the seeds and stream heads of a chunk of
-  trials at once; ``SplitMix64(mix(seed, salt, k))`` is the reference, at
-  every head length of the axiom table, over the block boundaries after the
-  head and the chunk boundaries, and on a chunk read again from its cache.
-  The cache stays under its bound, and memory does not grow with the trial
+* ``trial_streams`` keeps what each trial of the latest seed has drawn;
+  ``SplitMix64(mix(seed, salt, k))`` is the reference, on a stream that
+  reads the memo and draws past the block boundaries after it, on trials
+  past the memo, and on two streams of one trial drawing in turn.  A run
+  after another at a seed finalizes nothing it drew and changes no verdict,
+  the memo stays under its bound, and memory does not grow with the trial
   count.
 * ``random_element`` writes its draws out in a sampler kept per theory and
   bounds; the loop of ``randint`` calls, ``_key`` over (variable, 1) pairs
@@ -21,6 +22,7 @@
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,107 +107,177 @@ def test_randint_and_choice_reduce_the_block_stream():
 
 # -- the trial streams ----------------------------------------------------------
 
-CHUNK = gen.TRIAL_CHUNK
-# every stream head of the axiom table
-HEADS = sorted({row[2] for row in dm.cdc._AXIOMS.values()})
+MEMO = gen.MEMO_TRIALS
 SEEDS = [0, 1, -1, 1 << 63, (1 << 64) - 1, 1 << 70]
+SALTS = [0, (1 << 64) - 1, gen.stable_hash("CD.5"), gen.stable_hash("dc.4")]
+# Trials on both sides of 64 and past the memo.
+TRIALS = (0, 1, 63, 64, 65, 200, MEMO + 1)
 
 
-def past_the_blocks(head: int) -> int:
-    """Outputs that cross each block boundary after a head of ``head``: into
-    the blocks of 8, 16, 32 and 64 outputs and into the second of 64."""
-    return head + 8 + 16 + 32 + 64 + 1
+def past_the_blocks(outputs: int) -> int:
+    """Outputs that cross each block boundary after the first ``outputs``:
+    into the blocks of 8, 16, 32 and 64 outputs and into the second of 64."""
+    return outputs + 8 + 16 + 32 + 64 + 1
 
 
-def drawn(streams, outputs: int) -> list:
-    return [(k, [rng.next_u64() for _ in range(outputs)])
-            for k, rng in streams]
+def drawn(streams, outputs: int, trials=None) -> dict:
+    """``outputs`` draws of the streams of ``trials`` (all by default), with
+    their seeds, by trial; the other streams draw nothing."""
+    return {k: (trial_seed, [rng.next_u64() for _ in range(outputs)])
+            for k, (trial_seed, rng) in enumerate(streams)
+            if trials is None or k in trials}
 
 
-def reference_streams(seed: int, salt: int, trials: int,
-                      outputs: int) -> list:
-    return drawn(((gen.mix(seed, salt, k), SplitMix64(gen.mix(seed, salt, k)))
-                  for k in range(trials)), outputs)
+def reference_streams(seed: int, salt: int, trials, outputs: int) -> dict:
+    """What :func:`drawn` reads when trial k's stream is made alone, as
+    ``SplitMix64(mix(seed, salt, k))``."""
+    return {k: (gen.mix(seed, salt, k),
+                scalar_stream(gen.mix(seed, salt, k), outputs))
+            for k in trials}
+
+
+def empty_the_memo(seed: int) -> None:
+    """Trial streams at another seed: the memo starts again."""
+    assert list(gen.trial_streams(seed + 1, 0, 0)) == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_streams_equal_single_seed_streams(seed):
-    head = HEADS[-1]
-    outputs = past_the_blocks(head)
-    for salt in (0, (1 << 64) - 1, gen.stable_hash("CD.5"),
-                 gen.stable_hash("dc.4")):
-        for trials in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 200):
-            assert drawn(gen.trial_streams(seed, salt, trials, head),
-                         outputs) == \
-                reference_streams(seed, salt, trials, outputs)
+    """For each salt, with the memo emptied first: a pass draws a few
+    outputs of each trial, a second reads them back from the memo and draws
+    past every block boundary after them, and a third past the second."""
+    for salt in SALTS:
+        empty_the_memo(seed)
+        assert list(gen.trial_streams(seed, salt, 0)) == []
+        for outputs in (3, past_the_blocks(8), past_the_blocks(192)):
+            assert drawn(gen.trial_streams(seed, salt, MEMO + 2), outputs,
+                         TRIALS) == \
+                reference_streams(seed, salt, TRIALS, outputs)
+        assert gen._memo.trials == MEMO
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_trial_streams_equal_single_seed_streams_at_every_head(seed):
-    for salt in (0, gen.stable_hash("monad.assoc")):
-        # longest first, so that a chunk cached for one head length is never
-        # a prefix of the chunk of the next
-        for head in HEADS[::-1] + [0]:
-            outputs = past_the_blocks(head)
-            for trials in (1, CHUNK + 1):
-                assert drawn(gen.trial_streams(seed, salt, trials, head),
-                             outputs) == \
-                    reference_streams(seed, salt, trials, outputs)
+def test_a_stream_resumes_after_drawn_outputs_of_every_length(seed):
+    """``SplitMix64(seed, drawn)`` reads ``drawn`` and then the stream from
+    where it ends, past every block boundary after it, and leaves ``drawn``
+    holding a longer prefix of the stream."""
+    longest = 130
+    want = scalar_stream(seed, past_the_blocks(longest))
+    for length in range(longest + 1):
+        prefix = array("Q", want[:length])
+        rng = SplitMix64(seed, prefix)
+        outputs = past_the_blocks(length)
+        assert [rng.next_u64() for _ in range(outputs)] == want[:outputs]
+        assert outputs <= len(prefix)
+        assert list(prefix) == scalar_stream(seed, len(prefix))
 
 
-def test_a_chunk_read_again_comes_from_the_cache(monkeypatch):
-    """A theory checked at a seed after another reads the chunks that the
-    first finalized, and they are as the first found them: no reader
-    mutates a cached array."""
+# Two readers of one trial draw in turn, in these runs: the first finalizes a
+# block of its own, the second passes it in the memo and appends the next
+# block, and the first then finalizes a block that the memo already holds.
+TURNS = [(9, 17, 100, 92), (1, 9, 30, 50, 100, 130, 200, 142)]
+
+
+@pytest.mark.parametrize("turns", TURNS)
+def test_interleaved_streams_of_a_trial_read_the_reference(turns):
+    """Two passes over the trials at one seed and salt, their streams of one
+    trial drawing alternately past block boundaries: both read the
+    reference stream, the outputs in the memo before are unchanged, and a
+    third pass reads the reference from the memo."""
+    seed, salt, trials = 31, gen.stable_hash("CD.1"), 3
+    empty_the_memo(seed)
+    drawn(gen.trial_streams(seed, salt, trials), 5)
+    memo = gen._memo.salts[salt][1]
+    before = [list(outputs) for outputs in memo]
+    assert [len(outputs) for outputs in before] == [8] * trials
+    total = sum(turns[0::2])
+    assert sum(turns[1::2]) == total
+    for k, ((seed_a, a), (seed_b, b)) in enumerate(zip(
+            gen.trial_streams(seed, salt, trials),
+            gen.trial_streams(seed, salt, trials))):
+        reads = {a: [], b: []}
+        for turn, run in enumerate(turns):
+            rng = (a, b)[turn % 2]
+            reads[rng] += [rng.next_u64() for _ in range(run)]
+        want = scalar_stream(gen.mix(seed, salt, k), total)
+        assert seed_a == seed_b == gen.mix(seed, salt, k)
+        assert reads[a] == reads[b] == want
+        assert list(memo[k][:8]) == before[k]
+        assert list(memo[k]) == scalar_stream(seed_a, len(memo[k]))
+    assert drawn(gen.trial_streams(seed, salt, trials), total + 1) == \
+        reference_streams(seed, salt, range(trials), total + 1)
+
+
+def verdicts(reports) -> list:
+    """The reports without their wall times."""
+    return [(r.axiom, r.trials, r.failures) for r in reports]
+
+
+def test_a_second_run_at_a_seed_finalizes_nothing(monkeypatch):
+    """Once the acceptance theories have run at a seed, every one of them
+    runs again, each after another, and finalizes no output and no trial
+    seed: the memo holds all that their trials drew."""
     cfg = GenConfig(seed=2718)
-    axiom = "monad.assoc"
-    salt, head = gen.stable_hash(axiom), dm.cdc._AXIOMS[axiom][2]
-    trials, outputs = CHUNK + 3, past_the_blocks(head)
-    want = reference_streams(cfg.seed, salt, trials, outputs)
-    assert dm.cdc.run_axiom(axiom, THEORIES[0], cfg, trials).passed
+    first = [verdicts(dm.check_all(t, cfg, 20)) for t in THEORIES]
 
-    def finalized_again(*args):
-        raise AssertionError("a cached chunk was finalized again")
+    def finalized(*args):
+        raise AssertionError("an output was finalized again")
 
-    monkeypatch.setattr(gen, "_finalize_chunk", finalized_again)
-    assert drawn(gen.trial_streams(cfg.seed, salt, trials, head),
-                 outputs) == want
-    assert dm.cdc.run_axiom(axiom, THEORIES[1], cfg, trials).passed
-    assert drawn(gen.trial_streams(cfg.seed, salt, trials, head),
-                 outputs) == want
+    monkeypatch.setattr(gen, "_blocks", finalized)
+    monkeypatch.setattr(gen, "_finalize", finalized)
+    assert [verdicts(dm.check_all(t, cfg, 20)) for t in THEORIES[::-1]] == \
+        first[::-1]
 
 
-def held_outputs() -> int:
-    return sum(size * (head + 1)
-               for _, _, size, head in gen._CHUNKS.chunks)
+def test_the_memo_changes_no_verdict():
+    """``check_all`` of a theory after another at the same seed reads the
+    memo the other filled, and equals ``check_all`` of it on an empty memo.
+    The mutants fail, so their failures' seeds and inputs are compared."""
+    cfg = GenConfig(seed=1618)
+    theories = [THEORIES[0],
+                dm.MutatedTheory("zinbiel-last-letter", Q),
+                dm.MutatedTheory("powerseries-drop-first-partial", F5, 4),
+                THEORIES[6],
+                dm.MutatedTheory("dividedpower-binomial-factor", F3),
+                THEORIES[8]]
+    alone = []
+    for theory in theories:
+        empty_the_memo(cfg.seed)
+        alone.append(verdicts(dm.check_all(theory, cfg, 20)))
+    empty_the_memo(cfg.seed)
+    after = [verdicts(dm.check_all(theory, cfg, 20)) for theory in theories]
+    assert gen._memo.seed == cfg.seed
+    assert after == alone
+    assert all(any(failures for _, _, failures in alone[k])
+               for k in (1, 2, 4))
 
 
-def test_the_stream_cache_stays_under_its_bound(monkeypatch):
-    head = HEADS[-1]
-    # many distinct seeds: a new seed empties the cache
-    for seed in range(40):
-        for _ in gen.trial_streams(seed, 5, CHUNK, head):
+def test_the_memo_holds_at_most_memo_trials():
+    empty_the_memo(7)
+    half = MEMO // 2 + 1
+    for salt in range(3):
+        for _ in gen.trial_streams(7, salt, half):
             pass
-        assert gen._CHUNKS.held == held_outputs() == CHUNK * (head + 1)
-    # many chunks of one seed: the least recently used go
-    for salt in range(3 * gen.CACHE_OUTPUTS // (CHUNK * (head + 1))):
-        for _ in gen.trial_streams(7, salt, CHUNK, head):
-            pass
-        assert gen._CHUNKS.held == held_outputs() <= gen.CACHE_OUTPUTS
-    assert gen._CHUNKS.held > gen.CACHE_OUTPUTS - CHUNK * (head + 1)
-    assert (gen.mix(7, salt), 0, CHUNK, head) in gen._CHUNKS.chunks
-    # a chunk larger than the cache is not kept
-    monkeypatch.setattr(gen, "CACHE_OUTPUTS", CHUNK * (head + 1) - 1)
-    assert drawn(gen.trial_streams(7, 5, CHUNK, head), 2) == \
-        reference_streams(7, 5, CHUNK, 2)
-    assert (gen._CHUNKS.held, gen._CHUNKS.chunks) == (0, {})
+        held = gen._memo.salts.values()
+        assert gen._memo.trials == sum(len(s) for s, _ in held) == \
+            sum(len(d) for _, d in held) == min(MEMO, (salt + 1) * half)
+    assert [len(s) for s, _ in gen._memo.salts.values()] == \
+        [half, MEMO - half, 0]
+    # a trial past the memo reads the reference, and the memo is unchanged
+    assert drawn(gen.trial_streams(7, 1, half), 9, {half - 1}) == \
+        reference_streams(7, 1, [half - 1], 9)
+    assert gen._memo.trials == MEMO
+    # a new seed empties it
+    assert drawn(gen.trial_streams(8, 5, 2), 9) == \
+        reference_streams(8, 5, range(2), 9)
+    assert (gen._memo.seed, gen._memo.trials, list(gen._memo.salts)) == \
+        (8, 2, [5])
 
 
-def test_a_full_acceptance_run_fits_the_stream_cache():
-    """200 trials of every axiom: the chunks of the 9 acceptance configs at
-    one seed are finalized once."""
-    assert sum(200 * (head + 1) for _, _, head in dm.cdc._AXIOMS.values()) \
-        <= gen.CACHE_OUTPUTS
+def test_a_full_acceptance_run_fits_the_memo():
+    """200 trials of every axiom at one seed: the acceptance configs after
+    the first read back every output an earlier one drew."""
+    assert 200 * len(dm.cdc.axiom_ids()) <= MEMO
 
 
 MEMORY_RUN = """
@@ -231,9 +303,9 @@ def peak_rss_kb(trials: int) -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in kilobytes on Linux")
 def test_trial_stream_memory_does_not_grow_with_the_trials():
-    """Unchunked, the seeds and heads of 100 000 trials would be one int of
-    about 38 MB.  The stream cache holds at most ``CACHE_OUTPUTS`` outputs
-    (1 MiB) with their chunks, whatever the trial count."""
+    """The memo of trial streams holds ``MEMO_TRIALS`` trials, and the
+    trials past them draw from streams of their own, whatever the trial
+    count."""
     assert peak_rss_kb(100_000) - peak_rss_kb(100) <= 2048
 
 
