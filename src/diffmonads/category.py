@@ -180,11 +180,10 @@ class Theory:
 
     def eta_counit(self, f):
         """eta after counit: the degree-1 part of an element."""
-        out = self.zero(f.arity)
-        for i, c in enumerate(f.counit()):
-            if c:
-                out = out + self.eta(i, f.arity).scale(c)
-        return out
+        degree = self.element._degree
+        return self.element._make(self.shapes[f.arity],
+                                  {key: c for key, c in f.coeffs.items()
+                                   if degree(key) == 1})
 
     def __eq__(self, other) -> bool:
         if other is self:

@@ -17,7 +17,10 @@ A call of main parses a known command with that command's own parser,
 only when the first argument names no command (--help, a missing or an
 unknown command, a leading option) or when the command's parser leaves
 arguments over; the full parser then gives argparse's own help and error
-text.  No parser is cached between calls: see build_parser.
+text.  Each build measures the terminal once, and every parser it makes
+formats at that width: argparse would measure it again for each argument
+added, through a formatter of its own.  No parser is cached between calls:
+see build_parser.
 Importing this module loads ``category`` and ``syntax``; ``check`` alone
 loads ``cdc`` and ``generators``, when it runs.
 
@@ -29,9 +32,11 @@ size bound, and silently on a closed stdout (``| head``) and on Ctrl-C.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
+import shutil
 import sys
 
 from . import category
@@ -283,6 +288,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the same; main builds the full parser only when the command's parser
     cannot answer alone (see the module docstring).
 
+    The terminal is measured once per call.  argparse makes a formatter to
+    check the metavars of every argument added, and ``HelpFormatter``
+    measures the terminal each time it is made: 7 to 9 times in a command,
+    49 in ``--help``.  Every parser built here takes one ``HelpFormatter``
+    class instead, its ``width`` fixed to what it would measure, so help,
+    usage and error text are the same.
+
     Neither parser is cached between calls.  Building one is most of the
     time of a small command: a cached parser made 2.27 to 2.30 times the
     benchmark's ``cli`` commands per second.  But it raised that workload's
@@ -290,16 +302,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     28.62 MB), against its 5% bound: the benchmark keeps a record per timed
     call, and the cached parser made more than twice the calls.
     """
+    # the width that argparse.HelpFormatter would measure for itself
+    formatter = functools.partial(
+        argparse.HelpFormatter,
+        width=shutil.get_terminal_size().columns - 2)
     if command is not None:
         return _add_arguments(
-            argparse.ArgumentParser(prog=f"diffmonads {command}"), command)
+            argparse.ArgumentParser(prog=f"diffmonads {command}",
+                                    formatter_class=formatter), command)
     parser = argparse.ArgumentParser(
-        prog="diffmonads",
+        prog="diffmonads", formatter_class=formatter,
         description="Exact computations and axiom checks for differential "
                     "theories of power series, divided powers, and words.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, summary) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=summary), name)
+        _add_arguments(sub.add_parser(name, help=summary,
+                                      formatter_class=formatter), name)
     return parser
 
 

@@ -166,20 +166,23 @@ _memo = _Memo(None)
 def trial_streams(seed: int, salt: int, trials: int):
     """Yield (seed_k, stream) for k in range(trials): seed_k is
     ``mix(seed, salt, k)`` and stream is ``SplitMix64(seed_k)``, reading and
-    extending what trial k has drawn while the memo holds it.  The memo has
-    no lock: one thread at a time draws from it."""
+    extending what trial k has drawn while the memo holds it.  A call that
+    needs a seed the memo lacks folds ``mix(seed, salt)`` once, and each new
+    seed_k is its last fold, the trial index.  The memo has no lock: one
+    thread at a time draws from it."""
     global _memo
     memo = _memo = _memo if _memo.seed == seed else _Memo(seed)
     seeds, drawn = memo.salts.setdefault(salt, (array("Q"), []))
+    base = mix(seed, salt) + _GAMMA if len(seeds) < trials else None
     for k in range(trials):
         if k == len(seeds) and memo.trials < MEMO_TRIALS:
             memo.trials += 1
-            seeds.append(mix(seed, salt, k))
+            seeds.append(_finalize((base + k) & MASK64))
             drawn.append(array("Q"))
         if k < len(seeds):
             yield seeds[k], SplitMix64(seeds[k], drawn[k])
         else:
-            trial_seed = mix(seed, salt, k)
+            trial_seed = _finalize((base + k) & MASK64)
             yield trial_seed, SplitMix64(trial_seed)
 
 

@@ -1,6 +1,7 @@
 """The free Zinbiel algebra on words: half-shuffle, substitution, derivatives.
 
-Elements are Scalar combinations of nonempty words over the variable alphabet.
+Elements are linear combinations of nonempty words over the variable
+alphabet, with raw coefficients.
 The half-shuffle of two words keeps the first letter of the left word in front
 and interleaves everything else:
 

@@ -1,11 +1,14 @@
 """main parses a known command with that command's own parser; these
 tests pin that its help and error text is that of the full parser, and how
-many parsers a call builds."""
+many parsers a call builds.  Each build measures the terminal once and gives
+its parsers a formatter of that width; their help, usage and error text is
+that of argparse's own formatter, which measures the terminal itself."""
 
 import argparse
 import contextlib
 import io
 import re
+import shutil
 import sys
 
 import pytest
@@ -100,14 +103,17 @@ def _parsers_built(monkeypatch, argv) -> int:
     return len(built)
 
 
-@pytest.mark.parametrize("argv", [
+COMMAND_ARGVS = [
     ("derive", "x1"),
     ("compose", "x1", "/", "x2"),
     ("mul", "x1", "x2"),
     ("dpow", "x1^[1]", "2"),
     ("convert", "x1^[1]"),
     ("check", "--trials", "1", "--theory", "trivial"),
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
 def test_a_command_builds_one_parser(monkeypatch, argv):
     assert _parsers_built(monkeypatch, argv) == 1
 
@@ -119,3 +125,84 @@ def test_leftover_arguments_build_the_full_parser_too(monkeypatch):
 
 def test_help_builds_one_parser_per_command(monkeypatch):
     assert _parsers_built(monkeypatch, ["--help"]) == 1 + len(cli._COMMANDS)
+
+
+# -- the terminal is measured once per build --------------------------------
+
+
+def _terminal_probes(monkeypatch, argv) -> int:
+    probes = []
+    measure = shutil.get_terminal_size
+
+    def counting_measure(*args, **kwargs):
+        probes.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting_measure)
+    _captured(cli.main, argv)
+    return len(probes)
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_a_command_measures_the_terminal_once(monkeypatch, argv):
+    """argparse's own formatter measures the terminal for every argument
+    added (7 to 9 times for these commands)."""
+    assert _terminal_probes(monkeypatch, argv) == 1
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("--help",), 1),
+    (("derive", "x1", "extra"), 2),
+], ids=["help", "leftover"])
+def test_each_build_measures_the_terminal_once(monkeypatch, argv, builds):
+    assert _terminal_probes(monkeypatch, argv) == builds
+
+
+@contextlib.contextmanager
+def _stock_formatter(monkeypatch):
+    """Within it, every parser is built with argparse.HelpFormatter."""
+    init = argparse.ArgumentParser.__init__
+
+    def stock_init(self, *args, **kwargs):
+        init(self, *args, **{**kwargs,
+                             "formatter_class": argparse.HelpFormatter})
+
+    with monkeypatch.context() as patched:
+        patched.setattr(argparse.ArgumentParser, "__init__", stock_init)
+        yield
+
+
+def _parser_and_subparsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.values()
+
+
+WIDTHS = [40, 80, 200]
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_and_usage_match_the_stock_formatter(monkeypatch, columns,
+                                                  command):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    built = list(_parser_and_subparsers(cli.build_parser(command)))
+    with _stock_formatter(monkeypatch):
+        stock = list(_parser_and_subparsers(cli.build_parser(command)))
+    assert len(built) == len(stock) == (1 if command else
+                                        1 + len(cli._COMMANDS))
+    for ours, theirs in zip(built, stock):
+        assert ours.formatter_class is not argparse.HelpFormatter
+        assert theirs.formatter_class is argparse.HelpFormatter
+        assert ours.format_usage() == theirs.format_usage()
+        assert ours.format_help() == theirs.format_help()
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_output_matches_the_stock_formatter(monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    ours = _captured(cli.main, argv)
+    with _stock_formatter(monkeypatch):
+        assert ours == _captured(cli.main, argv)
