@@ -13,14 +13,16 @@ inner morphism of compose first); morphisms can be given as @file.json
 holding {"arity": n, "components": ["expr", ...]}.
 
 A call of main parses a known command with that command's own parser,
-``build_parser(command)``.  It builds the full parser, with every command,
-only when the first argument names no command (--help, a missing or an
-unknown command, a leading option) or when the command's parser leaves
-arguments over; the full parser then gives argparse's own help and error
-text.  Each build measures the terminal once, and every parser it makes
-formats at that width: argparse would measure it again for each argument
-added, through a formatter of its own.  No parser is cached between calls:
-see build_parser.
+``build_parser(command)``, a lean parser that answers only the parses it
+can: it has no -h, never formats and never measures the terminal.  main
+builds the full parser, with every command, when the first argument names
+no command (--help, a missing or an unknown command, a leading option),
+when the command's parser leaves arguments over (-h, --help and its
+abbreviations among them) and when it meets an error; the full parser then
+gives argparse's own help, usage and error text.  It measures the terminal
+once per build, and every parser it makes formats at that width: argparse
+would measure it again for each argument added, through a formatter of its
+own.  No parser is cached between calls: see build_parser.
 Importing this module loads ``category`` and ``syntax``; ``check`` alone
 loads ``cdc`` and ``generators``, when it runs.
 
@@ -280,36 +282,55 @@ def _add_arguments(p: argparse.ArgumentParser,
     return p
 
 
+class _CannotAnswer(Exception):
+    """A command's own parser met an error; the full parser reports it."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's own parser: raises where argparse would print usage."""
+
+    def error(self, message):
+        raise _CannotAnswer(message)
+
+
+# a command's own parser never formats: this width spares the terminal probe
+_UNFORMATTED = functools.partial(argparse.HelpFormatter, width=80)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or the full parser of every command.
+    """The lean parser of ``command`` alone, or the full parser of every
+    command.
 
-    A command's own parser is the subparser that the full parser builds for
-    it (same prog, options and operands), so its help, usage and errors are
-    the same; main builds the full parser only when the command's parser
-    cannot answer alone (see the module docstring).
+    A command's own parser has the prog, options and operands of the
+    subparser that the full parser builds for it, but no -h (--help and its
+    abbreviations are left over), and its ``error`` raises instead of
+    printing usage.  It never formats, so its formatter has a constant width
+    and it never measures the terminal.  main hands its leftovers and errors
+    to the full parser, so every help, usage and error text comes from the
+    full parser alone (see the module docstring).
 
-    The terminal is measured once per call.  argparse makes a formatter to
-    check the metavars of every argument added, and ``HelpFormatter``
-    measures the terminal each time it is made: 7 to 9 times in a command,
-    49 in ``--help``.  Every parser built here takes one ``HelpFormatter``
-    class instead, its ``width`` fixed to what it would measure, so help,
-    usage and error text are the same.
+    The full parser measures the terminal once per build.  argparse makes a
+    formatter to check the metavars of every argument added, and
+    ``HelpFormatter`` measures the terminal each time it is made: 49 times
+    in ``--help``.  Every parser of the full build takes one
+    ``HelpFormatter`` class instead, its ``width`` fixed to what it would
+    measure, so help, usage and error text are the same.
 
     Neither parser is cached between calls.  Building one is most of the
-    time of a small command: a cached parser made 2.27 to 2.30 times the
-    benchmark's ``cli`` commands per second.  But it raised that workload's
-    peak RSS by 7% to 11% in 20 s runs (24.87 to 26.58 MB, and 25.75 to
-    28.62 MB), against its 5% bound: the benchmark keeps a record per timed
-    call, and the cached parser made more than twice the calls.
+    time of a small command: a cached parser made 3534 to 3558 of the
+    benchmark's ``cli`` commands per second, against 1775 to 1780.  But it
+    raised that workload's peak RSS by 8% to 11% in 20 s runs (28.2 to 28.6
+    MB, against 25.6 to 26.4 MB), over its 5% bound: the benchmark keeps a
+    record per timed call, and the cached parser made twice the calls.
     """
+    if command is not None:
+        return _add_arguments(
+            _CommandParser(prog=f"diffmonads {command}", add_help=False,
+                           formatter_class=_UNFORMATTED), command)
     # the width that argparse.HelpFormatter would measure for itself
     formatter = functools.partial(
         argparse.HelpFormatter,
         width=shutil.get_terminal_size().columns - 2)
-    if command is not None:
-        return _add_arguments(
-            argparse.ArgumentParser(prog=f"diffmonads {command}",
-                                    formatter_class=formatter), command)
     parser = argparse.ArgumentParser(
         prog="diffmonads", formatter_class=formatter,
         description="Exact computations and axiom checks for differential "
@@ -327,7 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = extra = None
         if argv and argv[0] in _COMMANDS:
-            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            try:
+                args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            except _CannotAnswer:
+                pass
         if args is None or extra:  # the full parser's help and errors
             args = build_parser().parse_args(argv)
     except SystemExit as exc:

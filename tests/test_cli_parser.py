@@ -1,21 +1,23 @@
-"""main parses a known command with that command's own parser; these
-tests pin that its help and error text is that of the full parser, and how
-many parsers a call builds.  Each build measures the terminal once and gives
-its parsers a formatter of that width; their help, usage and error text is
-that of argparse's own formatter, which measures the terminal itself."""
+"""main parses a known command with that command's own lean parser; these
+tests pin that its output is that of the full parser, whose step main skips,
+and how many parsers and terminal probes a call makes.  A command's parser
+has no help, never formats and never measures the terminal: its help, usage
+and errors come from the full parser.  The full parser measures the terminal
+once per build and gives its parsers a formatter of that width; their help,
+usage and error text is that of argparse's own formatter, which measures the
+terminal itself."""
 
 import argparse
 import contextlib
 import io
 import re
 import shutil
-import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffmonads import cli
-from diffmonads.errors import DiffmonadError
 
 
 # the wall time of each axiom that check prints differs from run to run
@@ -30,37 +32,62 @@ def _captured(run, argv):
 
 
 def _full_parser_main(argv):
-    """main as it runs on the parser of every command."""
-    try:
-        args = cli.build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except DiffmonadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """main with its command-parser step patched away: every argv goes to
+    the full parser."""
+    build = cli.build_parser
+
+    def full_parser_only(command=None):
+        if command is not None:
+            raise cli._CannotAnswer(command)
+        return build()
+
+    with mock.patch.object(cli, "build_parser", full_parser_only):
+        return cli.main(argv)
 
 
+COMMAND_ARGVS = [
+    ("derive", "x1"),
+    ("compose", "x1", "/", "x2"),
+    ("mul", "x1", "x2"),
+    ("dpow", "x1^[1]", "2"),
+    ("convert", "x1^[1]"),
+    ("check", "--trials", "1", "--theory", "trivial"),
+]
+
+# the corpus: each command with good operands and asking for help;
+# abbreviations, errors of type, choice and count, and strays
 ARGVS = [
     (),
     ("--help",),
-    *((name, "-h") for name in cli._COMMANDS),
+    *COMMAND_ARGVS,
+    *((name, flag) for name in cli._COMMANDS
+      for flag in ("-h", "--help", "--he")),
     ("frob",),
     ("--json", "derive", "x1"),
+    ("derive", "--the", "poly", "x1"),
+    ("derive", "--ar", "2", "x1"),
+    ("check", "--ti", "--trials", "1"),
+    ("derive", "--cap", "x", "x1"),
+    ("derive", "--theory", "bogus", "x1"),
     ("derive",),
     ("derive", "x1", "extra"),
     ("mul", "--frobnicate", "x1", "x2"),
+    ("derive", "-x1"),
+    ("derive", "--", "-x1"),
+    ("derive", "--field", "F5", "--field", "F3", "x1"),
     ("check", "--trials", "x"),
-    ("derive", "--theory", "bogus", "x1"),
     ("derive", "--th", "zinbiel", "x1"),
     ("check", "--tim", "--trials", "1", "--theory", "trivial"),
     ("derive", "--jobs", "2", "x1"),
 ]
 
+WIDTHS = [40, 80, 200]
 
+
+@pytest.mark.parametrize("columns", WIDTHS)
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-def test_output_matches_the_full_parser(argv):
+def test_output_matches_the_full_parser(monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", str(columns))
     code, out, err = _captured(cli.main, argv)
     assert (code, out, err) == _captured(_full_parser_main, argv)
     assert code in (0, 2) and out + err
@@ -103,31 +130,27 @@ def _parsers_built(monkeypatch, argv) -> int:
     return len(built)
 
 
-COMMAND_ARGVS = [
-    ("derive", "x1"),
-    ("compose", "x1", "/", "x2"),
-    ("mul", "x1", "x2"),
-    ("dpow", "x1^[1]", "2"),
-    ("convert", "x1^[1]"),
-    ("check", "--trials", "1", "--theory", "trivial"),
-]
-
-
 @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
 def test_a_command_builds_one_parser(monkeypatch, argv):
     assert _parsers_built(monkeypatch, argv) == 1
 
 
-def test_leftover_arguments_build_the_full_parser_too(monkeypatch):
-    assert _parsers_built(monkeypatch, ["derive", "x1", "extra"]) == \
-        1 + 1 + len(cli._COMMANDS)
+@pytest.mark.parametrize("argv", [
+    ("derive", "x1", "extra"),
+    ("derive", "-h"),
+    ("derive", "--cap", "x", "x1"),
+], ids=["leftover", "help", "error"])
+def test_the_command_parser_hands_over_to_the_full_parser(monkeypatch, argv):
+    """Leftovers, -h among them, and errors are the full parser's to answer:
+    one parser more than the full parser alone builds."""
+    assert _parsers_built(monkeypatch, argv) == 1 + 1 + len(cli._COMMANDS)
 
 
 def test_help_builds_one_parser_per_command(monkeypatch):
     assert _parsers_built(monkeypatch, ["--help"]) == 1 + len(cli._COMMANDS)
 
 
-# -- the terminal is measured once per build --------------------------------
+# -- only the full parser measures the terminal, once per build -------------
 
 
 def _terminal_probes(monkeypatch, argv) -> int:
@@ -144,18 +167,48 @@ def _terminal_probes(monkeypatch, argv) -> int:
 
 
 @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
-def test_a_command_measures_the_terminal_once(monkeypatch, argv):
+def test_a_command_never_measures_the_terminal(monkeypatch, argv):
     """argparse's own formatter measures the terminal for every argument
     added (7 to 9 times for these commands)."""
+    assert _terminal_probes(monkeypatch, argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("derive", "x1", "extra"),
+    ("derive", "-h"),
+], ids=["help", "leftover", "command-help"])
+def test_the_full_parser_measures_the_terminal_once(monkeypatch, argv):
     assert _terminal_probes(monkeypatch, argv) == 1
 
 
-@pytest.mark.parametrize("argv, builds", [
-    (("--help",), 1),
-    (("derive", "x1", "extra"), 2),
-], ids=["help", "leftover"])
-def test_each_build_measures_the_terminal_once(monkeypatch, argv, builds):
-    assert _terminal_probes(monkeypatch, argv) == builds
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_a_command_translates_only_the_group_titles(monkeypatch, argv):
+    """argparse looks up its own strings through gettext; the help of -h was
+    a third lookup."""
+    looked_up = []
+    translate = argparse._
+
+    def counting_translate(text):
+        looked_up.append(text)
+        return translate(text)
+
+    monkeypatch.setattr(argparse, "_", counting_translate)
+    _captured(cli.main, argv)
+    assert looked_up == ["positional arguments", "options"]
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_a_command_parser_never_prints(capsys, argv):
+    """No -h, and an error raises: neither prints help or usage."""
+    parser = cli.build_parser(argv[0])
+    assert not any(isinstance(action, argparse._HelpAction)
+                   for action in parser._actions)
+    assert parser.parse_known_args([*argv[1:], "-h", "--help"])[1] == \
+        ["-h", "--help"]
+    with pytest.raises(cli._CannotAnswer):
+        parser.parse_known_args(["--cap"])
+    assert capsys.readouterr() == ("", "")
 
 
 @contextlib.contextmanager
@@ -179,7 +232,13 @@ def _parser_and_subparsers(parser):
             yield from action.choices.values()
 
 
-WIDTHS = [40, 80, 200]
+def _formatting_parsers(command):
+    """The full parser and its subparsers, or the subparser of ``command``:
+    the parsers whose help, usage and errors main prints."""
+    parsers = list(_parser_and_subparsers(cli.build_parser()))
+    if command is None:
+        return parsers
+    return [p for p in parsers if p.prog == f"diffmonads {command}"]
 
 
 @pytest.mark.parametrize("columns", WIDTHS)
@@ -187,9 +246,9 @@ WIDTHS = [40, 80, 200]
 def test_help_and_usage_match_the_stock_formatter(monkeypatch, columns,
                                                   command):
     monkeypatch.setenv("COLUMNS", str(columns))
-    built = list(_parser_and_subparsers(cli.build_parser(command)))
+    built = _formatting_parsers(command)
     with _stock_formatter(monkeypatch):
-        stock = list(_parser_and_subparsers(cli.build_parser(command)))
+        stock = _formatting_parsers(command)
     assert len(built) == len(stock) == (1 if command else
                                         1 + len(cli._COMMANDS))
     for ours, theirs in zip(built, stock):
