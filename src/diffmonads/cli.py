@@ -17,12 +17,10 @@ A call of main parses a known command with that command's own parser,
 can: it has no -h, never formats and never measures the terminal.  main
 builds the full parser, with every command, when the first argument names
 no command (--help, a missing or an unknown command, a leading option),
-when the command's parser leaves arguments over (-h, --help and its
-abbreviations among them) and when it meets an error; the full parser then
-gives argparse's own help, usage and error text.  It measures the terminal
-once per build, and every parser it makes formats at that width: argparse
-would measure it again for each argument added, through a formatter of its
-own.  No parser is cached between calls: see build_parser.
+and when the command's parser meets an error, leftover arguments (-h,
+--help and its abbreviations) among them; the full parser then gives
+argparse's own help, usage and error text.  No parser is cached between
+calls: see build_parser.
 Importing this module loads ``category`` and ``syntax``; ``check`` alone
 loads ``cdc`` and ``generators``, when it runs.
 
@@ -38,7 +36,6 @@ import functools
 import json
 import os
 import re
-import shutil
 import sys
 
 from . import category
@@ -305,16 +302,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subparser that the full parser builds for it, but no -h (--help and its
     abbreviations are left over), and its ``error`` raises instead of
     printing usage.  It never formats, so its formatter has a constant width
-    and it never measures the terminal.  main hands its leftovers and errors
-    to the full parser, so every help, usage and error text comes from the
-    full parser alone (see the module docstring).
-
-    The full parser measures the terminal once per build.  argparse makes a
-    formatter to check the metavars of every argument added, and
-    ``HelpFormatter`` measures the terminal each time it is made: 49 times
-    in ``--help``.  Every parser of the full build takes one
-    ``HelpFormatter`` class instead, its ``width`` fixed to what it would
-    measure, so help, usage and error text are the same.
+    and it never measures the terminal.  main hands its errors, leftovers
+    among them, to the full parser, so every help, usage and error text comes
+    from the full parser alone, formatted by argparse's own
+    ``HelpFormatter`` (see the module docstring).
 
     Neither parser is cached between calls.  Building one is most of the
     time of a small command: a cached parser made 3534 to 3558 of the
@@ -327,18 +318,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         return _add_arguments(
             _CommandParser(prog=f"diffmonads {command}", add_help=False,
                            formatter_class=_UNFORMATTED), command)
-    # the width that argparse.HelpFormatter would measure for itself
-    formatter = functools.partial(
-        argparse.HelpFormatter,
-        width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="diffmonads", formatter_class=formatter,
+        prog="diffmonads",
         description="Exact computations and axiom checks for differential "
                     "theories of power series, divided powers, and words.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, summary) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=summary,
-                                      formatter_class=formatter), name)
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
@@ -346,13 +332,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = extra = None
+        args = None
         if argv and argv[0] in _COMMANDS:
             try:
-                args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+                args = build_parser(argv[0]).parse_args(argv[1:])
             except _CannotAnswer:
                 pass
-        if args is None or extra:  # the full parser's help and errors
+        if args is None:  # the full parser's help and errors
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

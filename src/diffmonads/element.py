@@ -41,8 +41,10 @@ A subclass supplies these hooks; the first four work on coefficient dicts:
   cost: repeated products by default, the divided power for divided powers;
 * ``_cost(a, b)`` and ``_UNIT``: the cost of a product and its unit, term
   pairs or interleavings, for ``_charge``;
-* ``_combinator(coeffs, n, p)``: the coefficients of the combinator of an
-  element over n variables, with ``p`` the field's modulus (None over Q);
+* ``_combinator(coeffs, n, p)`` (divided powers and words): the
+  coefficients of the combinator of an element over n variables, with ``p``
+  the field's modulus (None over Q); series build theirs in their own
+  ``partial_combinator``, which checks the series is reduced;
 * ``_lower(key, x)`` (divided powers and words): the key of d/dx of the
   basis element ``key``, empty (falsy) for the field unit, None for zero;
 * ``_target(args, arity)``: the shape of a substitution (series add their

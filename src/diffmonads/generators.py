@@ -18,16 +18,19 @@ next lane into the high half of a lane, where the mask clears them, and a
 64-bit lane times a 64-bit constant is below 2^128, so no carry crosses into
 the next lane.  The last xor-shift only spoils high halves, which are never
 read: the low halves are read out through ``int.to_bytes`` and an
-``array('Q')``.  Blocks grow from 8 to 64 outputs, so a stream that draws a
-few values pays for a short block only; the scalar :func:`_finalize` is their
-reference and serves :func:`mix`.  Trial k of an axiom runs from seed
-``mix(seed, stable_hash(axiom), k)`` whatever the theory, so
-:func:`trial_streams` keeps what each trial of the latest seed has drawn, and
-a stream of that trial reads it back before it finalizes blocks, appending
-them where the memo ends: a memoized output never changes, and each theory
-after the first at a seed finalizes only what it draws past the others.  The
-memo holds ``MEMO_TRIALS`` trials, and a new seed empties it.  A trial
-replays from its seed alone: every stream is ``SplitMix64(seed_k)``.
+``array('Q')``.  Every block holds ``_BLOCK`` = 32 outputs; the scalar
+:func:`_finalize` is their reference and serves :func:`mix`.  Trial k of an
+axiom runs from seed ``mix(seed, stable_hash(axiom), k)`` whatever the
+theory, so :func:`trial_streams` keeps what each trial of the latest seed has
+drawn, and a stream of that trial reads it back before it finalizes blocks,
+appending them where the memo ends: a memoized output never changes, and
+each theory after the first at a seed finalizes only what it draws past the
+others.  Blocks that grow from a few outputs would spare a stream that draws
+a few values the rest of a long block; but the memo keeps that rest, and the
+next theory at the seed reads it, so one block size makes fewer lane passes
+and finalizes in vain only what no theory at the seed draws.  The memo holds
+``MEMO_TRIALS`` trials, and a new seed empties it.  A trial replays from its
+seed alone: every stream is ``SplitMix64(seed_k)``.
 
 :func:`sampler` builds the draws of a random element for a theory and bounds
 once, and keeps them in ``theory.samplers``; :func:`random_element` and the
@@ -59,36 +62,32 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _finalize_lanes(z: int, mask: int) -> int:
-    """:func:`_finalize` on the low 64 bits, kept by ``mask``, of every
-    128-bit lane of ``z`` at once; the high halves come out unmasked."""
-    z &= mask
-    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-    return z ^ (z >> 31)
-
-
-def _block_constants(size: int) -> tuple:
-    """(size, lane ones, lane steps, lane mask) of a block of ``size``
-    outputs: lane k of ``state * ones + steps`` is state + (k+1)*gamma."""
-    ones = sum(1 << (128 * k) for k in range(size))
-    steps = sum((k + 1) * _GAMMA << (128 * k) for k in range(size))
-    return size, ones, steps, MASK64 * ones
-
-
-_BLOCKS = tuple(_block_constants(size) for size in (8, 16, 32, 64))
+# Outputs per block; lane k of ``state * _ONES + _STEPS`` is
+# state + (k+1)*gamma, and ``_LANES`` keeps the low half of every lane.
+_BLOCK = 32
+_ONES = sum(1 << (128 * k) for k in range(_BLOCK))
+_STEPS = sum((k + 1) * _GAMMA << (128 * k) for k in range(_BLOCK))
+_LANES = MASK64 * _ONES
 # The low half of every 128-bit lane, as 64-bit words in native order.
 _LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
+def _finalize_lanes(z: int) -> int:
+    """:func:`_finalize` on the low 64 bits of every 128-bit lane of a block
+    ``z`` at once; the high halves come out unmasked."""
+    z &= _LANES
+    z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
+    z = ((z ^ (z >> 27)) & _LANES) * _MIX2 & _LANES
+    return z ^ (z >> 31)
+
+
 def _blocks(state: int):
-    """The splitmix64 stream after ``state``, as arrays of consecutive
-    outputs (see the module docstring)."""
-    for size, ones, steps, mask in itertools.chain(
-            _BLOCKS, itertools.repeat(_BLOCKS[-1])):
-        z = _finalize_lanes(state * ones + steps, mask)
-        yield array("Q", z.to_bytes(16 * size, sys.byteorder))[_LOW_HALVES]
-        state = (state + size * _GAMMA) & MASK64
+    """The splitmix64 stream after ``state``, as arrays of ``_BLOCK``
+    consecutive outputs (see the module docstring)."""
+    while True:
+        z = _finalize_lanes(state * _ONES + _STEPS)
+        yield array("Q", z.to_bytes(16 * _BLOCK, sys.byteorder))[_LOW_HALVES]
+        state = (state + _BLOCK * _GAMMA) & MASK64
 
 
 def _memoized(state: int, drawn: array):
@@ -99,7 +98,7 @@ def _memoized(state: int, drawn: array):
     for block in _blocks((state + at * _GAMMA) & MASK64):
         if len(drawn) == at:
             drawn.extend(block)
-        at += len(block)
+        at += _BLOCK
         yield block
 
 
@@ -108,8 +107,9 @@ class SplitMix64:
 
     ``next_u64`` is an instance attribute, a builtin callable that returns
     the next output, so a caller that draws many values (a sampler) calls
-    it directly.  ``drawn``, when given, holds the first outputs of the
-    stream and takes those finalized after them (:func:`trial_streams`).
+    it directly.  It finalizes ``_BLOCK`` outputs at a time.  ``drawn``,
+    when given, holds the first outputs of the stream and takes the blocks
+    finalized after them (:func:`trial_streams`).
     """
 
     __slots__ = ("next_u64",)

@@ -439,8 +439,6 @@ class SeriesElement(MonomialElement):
         return SeriesElement._make((self.arity, new_cap, False, self.field),
                                    out)
 
-    _combinator = staticmethod(_combinator_coeffs)
-
     def partial_combinator(self) -> "SeriesElement":
         """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i.
 

@@ -1,14 +1,14 @@
 """The per-trial kernels against the scalar code they replace.
 
 * ``SplitMix64`` finalizes its outputs in blocks of 128-bit lanes; the
-  scalar splitmix64 step is the reference, over several blocks of every size.
+  scalar splitmix64 step is the reference, over several blocks.
 * ``trial_streams`` keeps what each trial of the latest seed has drawn;
   ``SplitMix64(mix(seed, salt, k))`` is the reference, on a stream that
   reads the memo and draws past the block boundaries after it, on trials
   past the memo, and on two streams of one trial drawing in turn.  A run
   after another at a seed finalizes nothing it drew and changes no verdict,
-  the memo stays under its bound, and memory does not grow with the trial
-  count.
+  the memo holds whole blocks and stays under its bound, and memory does not
+  grow with the trial count.
 * ``random_element`` writes its draws out in a sampler kept per theory and
   bounds; the loop of ``randint`` calls, ``_key`` over (variable, 1) pairs
   and ``accumulate`` that it replaces is the reference, on ordinary and on
@@ -70,9 +70,8 @@ def scalar_stream(seed: int, count: int) -> list[int]:
     return out
 
 
-# 8 + 16 + 32 + 64 * 5 = 376 outputs cross every block boundary up to the
-# fifth block of 64.
-STREAM_LENGTH = 8 + 16 + 32 + 64 * 5
+# 376 outputs cross 11 block boundaries and end inside the twelfth block.
+STREAM_LENGTH = 376
 
 
 @pytest.mark.parametrize("seed", [
@@ -115,9 +114,8 @@ TRIALS = (0, 1, 63, 64, 65, 200, MEMO + 1)
 
 
 def past_the_blocks(outputs: int) -> int:
-    """Outputs that cross each block boundary after the first ``outputs``:
-    into the blocks of 8, 16, 32 and 64 outputs and into the second of 64."""
-    return outputs + 8 + 16 + 32 + 64 + 1
+    """Outputs that cross two block boundaries after the first ``outputs``."""
+    return outputs + 2 * gen._BLOCK + 1
 
 
 def drawn(streams, outputs: int, trials=None) -> dict:
@@ -175,7 +173,8 @@ def test_a_stream_resumes_after_drawn_outputs_of_every_length(seed):
 # Two readers of one trial draw in turn, in these runs: the first finalizes a
 # block of its own, the second passes it in the memo and appends the next
 # block, and the first then finalizes a block that the memo already holds.
-TURNS = [(9, 17, 100, 92), (1, 9, 30, 50, 100, 130, 200, 142)]
+# Each reader crosses the block boundaries at 32 and 64 outputs.
+TURNS = [(33, 65, 40, 8), (1, 33, 34, 40, 100, 130, 200, 132)]
 
 
 @pytest.mark.parametrize("turns", TURNS)
@@ -189,7 +188,7 @@ def test_interleaved_streams_of_a_trial_read_the_reference(turns):
     drawn(gen.trial_streams(seed, salt, trials), 5)
     memo = gen._memo.salts[salt][1]
     before = [list(outputs) for outputs in memo]
-    assert [len(outputs) for outputs in before] == [8] * trials
+    assert [len(outputs) for outputs in before] == [gen._BLOCK] * trials
     total = sum(turns[0::2])
     assert sum(turns[1::2]) == total
     for k, ((seed_a, a), (seed_b, b)) in enumerate(zip(
@@ -202,7 +201,7 @@ def test_interleaved_streams_of_a_trial_read_the_reference(turns):
         want = scalar_stream(gen.mix(seed, salt, k), total)
         assert seed_a == seed_b == gen.mix(seed, salt, k)
         assert reads[a] == reads[b] == want
-        assert list(memo[k][:8]) == before[k]
+        assert list(memo[k][:gen._BLOCK]) == before[k]
         assert list(memo[k]) == scalar_stream(seed_a, len(memo[k]))
     assert drawn(gen.trial_streams(seed, salt, trials), total + 1) == \
         reference_streams(seed, salt, range(trials), total + 1)
@@ -250,6 +249,19 @@ def test_the_memo_changes_no_verdict():
     assert after == alone
     assert all(any(failures for _, _, failures in alone[k])
                for k in (1, 2, 4))
+
+
+def test_memo_rows_are_whole_blocks():
+    """After the acceptance theories run at a seed, what each trial drew is
+    whole blocks from the start of its stream."""
+    cfg = GenConfig(seed=4242)
+    empty_the_memo(cfg.seed)
+    for theory in THEORIES:
+        dm.check_all(theory, cfg, 20)
+    rows = [len(row) for _, drawn in gen._memo.salts.values()
+            for row in drawn]
+    assert rows and all(length % gen._BLOCK == 0 for length in rows)
+    assert max(rows) > gen._BLOCK
 
 
 def test_the_memo_holds_at_most_memo_trials():
