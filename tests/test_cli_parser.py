@@ -174,6 +174,28 @@ def test_a_command_never_measures_the_terminal(monkeypatch, argv):
     assert _terminal_probes(monkeypatch, argv) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("derive", "x1", "extra"),
+    ("derive", "-h"),
+], ids=["help", "leftover", "command-help"])
+def test_the_full_parser_wraps_at_the_terminal_width(monkeypatch, argv):
+    """Help, a leftover's error and a command's help come from the full
+    parser, and its formatter reads COLUMNS: the usage line that fits in 200
+    columns wraps in 40."""
+    texts = {}
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = _captured(cli.main, argv)
+        texts[columns] = out + err
+        assert code in (0, 2) and "usage: " in texts[columns]
+    assert texts[40] != texts[200]
+    # a usage line that wraps goes on in an indented line
+    second = {columns: text.split("usage: ")[1].splitlines()[1]
+              for columns, text in texts.items()}
+    assert second[40].startswith(" ") and not second[200].startswith(" ")
+
+
 @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
 def test_a_command_translates_only_the_group_titles(monkeypatch, argv):
     """argparse looks up its own strings through gettext; the help of -h was
@@ -215,6 +237,42 @@ def _stock_formatter(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(argparse.ArgumentParser, "__init__", stock_init)
         yield
+
+
+def _parser_and_subparsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.values()
+
+
+def _formatting_parsers(command):
+    """The full parser and its subparsers, or the subparser of ``command``:
+    the parsers whose help, usage and errors main prints."""
+    parsers = list(_parser_and_subparsers(cli.build_parser()))
+    if command is None:
+        return parsers
+    return [p for p in parsers if p.prog == f"diffmonads {command}"]
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_and_usage_match_the_stock_formatter(monkeypatch, columns,
+                                                  command):
+    """Parsers built at another width format at the width of the terminal
+    when they format, as stock parsers built at that width do: no width is
+    fixed when a parser is built."""
+    monkeypatch.setenv("COLUMNS", str(max(WIDTHS) + min(WIDTHS) - columns))
+    built = _formatting_parsers(command)
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with _stock_formatter(monkeypatch):
+        stock = _formatting_parsers(command)
+    assert len(built) == len(stock) == (1 if command else
+                                        1 + len(cli._COMMANDS))
+    for ours, theirs in zip(built, stock):
+        assert ours.formatter_class is argparse.HelpFormatter
+        assert ours.format_usage() == theirs.format_usage()
+        assert ours.format_help() == theirs.format_help()
 
 
 @pytest.mark.parametrize("columns", WIDTHS)
