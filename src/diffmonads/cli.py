@@ -32,7 +32,6 @@ size bound, and silently on a closed stdout (``| head``) and on Ctrl-C.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -283,15 +282,18 @@ class _CannotAnswer(Exception):
     """A command's own parser met an error; the full parser reports it."""
 
 
+# the one formatter of every command's parser; its width spares a probe
+_UNFORMATTED = argparse.HelpFormatter("diffmonads", width=80)
+
+
 class _CommandParser(argparse.ArgumentParser):
     """A command's own parser: raises where argparse would print usage."""
 
     def error(self, message):
         raise _CannotAnswer(message)
 
-
-# a command's own parser never formats: this width spares the terminal probe
-_UNFORMATTED = functools.partial(argparse.HelpFormatter, width=80)
+    def _get_formatter(self):
+        return _UNFORMATTED
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -301,23 +303,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     A command's own parser has the prog, options and operands of the
     subparser that the full parser builds for it, but no -h (--help and its
     abbreviations are left over), and its ``error`` raises instead of
-    printing usage.  It never formats, so its formatter has a constant width
-    and it never measures the terminal.  main hands its errors, leftovers
-    among them, to the full parser, so every help, usage and error text comes
-    from the full parser alone, formatted by argparse's own
-    ``HelpFormatter`` (see the module docstring).
+    printing usage.  It never formats, so the formatter argparse asks for
+    in each ``add_argument``, to check the metavar, is the shared
+    ``_UNFORMATTED``.  main hands its errors, leftovers among them, to the
+    full parser, so every help, usage and error text comes from the full
+    parser alone, formatted by argparse's own ``HelpFormatter`` (see the
+    module docstring).
 
-    Neither parser is cached between calls.  Building one is most of the
-    time of a small command: a cached parser made 3534 to 3558 of the
-    benchmark's ``cli`` commands per second, against 1775 to 1780.  But it
-    raised that workload's peak RSS by 8% to 11% in 20 s runs (28.2 to 28.6
-    MB, against 25.6 to 26.4 MB), over its 5% bound: the benchmark keeps a
-    record per timed call, and the cached parser made twice the calls.
+    Neither parser is cached between calls.  A cached parser made 3556 to
+    3674 of the benchmark's ``cli`` commands per second, against 2005 to
+    2014, but raised that workload's peak RSS by 7.3% to 8.5%, over its 5%
+    bound.  The rise is the benchmark's own records, about 56 bytes per
+    timed call (no-op calls alone read 24.64 MB at 50,000 calls and 27.45 MB
+    at 100,000; the library's 1.4 MB fills within 5000 calls), so no change
+    here can offset it, and any ``cli`` gain past about 45% crosses the
+    bound: the cache waits for the benchmark to measure the library alone.
     """
     if command is not None:
         return _add_arguments(
-            _CommandParser(prog=f"diffmonads {command}", add_help=False,
-                           formatter_class=_UNFORMATTED), command)
+            _CommandParser(prog=f"diffmonads {command}", add_help=False),
+            command)
     parser = argparse.ArgumentParser(
         prog="diffmonads",
         description="Exact computations and axiom checks for differential "

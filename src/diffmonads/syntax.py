@@ -17,8 +17,13 @@ Terms:
 joined with ``+`` and ``-``.  The zero element prints as ``0``.  The
 grammar is ASCII: digits are ``0-9`` and blanks are ASCII whitespace, so
 any other digit or space is an unexpected character.
-``parse_elements`` reads the operands of a command: each is tokenized once,
-and an omitted arity is the highest variable number in the tokens.
+``parse_elements`` reads a command's operands.  Each is tokenized in one
+pass of ``_TOKEN.finditer``, whose last alternative takes any character the
+grammar lacks; an omitted arity is the highest variable number in the
+tokens; then one loop over each operand's tokens reads its terms.  Errors
+come in this order: every operand's tokens, then each operand in turn: its
+syntax, variables, exponents and denominators where they occur, then the
+constant-term rule, then the key checks of the element's constructor.
 """
 
 from __future__ import annotations
@@ -30,139 +35,124 @@ from .element import Element
 from .errors import (ArityError, ParseError, ShapeMismatch, TooLarge,
                      too_many_variables)
 from .powerseries import EMPTY_INDEX
-from .scalars import FieldSpec, Scalar
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)|(?P<sym>[+\-*/^\[\].])",
-                    re.ASCII)
+_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)"
+                    r"|(?P<sym>[+\-*/^\[\].])|(?P<bad>.)", re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(tag, value, position) per token, then ("end", None, len(text)); a
+    variable's value is (d prefixes, number), a symbol is its own tag."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        pos = m.start()
         try:
-            if m.lastgroup == "num":
+            if kind == "num":
                 tokens.append(("num", int(m.group()), pos))
-            elif m.lastgroup == "var":
+            elif kind == "var":
                 name = m.group()
-                q = len(name) - len(name.lstrip("d"))
+                q = name.index("x")
                 tokens.append(("var", (q, int(name[q + 1:])), pos))
-            elif m.lastgroup == "sym":
+            elif kind == "sym":
                 tokens.append((m.group(), None, pos))
+            else:
+                raise ParseError(f"unexpected character {m.group()!r}", pos)
         except ValueError:  # past the interpreter's digit limit
             raise ParseError("number too long", pos) from None
-        pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list, element: type, field: FieldSpec,
-                 arity: int, base_arity: int):
-        self.tokens = tokens
-        self.i = 0
-        self.element = element
-        self.field = field
-        self.arity = arity
-        self.base = base_arity
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def take(self, expect: str | None = None):
-        tag, value, pos = self.tokens[self.i]
-        if expect is not None and tag != expect:
-            raise ParseError(f"expected {expect!r}, found {tag!r}", pos)
-        self.i += 1
-        return value, pos
-
-    def var_index(self) -> int:
-        (q, k), pos = self.take("var")
-        if k < 1 or k > self.base:
-            raise ArityError(f"variable number {k} outside base block of "
-                             f"size {self.base} (at position {pos})")
-        idx = q * self.base + (k - 1)
-        if idx >= self.arity:
-            raise ArityError(f"variable block {q} exceeds arity {self.arity} "
-                             f"(at position {pos})")
-        return idx
-
-    def coefficient(self) -> Scalar:
-        num, _ = self.take("num")
-        if self.peek() == "/":
-            self.take()
-            den, pos = self.take("num")
-            if not self.field.raw(den):  # 0, or a multiple of p in F_p
-                raise ParseError(f"denominator {den} is zero in {self.field}"
-                                 if den else "zero denominator", pos)
-            return self.field.from_fraction(num, den)
-        return self.field.embed(num)
-
-    def basis(self):
-        """One monomial or word, as a key.
-
-        Factors are joined by the element's separator; a monomial's factor
-        may carry an exponent in the element's brackets, and its separator
-        joins only when a variable follows.
-        """
-        sep, opening, closing = self.element.notation
-        pairs = []
-        while True:
-            v = self.var_index()
-            e = 1
-            if opening is not None and self.peek() == "^":
-                self.take()
-                if opening:
-                    self.take(opening)
-                e, pos = self.take("num")
-                if closing:
-                    self.take(closing)
-                if e < 1:
-                    raise ParseError("exponents must be positive", pos)
-            pairs.append((v, e))
-            if self.peek() != sep or (opening is not None and
-                                      self.tokens[self.i + 1][0] != "var"):
-                return self.element._key(pairs)
-            self.take()
-
-    def term(self):
-        if self.peek() == "num":
-            c = self.coefficient()
-            if self.peek() == "*":
-                self.take()
-                return self.basis(), c
-            return None, c  # bare scalar: a constant term
-        return self.basis(), self.field.one()
-
-    def expression(self):
-        """Terms joined by + and -; the first may carry a sign."""
-        terms = []
-        while not terms or self.peek() in ("+", "-"):
-            op = self.peek()
-            if op in ("+", "-"):
-                self.take()
-            key, c = self.term()
-            terms.append((key, -c if op == "-" else c))
-        if self.peek() != "end":
-            raise ParseError("trailing input", self.tokens[self.i][2])
-        return terms
+def _expected(expect: str, token: tuple) -> ParseError:
+    return ParseError(f"expected {expect!r}, found {token[0]!r}", token[2])
 
 
 def _parse(tokens: list, theory, arity: int, base: int):
-    """The element of the theory that ``tokens`` spell over ``arity``."""
-    if arity > theory.element.ARITY_LIMIT:  # checked before a key is built
-        raise too_many_variables(arity, theory.element.ARITY_LIMIT)
-    terms = _Parser(tokens, theory.element, theory.field, arity,
-                    base).expression()
-    if theory.reduced and any(k is None for k, _ in terms):
+    """The element of the theory that ``tokens`` spell over ``arity``, with
+    variable numbers in blocks of ``base``: one loop reads the terms, and a
+    monomial's separator joins only when a variable follows.  The
+    constant-term rule waits for the last term (see the module docstring)."""
+    element, field = theory.element, theory.field
+    if arity > element.ARITY_LIMIT:  # checked before a key is built
+        raise too_many_variables(arity, element.ARITY_LIMIT)
+    sep, opening, closing = element.notation
+    exponent = tuple(filter(None, (opening, "num", closing)))  # after a ^
+    key_of = element._key
+    terms = []
+    constant = False
+    i = 0
+    tag = tokens[0][0]
+    while True:
+        negative = tag == "-"
+        if negative or tag == "+":
+            i += 1
+            tag = tokens[i][0]
+        elif terms:
+            break
+        if tag == "num":
+            num = tokens[i][1]
+            i += 1
+            tag = tokens[i][0]
+            if tag == "/":
+                token = tokens[i + 1]
+                if token[0] != "num":
+                    raise _expected("num", token)
+                den = token[1]
+                if not field.raw(den):  # 0, or a multiple of p in F_p
+                    raise ParseError(f"denominator {den} is zero in {field}"
+                                     if den else "zero denominator", token[2])
+                c = field.from_fraction(num, den)
+                i += 2
+                tag = tokens[i][0]
+            else:
+                c = field.embed(num)
+            if tag != "*":  # a bare scalar: a constant term
+                terms.append((EMPTY_INDEX, -c if negative else c))
+                constant = True
+                continue
+            i += 1
+        else:
+            c = field.one()
+        pairs = []
+        while True:
+            token = tokens[i]
+            if token[0] != "var":
+                raise _expected("var", token)
+            (q, k), pos = token[1], token[2]
+            if k < 1 or k > base:
+                raise ArityError(f"variable number {k} outside base block of "
+                                 f"size {base} (at position {pos})")
+            v = q * base + (k - 1)
+            if v >= arity:
+                raise ArityError(f"variable block {q} exceeds arity {arity} "
+                                 f"(at position {pos})")
+            i += 1
+            e = 1
+            if opening is not None and tokens[i][0] == "^":
+                for want in exponent:
+                    i += 1
+                    if tokens[i][0] != want:
+                        raise _expected(want, tokens[i])
+                _, e, pos = tokens[i - len(closing)]
+                i += 1
+                if e < 1:
+                    raise ParseError("exponents must be positive", pos)
+            pairs.append((v, e))
+            tag = tokens[i][0]
+            if tag != sep or (opening is not None and
+                              tokens[i + 1][0] != "var"):
+                break
+            i += 1
+        terms.append((key_of(pairs), -c if negative else c))
+    if tag != "end":
+        raise ParseError("trailing input", tokens[i][2])
+    if constant and theory.reduced:
         raise ParseError("constant terms are only allowed in the polynomial "
                          "theory", 0)
-    return theory.element.from_terms(
-        *theory.shapes[arity],
-        [(EMPTY_INDEX if k is None else k, c) for k, c in terms])
+    return element.from_terms(*theory.shapes[arity], terms)
 
 
 def parse_elements(texts, theory, arity: int | None = None):
@@ -206,25 +196,25 @@ def _scalar_sign_split(value, p: int | None) -> tuple[bool, str]:
 
 
 def format_element(elem, base_arity: int | None = None) -> str:
-    """Terms by degree, then by their (variable, exponent) pairs; exponents
-    in brackets always, bare ones only above 1."""
+    """Terms by degree, then by their (variable, exponent) pairs, each
+    computed once per key; exponents in brackets always, bare ones only
+    above 1."""
     if not isinstance(elem, Element):
         raise ShapeMismatch(f"cannot format {type(elem).__name__}")
     base = base_arity if base_arity is not None else elem.arity
     sep, opening, closing = elem.notation
     pairs, degree = elem._pairs, elem._degree
-    keys = sorted(elem.coeffs, key=lambda key: (degree(key), pairs(key)))
-
-    def render(key):
-        return sep.join(variable_name(v, base) +
-                        (f"^{opening}{e}{closing}" if e > 1 or opening else "")
-                        for v, e in pairs(key))
-    if not keys:
+    rows = sorted([(degree(key), pairs(key), c)
+                   for key, c in elem.coeffs.items()])
+    if not rows:
         return "0"
+    p = elem.field.p
     pieces = []
-    for k, key in enumerate(keys):
-        neg, mag = _scalar_sign_split(elem.coeffs[key], elem.field.p)
-        body = render(key)
+    for k, (_, factors, c) in enumerate(rows):
+        neg, mag = _scalar_sign_split(c, p)
+        body = sep.join(variable_name(v, base) +
+                        (f"^{opening}{e}{closing}" if e > 1 or opening else "")
+                        for v, e in factors)
         if body == "":
             piece = mag
         elif mag == "1":

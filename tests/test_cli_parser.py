@@ -213,6 +213,22 @@ def test_a_command_translates_only_the_group_titles(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_a_command_builds_no_formatter(monkeypatch, argv):
+    """argparse builds a formatter in every add_argument to check the
+    metavar (6 to 8 for these commands); a command's parser shares one."""
+    built = []
+    init = argparse.HelpFormatter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.HelpFormatter, "__init__", counting_init)
+    _captured(cli.main, argv)
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
 def test_a_command_parser_never_prints(capsys, argv):
     """No -h, and an error raises: neither prints help or usage."""
     parser = cli.build_parser(argv[0])
