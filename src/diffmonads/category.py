@@ -5,20 +5,26 @@ substitution.  Products of objects are sums of arities, which makes the
 structural maps (identities, projections, injections, the sum map, the lift
 map ell and the interchange map c) linear: each component is a sum of
 variables or zero.  A structural map carries that *linear spec*, the tuple of
-variables that each component sums, and its components are built once per
-theory and spec, each as one coefficient dict of unit keys; the specs of the
-named maps, and of the product of two structural maps, are cached per
-process; the monad's units are the identity's.  Composing an element along
-a structural map (:func:`along`) rewrites its keys directly
-(``substitute_linear``) where the theory's keys can follow the spec: words
-follow every spec, and packed monomials every spec whose targets are
-pairwise distinct, renamings alike and sums (the sum map) at exponents up
-to 1, as in the derivatives that CD.2 and dc.2 compose.  A spec with a
-repeated target (the diagonal), or a summed exponent above 1, takes the
-generic substitution of the memoized components.  The generic
-substitution, which the monad laws, CD.5 and dc.4 still exercise, is the
-oracle of the key rewrites.  Differentiation applies the theory's
-combinator componentwise and doubles the source arity.
+variables that each component sums, and is built once per theory and spec.
+Its components share elements: a single variable is the source's unit
+x_v, an empty sum the source's one zero, and only a sum of two or more
+variables is a coefficient dict of its own.  The specs of the named maps, and
+of the product of two structural maps, are cached per process; the monad's
+units are the identity's.  Composing an element along a structural map
+(:func:`along`) rewrites its keys directly (``substitute_linear``) where the
+theory's keys can follow the spec: words follow every spec, and packed
+monomials every spec whose targets are pairwise distinct, renamings alike
+and sums (the sum map) at exponents up to 1, as in the derivatives that CD.2
+and dc.2 compose.  A spec with a repeated target (the diagonal), or a summed
+exponent above 1, takes the generic substitution of the memoized
+components.  The generic substitution, which the monad laws, CD.5 and dc.4
+still exercise, is the oracle of the key rewrites.  Differentiation applies
+the theory's combinator componentwise and doubles the source arity.
+
+Theories are interned: :func:`make_theory` returns one theory per kind,
+field and effective cap while :func:`interned_theory` keeps it, so the memos
+of its structural maps and samplers last across checks.  Build a
+``Theory(...)`` directly for a theory, and memos, of your own.
 
 This module loads with the package and needs only the element core.  The
 checks that this category is Cartesian differential are in ``cdc``.
@@ -92,7 +98,7 @@ class Theory:
     """
 
     __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
-                 "structural", "samplers")
+                 "units", "structural", "samplers")
 
     mutation = None  # in a MutatedTheory, the name of its near-miss combinator
 
@@ -111,7 +117,8 @@ class Theory:
         self.cap = cap
         self.shapes = _Shapes(tuple(getattr(self, name)
                                     for name in self.element.SHAPE[1:]))
-        self.structural: dict = {}  # (source, spec) -> the components
+        self.units: dict = {}  # source -> (x_0, ..., x_{source-1}, zero)
+        self.structural: dict = {}  # (source, spec) -> the Morphism
         # (coeff_min, coeff_max, max_degree, max_terms) -> the sampler of
         # generators.random_element
         self.samplers: dict = {}
@@ -136,41 +143,51 @@ class Theory:
         return self.eta_tuple(arity)[i]
 
     def eta_tuple(self, arity: int) -> tuple:
-        return self.linear_components(arity, _block(0, arity))
+        return self.linear_map(arity, _block(0, arity)).components
 
     def linear_components(self, source: int, spec: tuple) -> tuple:
         """The components of the structural map source -> len(spec): the i-th
         is the sum of the variables in ``spec[i]`` (zero when it is empty).
+        They are those of the memoized :meth:`linear_map`."""
+        return self.linear_map(source, spec).components
 
-        Structural maps are immutable, so the components are built once per
-        theory and spec; ``spec`` is a tuple of tuples of variable indices.
-        Each component is one coefficient dict of unit keys, so a variable
-        repeated in a sum adds up (and vanishes in characteristic 2).  The
-        memo holds no morphism, which would refer back to the theory and
-        keep it alive until a garbage collection.
+    def linear_map(self, source: int, spec: tuple) -> "Morphism":
+        """The structural map source -> len(spec) of linear spec ``spec``, a
+        tuple of tuples of variable indices.
+
+        Structural maps are immutable, so each is built once per theory and
+        spec, and an interned theory (:func:`make_theory`) keeps it for the
+        process.  A component of one variable is the source's unit x_v and
+        an empty one the source's zero, shared by every map out of
+        ``source``; a sum is one coefficient dict of unit keys, so a variable
+        repeated in it adds up (and vanishes in characteristic 2).
         """
-        comps = self.structural.get((source, spec))
-        if comps is None:
-            element = self.element
-            key = element._key
-            shape = self.shapes[source]
-            p = self.field.p
-            built = []
+        got = self.structural.get((source, spec))
+        if got is None:
             for variables in spec:
-                coeffs: dict = {}
                 for v in variables:
                     if not 0 <= v < source:
                         raise ShapeMismatch(f"variable {v} out of range for "
                                             f"arity {source}")
-                    accumulate(coeffs, key(((v, 1),)), 1, p)
-                built.append(element._make(shape, coeffs))
-            comps = self.structural[source, spec] = tuple(built)
-        return comps
-
-    def linear_map(self, source: int, spec: tuple) -> "Morphism":
-        """The structural map source -> len(spec) of linear spec ``spec``."""
-        return Morphism._make(self, source, len(spec),
-                              self.linear_components(source, spec), spec)
+            element, p = self.element, self.field.p
+            units = self.units.get(source)
+            if units is None and spec:
+                shape = self.shapes[source]
+                units = self.units[source] = tuple(
+                    element._make(shape, {element._key(((v, 1),)): 1})
+                    for v in range(source)) + (element._make(shape, {}),)
+            comps = []
+            for variables in spec:
+                if len(variables) < 2:
+                    comps.append(units[variables[0] if variables else -1])
+                else:
+                    coeffs: dict = {}
+                    for v in variables:
+                        accumulate(coeffs, element._key(((v, 1),)), 1, p)
+                    comps.append(element._make(self.shapes[source], coeffs))
+            got = self.structural[source, spec] = Morphism._make(
+                self, source, len(spec), tuple(comps), spec)
+        return got
 
     # -- the differential structure ------------------------------------------
 
@@ -202,10 +219,33 @@ class Theory:
         return f"Theory({self.name}, {self.field!r}{cap}{mutation})"
 
 
+# Interned theories, at most this many: the 9 acceptance configurations and
+# the 3 mutated theories over Q and F5 fit, with room to spare.
+INTERNED_THEORIES = 32
+
+
+@lru_cache(maxsize=INTERNED_THEORIES)
+def interned_theory(cls: type, name: str, field: FieldSpec,
+                    cap: int | None) -> Theory:
+    """The process's one ``cls(name, field, cap)``, while the cache keeps it:
+    a :class:`Theory`, or a subclass that takes the same arguments.  A call
+    that raises caches nothing."""
+    return cls(name, field, cap)
+
+
 def make_theory(kind: str, field: FieldSpec, cap: int | None = 6) -> Theory:
-    """Build a theory from its name in :data:`THEORIES`; ``cap`` acts only
-    where the row has ``cap_option``."""
-    return Theory(kind, field, cap)
+    """The interned theory of the row ``kind`` of :data:`THEORIES`, over
+    ``field``; ``cap`` acts only where the row has ``cap_option``.
+
+    Equal arguments, and caps that the row ignores, give the same theory,
+    with the memos of its structural maps and samplers, for as long as
+    :func:`interned_theory` keeps it; build ``Theory(kind, field, cap)`` for
+    a private theory with memos of its own.  A bad kind or cap raises on
+    every call."""
+    row = THEORIES.get(kind)
+    if row is not None and not row.cap_option:
+        cap = None
+    return interned_theory(Theory, kind, field, cap)
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -38,7 +38,8 @@ from . import generators
 # found in vars(cdc), and bench/workloads.py reads cdc.MUTATIONS.
 from .category import (Morphism, Theory, along, codiagonal, compose,
                        differentiate, identity, injection, interchange_map,
-                       lift_map, make_theory, pairing, product_map, projection)
+                       interned_theory, lift_map, make_theory, pairing,
+                       product_map, projection)
 from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch, TooLarge
@@ -491,7 +492,9 @@ def mutation_is_caught(mutation: str, field: FieldSpec, cfg,
     """Run every checker against a mutated combinator.
 
     Returns {axiom: failure-count}; the mutation counts as caught when at
-    least one axiom reports a failure.
+    least one axiom reports a failure.  The mutated theory is interned, as
+    ``make_theory`` interns theories: one per mutation, field and cap, whose
+    structural maps and samplers last across calls.
     """
-    broken = MutatedTheory(mutation, field, cap)
+    broken = interned_theory(MutatedTheory, mutation, field, cap)
     return {r.axiom: len(r.failures) for r in check_all(broken, cfg, trials)}

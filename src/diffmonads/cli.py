@@ -310,14 +310,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser alone, formatted by argparse's own ``HelpFormatter`` (see the
     module docstring).
 
-    Neither parser is cached between calls.  A cached parser made 3556 to
-    3674 of the benchmark's ``cli`` commands per second, against 2005 to
-    2014, but raised that workload's peak RSS by 7.3% to 8.5%, over its 5%
-    bound.  The rise is the benchmark's own records, about 56 bytes per
-    timed call (no-op calls alone read 24.64 MB at 50,000 calls and 27.45 MB
-    at 100,000; the library's 1.4 MB fills within 5000 calls), so no change
-    here can offset it, and any ``cli`` gain past about 45% crosses the
-    bound: the cache waits for the benchmark to measure the library alone.
+    Neither parser is cached between calls.  A cached parser made 4024 of
+    the benchmark's ``cli`` commands per second, against 2270 (+77%, one
+    20 s run at seed 9), but raised that workload's peak RSS by 6.6%
+    (27.49 to 29.30 MB), over its 5% bound.  The rise is the benchmark's own
+    records, about 56 bytes per timed call (no-op calls alone read 24.64 MB
+    at 50,000 calls and 27.45 MB at 100,000; the library's 1.4 MB fills
+    within 5000 calls), so no change here can offset it, and any ``cli``
+    gain past about 45% crosses the bound: the cache waits for the benchmark
+    to measure the library alone.
     """
     if command is not None:
         return _add_arguments(

@@ -16,7 +16,9 @@ Terms:
 
 joined with ``+`` and ``-``.  The zero element prints as ``0``.  The
 grammar is ASCII: digits are ``0-9`` and blanks are ASCII whitespace, so
-any other digit or space is an unexpected character.
+any other digit or space is an unexpected character.  A variable with no
+digit after its ``x`` reports the character there when it is one the
+grammar lacks (``x１``), else a missing variable number at that position.
 ``parse_elements`` reads a command's operands.  Each is tokenized in one
 pass of ``_TOKEN.finditer``, whose last alternative takes any character the
 grammar lacks; an omitted arity is the highest variable number in the
@@ -36,7 +38,7 @@ from .errors import (ArityError, ParseError, ShapeMismatch, TooLarge,
                      too_many_variables)
 from .powerseries import EMPTY_INDEX
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d+)"
+_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<var>d*x\d*)"
                     r"|(?P<sym>[+\-*/^\[\].])|(?P<bad>.)", re.ASCII)
 
 
@@ -55,6 +57,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             elif kind == "var":
                 name = m.group()
                 q = name.index("x")
+                if q + 1 == len(name):  # no digit: blame what follows
+                    end = m.end()
+                    after = _TOKEN.match(text, end)
+                    if after is not None and after.lastgroup == "bad":
+                        raise ParseError("unexpected character "
+                                         f"{after.group()!r}", end)
+                    raise ParseError("missing variable number", end)
                 tokens.append(("var", (q, int(name[q + 1:])), pos))
             elif kind == "sym":
                 tokens.append((m.group(), None, pos))

@@ -13,6 +13,8 @@ prints.
 import hashlib
 import json
 
+import pytest
+
 import diffmonads as dm
 from diffmonads import cdc
 from diffmonads.powerseries import MonomialElement
@@ -45,6 +47,9 @@ ACCEPTANCE_CONFIGS = [
     ("divided", "Q", None), ("divided", "F2", None), ("divided", "F3", None),
     ("zinbiel", "Q", None), ("zinbiel", "F2", None), ("trivial", "Q", None),
 ]
+
+FIELDS = {"Q": dm.rationals(), "F2": dm.prime_field(2),
+          "F3": dm.prime_field(3), "F5": dm.prime_field(5)}
 
 ACCEPTANCE_SHA256 = \
     "132c5ca4c7b58529de7db48c12e2120edd011e64d33e2370b50f9cb8b1cbf8a9"
@@ -83,6 +88,47 @@ def test_acceptance_check_json_is_unchanged():
 
 def test_full_acceptance_check_json_is_unchanged():
     assert _acceptance_sha256(200) == FULL_ACCEPTANCE_SHA256
+
+
+def test_interned_theories_keep_runs_independent():
+    """make_theory interns theories with their memos.  The full acceptance
+    run gives the same text cold, warm and after the cache is cleared; a bad
+    kind or cap raises on every call, and the cache stays bounded."""
+    from diffmonads.category import INTERNED_THEORIES, interned_theory
+
+    interned_theory.cache_clear()
+    assert _acceptance_sha256(200) == FULL_ACCEPTANCE_SHA256  # cold
+    warm = [dm.make_theory(kind, FIELDS[field], cap or 6)
+            for kind, field, cap in ACCEPTANCE_CONFIGS]
+    assert all(t.structural and t.samplers for t in warm)
+    assert _acceptance_sha256(200) == FULL_ACCEPTANCE_SHA256  # warm
+    assert all(dm.make_theory(kind, FIELDS[field], cap or 6) is theory
+               for (kind, field, cap), theory in zip(ACCEPTANCE_CONFIGS, warm))
+    interned_theory.cache_clear()
+    assert _acceptance_sha256(200) == FULL_ACCEPTANCE_SHA256
+    again = [dm.make_theory(kind, FIELDS[field], cap or 6)
+             for kind, field, cap in ACCEPTANCE_CONFIGS]
+    assert not any(a is b for a, b in zip(again, warm))
+
+    for _ in range(3):
+        with pytest.raises(dm.ShapeMismatch, match="unknown theory kind"):
+            dm.make_theory("series", dm.rationals())
+        for cap in (0, -1):
+            with pytest.raises(dm.ShapeMismatch, match="cap >= 1"):
+                dm.make_theory("power", dm.rationals(), cap)
+            with pytest.raises(dm.ShapeMismatch, match="cap >= 1"):
+                dm.mutation_is_caught("powerseries-drop-first-partial",
+                                      dm.rationals(), dm.GenConfig(), 1, cap)
+        with pytest.raises(dm.ShapeMismatch, match="unknown mutation"):
+            dm.mutation_is_caught("no-such-mutation", dm.rationals(),
+                                  dm.GenConfig(), 1)
+    theories = [dm.make_theory("power", dm.rationals(), cap)
+                for cap in range(1, INTERNED_THEORIES + 9)]
+    assert len(set(map(id, theories))) == len(theories)
+    assert interned_theory.cache_info().currsize == INTERNED_THEORIES
+    assert dm.make_theory("power", dm.rationals(), 1) is not theories[0]
+    assert dm.make_theory("power", dm.rationals(), INTERNED_THEORIES + 8) \
+        is theories[-1]
 
 
 # Failure text that no mutant of cdc.MUTATIONS produces: a defect planted in

@@ -428,10 +428,13 @@ def test_random_element_on_degenerate_bounds(kind, arity, max_degree,
 
 def test_theories_that_differ_in_field_or_cap_share_no_sampler():
     """Samplers are kept per theory and bounds: a draw in one theory never
-    runs with another's field, cap or element class."""
+    runs with another's field, cap or element class.  The theories are
+    interned, so earlier draws may have left samplers on them: what counts
+    is that no sampler belongs to two of them."""
     theories = [dm.make_theory("power", Q, 4), dm.make_theory("power", F5, 4),
                 dm.make_theory("power", Q, 2), dm.make_theory("poly", Q),
                 dm.make_theory("divided", Q), dm.make_theory("divided", F3)]
+    assert len({id(t) for t in theories}) == len(theories)
     cfg = GenConfig(coeff_min=-7, coeff_max=7)
     for seed in range(40):
         for theory in theories:
@@ -439,9 +442,9 @@ def test_theories_that_differ_in_field_or_cap_share_no_sampler():
                 theory, cfg, seed, arity=3, max_degree=4, max_terms=4)
             assert same_terms(got, want)
             assert after == expected
+    assert all((-7, 7, 4, 4) in t.samplers for t in theories)
     samplers = [s for t in theories for s in t.samplers.values()]
-    assert len(samplers) == len(theories)
-    assert len({id(s) for s in samplers}) == len(theories)
+    assert len({id(s) for s in samplers}) == len(samplers)
 
 
 @pytest.mark.parametrize("theory", PACKED, ids=PACKED_IDS)

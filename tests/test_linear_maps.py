@@ -187,12 +187,27 @@ def test_lift_and_interchange_specs_match_their_definitions(theory):
 
 
 def test_structural_maps_are_memoized_per_theory():
+    """make_theory interns: equal arguments give the same theory, and so the
+    same structural morphism; another field, cap or kind gives another
+    theory.  A theory built directly has memos of its own."""
     theory = dm.make_theory("divided", rationals())
-    first, again = lift_map(theory, 2), lift_map(theory, 2)
-    assert first.components is again.components
-    other = dm.make_theory("divided", rationals())
-    assert lift_map(other, 2).components is not first.components
-    assert lift_map(other, 2) == first
+    assert dm.make_theory("divided", rationals()) is theory
+    assert dm.make_theory("divided", rationals(), 4) is theory  # no cap
+    first = lift_map(theory, 2)
+    assert lift_map(dm.make_theory("divided", rationals()), 2) is first
+    power = dm.make_theory("power", rationals(), 4)
+    assert dm.make_theory("power", rationals(), 4) is power
+    others = [dm.make_theory("divided", prime_field(3)),
+              dm.make_theory("power", rationals(), 5),
+              dm.make_theory("zinbiel", rationals())]
+    assert len({id(t) for t in [theory, power] + others}) == 5
+    assert all(lift_map(t, 2) is not lift_map(theory, 2) for t in others)
+    private = cdc.Theory("divided", rationals())
+    assert private == theory and private is not theory
+    assert private.units == private.structural == private.samplers == {}
+    assert lift_map(private, 2).components is not first.components
+    assert lift_map(private, 2) == first
+    assert dm.make_theory("divided", rationals()) is theory
 
 
 # -- structural components against sums of units ------------------------------------
@@ -230,13 +245,13 @@ def axiom_specs(theory):
 def test_axiom_specs_cover_what_the_axioms_build(monkeypatch):
     theory = dm.make_theory("divided", prime_field(3))
     built = set()
-    components = cdc.Theory.linear_components
+    linear_map = cdc.Theory.linear_map
 
     def spy(self, source, spec):
         built.add((source, spec))
-        return components(self, source, spec)
+        return linear_map(self, source, spec)
 
-    monkeypatch.setattr(cdc.Theory, "linear_components", spy)
+    monkeypatch.setattr(cdc.Theory, "linear_map", spy)
     cdc.check_all(theory, dm.GenConfig(seed=3), trials=30)
     assert built and built <= axiom_specs(theory)
 

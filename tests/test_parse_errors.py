@@ -23,7 +23,13 @@ CORPUS = [
     ("power", "Q", ["x1 $ x2"], None, ParseError,
      "unexpected character '$' (at position 3)", 3),
     ("power", "Q", ["x１"], None, ParseError,  # a fullwidth digit
-     "unexpected character 'x' (at position 0)", 0),
+     "unexpected character '１' (at position 1)", 1),
+    ("power", "Q", ["x1 + x٣"], None, ParseError,  # an Arabic-Indic digit
+     "unexpected character '٣' (at position 6)", 6),
+    ("power", "Q", ["x"], None, ParseError,
+     "missing variable number (at position 1)", 1),
+    ("divided", "F5", ["dx"], None, ParseError,
+     "missing variable number (at position 2)", 2),
     ("power", "Q", [_LONG], None, ParseError,
      "number too long (at position 0)", 0),
     # the grammar

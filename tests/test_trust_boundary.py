@@ -28,9 +28,10 @@ TRIALS = 20
 
 
 def _theories():
-    """Fresh theories, so that no structural map is memoized from before
-    the patch."""
-    out = [(f"{kind}-{field}", cdc.make_theory(kind, FIELDS[field], cap or 6))
+    """Private theories, built directly and not interned by ``make_theory``
+    or ``mutation_is_caught``, so that no structural map, unit or sampler
+    is memoized from before the patch."""
+    out = [(f"{kind}-{field}", cdc.Theory(kind, FIELDS[field], cap or 6))
            for kind, field, cap in ACCEPTANCE_CONFIGS]
     for mutation in cdc.MUTATIONS:
         for field in ("Q", "F5"):
@@ -41,8 +42,11 @@ def _theories():
 
 def _reports() -> dict:
     cfg = dm.GenConfig(seed=42)
+    theories = _theories()
+    assert not any(t.units or t.structural or t.samplers
+                   for _, t in theories)
     return {name: [r.to_json() for r in cdc.check_all(theory, cfg, TRIALS)]
-            for name, theory in _theories()}
+            for name, theory in theories}
 
 
 def _install_checks(monkeypatch) -> dict:
@@ -89,9 +93,9 @@ def test_internal_results_pass_the_public_checks(monkeypatch):
     lambda f: f._make(f.shape, {**f.coeffs, 0: 1}),
     lambda f: f._make(f.shape, {**f.coeffs, dm.MultiIndex.single(0): 0}),
     lambda f: f._make(f.shape, {**f.coeffs, dm.MultiIndex.single(0): -1}),
-    lambda f: cdc.Morphism._make(cdc.make_theory("divided", dm.prime_field(5)),
+    lambda f: cdc.Morphism._make(cdc.Theory("divided", dm.prime_field(5)),
                                  2, 2, (f,)),
-    lambda f: cdc.Morphism._make(cdc.make_theory("divided", dm.prime_field(5)),
+    lambda f: cdc.Morphism._make(cdc.Theory("divided", dm.prime_field(5)),
                                  3, 1, (f,)),
 ], ids=["key-past-arity", "constant-key", "zero-coefficient",
         "residue-out-of-range", "component-count", "component-shape"])
