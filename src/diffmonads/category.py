@@ -145,12 +145,6 @@ class Theory:
     def eta_tuple(self, arity: int) -> tuple:
         return self.linear_map(arity, _block(0, arity)).components
 
-    def linear_components(self, source: int, spec: tuple) -> tuple:
-        """The components of the structural map source -> len(spec): the i-th
-        is the sum of the variables in ``spec[i]`` (zero when it is empty).
-        They are those of the memoized :meth:`linear_map`."""
-        return self.linear_map(source, spec).components
-
     def linear_map(self, source: int, spec: tuple) -> "Morphism":
         """The structural map source -> len(spec) of linear spec ``spec``, a
         tuple of tuples of variable indices.

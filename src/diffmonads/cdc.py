@@ -40,12 +40,10 @@ from .category import (Morphism, Theory, along, codiagonal, compose,
                        differentiate, identity, injection, interchange_map,
                        interned_theory, lift_map, make_theory, pairing,
                        product_map, projection)
-from .dividedpower import DPElement
 from .element import Element
 from .errors import ShapeMismatch, TooLarge
-from .powerseries import MAX_DEGREE, WIDTH, SeriesElement, _combinator_coeffs
+from .powerseries import MAX_DEGREE, WIDTH, _combinator_coeffs
 from .scalars import FieldSpec, size_budget
-from .zinbiel import ZinElement
 
 
 # -- axiom reports ------------------------------------------------------------
@@ -431,52 +429,47 @@ def check_all(theory: Theory, cfg,
 # can slip past the chain rule by numerical coincidence, so the catch rates
 # rely on multi-term draws.
 #
-# A mutant is built like the combinator it misses: on the internal path
-# (``_make``, ``_like``), from the kernels of the real combinators.  Its keys
-# are valid by construction, and tests/test_trust_boundary.py checks them.
-# Their key maps are injective, so each output key takes one canonical value
-# and nothing is summed.
+# A mutant is a replacement of the ``_combinator(coeffs, n, p)`` hook of its
+# element class, built from the kernels of the real combinators, and the
+# mutated theory builds its result as the core's ``partial_combinator`` does,
+# on the internal path (``_make``).  Its keys are valid by construction, and
+# tests/test_trust_boundary.py checks them.  Their key maps are injective, so
+# each output key takes one canonical value and nothing is summed.
 
 
-def _mutant_zin_last_letter(f: ZinElement) -> ZinElement:
+def _mutant_zin_last_letter(coeffs: dict, n: int, p: int | None) -> dict:
     """The word combinator, re-tagging the last letter instead of the first."""
-    n = f.arity
-    return ZinElement._make((2 * n, f.field),
-                            {w[:-1] + (n + w[-1],): c
-                             for w, c in f.coeffs.items()})
+    return {w[:-1] + (n + w[-1],): c for w, c in coeffs.items()}
 
 
-def _mutant_ps_drop_first(f: SeriesElement) -> SeriesElement:
+def _mutant_ps_drop_first(coeffs: dict, n: int, p: int | None) -> dict:
     """The series combinator without the terms of the first dual variable."""
-    full = f.partial_combinator()
-    first_dual = MAX_DEGREE << WIDTH * (f.arity + 1)
-    return full._like({key: c for key, c in full.coeffs.items()
-                       if not key & first_dual})
+    first_dual = MAX_DEGREE << WIDTH * (n + 1)
+    return {key: c for key, c in _combinator_coeffs(coeffs, n, p).items()
+            if not key & first_dual}
 
 
-def _mutant_dp_binomial(f: DPElement) -> DPElement:
-    """The series combinator on divided-power keys: x^[e] goes to
-    e * x^[e-1] y instead of x^[e-1] y."""
-    return DPElement._make((2 * f.arity, f.field),
-                           _combinator_coeffs(f.coeffs, f.arity, f.field.p))
-
-
+# (kind, the replacement of the kind's ``_combinator`` hook).  The binomial
+# factor puts the series combinator on divided-power keys: x^[e] goes to
+# e * x^[e-1] y instead of x^[e-1] y.
 MUTATIONS = {
     "zinbiel-last-letter": ("zinbiel", _mutant_zin_last_letter),
     "powerseries-drop-first-partial": ("power", _mutant_ps_drop_first),
-    "dividedpower-binomial-factor": ("divided", _mutant_dp_binomial),
+    "dividedpower-binomial-factor": ("divided", _combinator_coeffs),
 }
 
 
 class MutatedTheory(Theory):
     """A theory with the differential combinator replaced by a near miss.
 
-    The mutant is bound once, in the slot that shadows :meth:`Theory.partial`;
-    the mutation's name takes part in equality, so a mutated theory equals
-    no theory with another combinator.
+    The mutant, kept in ``combinator``, stands in for the ``_combinator``
+    hook of the theory's element class, and :meth:`partial` builds its
+    result as :meth:`Element.partial_combinator` does.  The mutation's name
+    takes part in equality, so a mutated theory equals no theory with
+    another combinator.
     """
 
-    __slots__ = ("mutation", "partial")
+    __slots__ = ("mutation", "combinator")
 
     def __init__(self, mutation: str, field: FieldSpec, cap: int | None = 6):
         row = MUTATIONS.get(mutation)
@@ -484,7 +477,13 @@ class MutatedTheory(Theory):
             raise ShapeMismatch(f"unknown mutation {mutation!r}")
         super().__init__(row[0], field, cap)
         self.mutation = mutation
-        self.partial = row[1]
+        self.combinator = row[1]
+
+    def partial(self, f):
+        """The near-miss combinator of ``f``, over twice its arity."""
+        n = f.arity
+        return f._make((2 * n,) + f.shape[1:],
+                       self.combinator(f.coeffs, n, f.field.p))
 
 
 def mutation_is_caught(mutation: str, field: FieldSpec, cfg,

@@ -16,12 +16,12 @@ read as the product of its (variable, exponent) pairs, becomes the product
 a_1 * (a_2 * (... * a_k)) of the factors ``args[v]^e``, nested from the
 right as the half-shuffle of words needs.  The powers of each argument are
 kept for the call, and all its products share one budget (``_charge``).
-And it owns the differential structure: ``partial_combinator``, the
-single derivative ``partial(x)`` of the non-unital theories (series, whose
-derivative lowers the cap, keep their own) and ``_product``, the checked
-entry of the product.  Each element class binds these in its own
-namespace, so that instrumentation which wraps class attributes tells the
-theories apart.
+And it owns the differential structure: ``partial_combinator``, the one
+combinator path of every class, the single derivative ``partial(x)`` of the
+non-unital theories (series, whose derivative lowers the cap, keep their
+own) and ``_product``, the checked entry of the product of every class.
+Each element class binds these in its own namespace, so that
+instrumentation which wraps class attributes tells the theories apart.
 
 Checks run at the public edge only.  The public constructor, and so
 ``from_terms`` and the parser, make every coefficient canonical and check
@@ -41,10 +41,10 @@ A subclass supplies these hooks; the first four work on coefficient dicts:
   cost: repeated products by default, the divided power for divided powers;
 * ``_cost(a, b)`` and ``_UNIT``: the cost of a product and its unit, term
   pairs or interleavings, for ``_charge``;
-* ``_combinator(coeffs, n, p)`` (divided powers and words): the
-  coefficients of the combinator of an element over n variables, with ``p``
-  the field's modulus (None over Q); series build theirs in their own
-  ``partial_combinator``, which checks the series is reduced;
+* ``_combinator(coeffs, n, p)``: the coefficients of the combinator of an
+  element over n variables, with ``p`` the field's modulus (None over Q);
+  series bind a ``partial_combinator`` that checks the capped regime is
+  reduced first, then runs the core's;
 * ``_lower(key, x)`` (divided powers and words): the key of d/dx of the
   basis element ``key``, empty (falsy) for the field unit, None for zero;
 * ``_target(args, arity)``: the shape of a substitution (series add their

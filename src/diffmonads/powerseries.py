@@ -386,16 +386,7 @@ class SeriesElement(MonomialElement):
                 accumulate(out, ka + kb, ca * cb, p)
         return out
 
-    def __mul__(self, other: "SeriesElement") -> "SeriesElement":
-        """The truncated product, charged up front (``_charge``)."""
-        if type(other) is not SeriesElement or (
-                (self.arity, self.cap, self.field)
-                != (other.arity, other.cap, other.field)):
-            raise ShapeMismatch("series shapes differ")
-        self._charge(0, self.coeffs, other.coeffs)
-        return SeriesElement._make(
-            (self.arity, self.cap, self.reduced and other.reduced, self.field),
-            self._times(self.coeffs, other.coeffs))
+    __mul__ = Element._product  # bound per theory: see Element
 
     def _target(self, args: Sequence["SeriesElement"],
                 arity: int | None) -> tuple:
@@ -439,18 +430,20 @@ class SeriesElement(MonomialElement):
         return SeriesElement._make((self.arity, new_cap, False, self.field),
                                    out)
 
+    _combinator = staticmethod(_combinator_coeffs)
+
     def partial_combinator(self) -> "SeriesElement":
-        """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i.
+        """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i
+        (:meth:`Element.partial_combinator`), for a capped series once it
+        is shown reduced.
 
         Each output monomial keeps the total degree of its source and carries
         exactly one unit of dual degree, so the result is reduced at the same
         cap.
         """
-        n, cap, reduced, field = self.shape
-        if cap is not None and not reduced:
+        if self.cap is not None and not self.reduced:
             raise NotReduced("differential combinator needs a reduced series")
-        return self._make((2 * n, cap, reduced, field),
-                          _combinator_coeffs(self.coeffs, n, field.p))
+        return Element.partial_combinator(self)
 
     # -- shape utilities ------------------------------------------------------
 

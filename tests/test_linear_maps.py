@@ -259,7 +259,7 @@ def test_axiom_specs_cover_what_the_axioms_build(monkeypatch):
 @pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=ORACLE_IDS)
 def test_structural_components_are_sums_of_units(theory):
     for source, spec in sorted(axiom_specs(theory)):
-        assert theory.linear_components(source, spec) == \
+        assert theory.linear_map(source, spec).components == \
             tuple(images(theory, spec, source))
 
 
@@ -278,7 +278,7 @@ def test_eta_reads_the_units_of_the_identity(theory):
 
 @pytest.mark.parametrize("theory", ORACLE_THEORIES, ids=ORACLE_IDS)
 def test_repeated_variables_add_up(theory):
-    got, = theory.linear_components(2, ((0, 0),))
+    got, = theory.linear_map(2, ((0, 0),)).components
     assert [got] == images(theory, ((0, 0),), 2)
     if theory.field.p == 2:
         assert got.is_zero()
@@ -287,7 +287,7 @@ def test_repeated_variables_add_up(theory):
         assert got.coeffs == {theory.element._key(((0, 1),)): 2}
     for spec in (((2,),), ((0, 2),), ((-1,),), ((), (0, 5))):
         with pytest.raises(ShapeMismatch):
-            theory.linear_components(2, spec)
+            theory.linear_map(2, spec).components
 
 
 def has_repeated_target(spec):
@@ -343,7 +343,7 @@ def test_axiom_specs_rewrite_like_the_generic_substitution(theory):
     specs = axiom_specs(theory) | {(n, diagonal(theory, n).linear)
                                    for n in (1, 2, 3)}
     for arity, spec in sorted(specs):
-        comps = theory.linear_components(arity, spec)
+        comps = theory.linear_map(arity, spec).components
         elements = []
         for seed in range(6):
             f = random_element(theory, seed, len(spec))

@@ -1,9 +1,11 @@
 """The near-miss combinators of ``cdc.MUTATIONS`` and the theories that carry
 them.
 
-Each mutant is checked against an independent recomputation: the key map
-written with ``MultiIndex.pairs`` and sums of ``MultiIndex.single`` keys,
-summed with ``accumulate`` and built through the public constructors.
+A mutant replaces the ``_combinator(coeffs, n, p)`` hook of its element
+class.  Each mutant, and the ``partial`` of the theory that carries it, is
+checked against an independent recomputation: the key map written with
+``MultiIndex.pairs`` and sums of ``MultiIndex.single`` keys, summed with
+``accumulate`` and built through the public constructors.
 Inputs are random elements with Fraction coefficients over Q, and with
 coefficients over F2, F3 and F5, where a product c * e that vanishes must
 drop out.
@@ -102,61 +104,81 @@ ORACLES = {
 }
 
 
-def _assert_same(got, want) -> None:
-    """Equal elements whose coefficients are also canonical: ints over Q
+def _assert_same_coeffs(got: dict, want: dict) -> None:
+    """Equal coefficient dicts whose values are also canonical: ints over Q
     where the value is integral, as the public constructor leaves them."""
+    assert got == want
+    for key, c in want.items():
+        assert type(got[key]) is type(c), (key, got[key], c)
+
+
+def _assert_same(got, want) -> None:
+    """Equal elements whose coefficients are also canonical."""
     assert type(got) is type(want)
     assert got == want
-    for key, c in want.coeffs.items():
-        assert type(got.coeffs[key]) is type(c), (key, got.coeffs[key], c)
+    _assert_same_coeffs(got.coeffs, want.coeffs)
+
+
+def _hook(mutation: str, f) -> dict:
+    """The mutant's coefficients of the combinator of ``f``."""
+    return cdc.MUTATIONS[mutation][1](f.coeffs, f.arity, f.field.p)
 
 
 @pytest.mark.parametrize("field_name", list(FIELDS))
 @pytest.mark.parametrize("mutation", list(cdc.MUTATIONS))
 def test_mutant_matches_independent_recomputation(mutation, field_name):
     field = FIELDS[field_name]
-    kind, mutant = cdc.MUTATIONS[mutation]
+    kind = cdc.MUTATIONS[mutation][0]
     theory = cdc.MutatedTheory(mutation, field)
     for f in _inputs(kind, field):
-        _assert_same(mutant(f), ORACLES[mutation](f))
-        _assert_same(theory.partial(f), ORACLES[mutation](f))
+        want = ORACLES[mutation](f)
+        _assert_same_coeffs(_hook(mutation, f), want.coeffs)
+        _assert_same(theory.partial(f), want)
 
 
 def test_binomial_mutant_drops_products_that_vanish_mod_p():
     """x1^[5] + 3*x1^[2]*x2^[1] over F5: the factor 5 of x1^[5] is zero."""
     field = FIELDS["F5"]
+    theory = cdc.MutatedTheory("dividedpower-binomial-factor", field)
     x1_5 = MultiIndex.single(0, 5)
     x1_2_x2 = MultiIndex.make(((0, 2), (1, 1)))
     f = DPElement(2, field, {x1_5: 1, x1_2_x2: 3})
-    got = cdc.MUTATIONS["dividedpower-binomial-factor"][1](f)
-    assert got == DPElement(4, field, {
+    want = DPElement(4, field, {
         MultiIndex.make(((0, 1), (1, 1), (2, 1))): 1,  # 3 * 2 mod 5
         MultiIndex.make(((0, 2), (3, 1))): 3,
     })
-    assert cdc.MUTATIONS["dividedpower-binomial-factor"][1](
-        DPElement(1, field, {x1_5: 2})) == DPElement(2, field, {})
+    assert _hook("dividedpower-binomial-factor", f) == want.coeffs
+    assert theory.partial(f) == want
+    g = DPElement(1, field, {x1_5: 2})
+    assert _hook("dividedpower-binomial-factor", g) == {}
+    assert theory.partial(g) == DPElement(2, field, {})
 
 
 def test_drop_first_mutant_makes_fraction_coefficients_integral():
     field = FIELDS["Q"]
+    theory = cdc.MutatedTheory("powerseries-drop-first-partial", field)
     f = SeriesElement(2, CAP, True, field,
                       {MultiIndex.make(((0, 1), (1, 2))): Fraction(1, 2)})
-    got = cdc.MUTATIONS["powerseries-drop-first-partial"][1](f)
-    assert got.coeffs == {MultiIndex.make(((0, 1), (1, 1), (3, 1))): 1}
-    assert type(got.coeffs[next(iter(got.coeffs))]) is int
+    for got in (_hook("powerseries-drop-first-partial", f),
+                theory.partial(f).coeffs):
+        assert got == {MultiIndex.make(((0, 1), (1, 1), (3, 1))): 1}
+        assert type(got[next(iter(got))]) is int
 
 
 def test_mutants_call_no_public_constructor(monkeypatch):
-    inputs = {m: list(_inputs(cdc.MUTATIONS[m][0], FIELDS["F3"], 5))
+    field = FIELDS["F3"]
+    theories = {m: cdc.MutatedTheory(m, field) for m in cdc.MUTATIONS}
+    inputs = {m: list(_inputs(cdc.MUTATIONS[m][0], field, 5))
               for m in cdc.MUTATIONS}
 
     def refuse(self, shape, coeffs):
         raise AssertionError("public constructor called")
 
     monkeypatch.setattr(Element, "_build", refuse)
-    for mutation, (_, mutant) in cdc.MUTATIONS.items():
+    for mutation, theory in theories.items():
         for f in inputs[mutation]:
-            mutant(f)
+            _hook(mutation, f)
+            theory.partial(f)
 
 
 # -- the theories that carry them ---------------------------------------------

@@ -63,6 +63,22 @@ def test_substitution_rejects_bad_shapes():
         f.substitute([series("x1", 1, cap=3), series("x1", 1, cap=3)])
 
 
+def test_product_needs_equal_shapes_like_the_sum():
+    """A polynomial built reduced and one that is not differ in shape, so
+    their product raises as their sum does."""
+    reduced = SeriesElement(1, None, True, Q, {MultiIndex.single(0): 1})
+    plain = poly("x1", 1)
+    assert reduced * reduced == SeriesElement(
+        1, None, True, Q, {MultiIndex.single(0, 2): 1})
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(ShapeMismatch):
+            op(reduced, plain)
+        with pytest.raises(ShapeMismatch):
+            op(plain, reduced)
+    with pytest.raises(ShapeMismatch):
+        series("x1", 1, cap=3) * series("x1", 1, cap=4)
+
+
 def test_polynomial_regime_allows_constants():
     f = poly("x1^2 + 2*x1 + 3", 1)
     g = poly("x1 + 1", 1)
