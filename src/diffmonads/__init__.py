@@ -29,8 +29,8 @@ from .category import (THEORIES, Morphism, Theory, codiagonal, compose,
 from .dividedpower import DPElement
 from .element import Element
 from .errors import (ArityError, DiffmonadError, DivisionByZero, MixedFields,
-                     NonIntegralQuotient, NonReducedArgument, NotReduced,
-                     ParseError, ShapeMismatch, TooLarge)
+                     NonIntegralQuotient, NotReduced, ParseError,
+                     ShapeMismatch, TooLarge)
 from .powerseries import EMPTY_INDEX, MultiIndex, SeriesElement
 from .scalars import (FieldSpec, Scalar, binomial, dp_power_coeff, multinomial,
                       prime_field, rationals)

@@ -95,6 +95,9 @@ class Theory:
     which substitution is linear substitution and the combinator relabels
     into the dual block.  It has no product, and its random elements draw no
     degree.
+
+    Theories are equal when they agree in class, kind, field, cap and
+    mutation, so a subclass with a combinator of its own is another theory.
     """
 
     __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
@@ -201,11 +204,13 @@ class Theory:
             return True
         if not isinstance(other, Theory):
             return NotImplemented
-        return (self.kind, self.field, self.cap, self.mutation) == \
-               (other.kind, other.field, other.cap, other.mutation)
+        return (type(self), self.kind, self.field, self.cap, self.mutation) \
+            == (type(other), other.kind, other.field, other.cap,
+                other.mutation)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.cap, self.mutation))
+        return hash((type(self), self.kind, self.field, self.cap,
+                     self.mutation))
 
     def __repr__(self) -> str:
         cap = f", cap={self.cap}" if self.spec.cap_option else ""

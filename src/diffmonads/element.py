@@ -4,24 +4,27 @@ An element is a finitely supported map key -> nonzero raw coefficient (see
 :mod:`diffmonads.scalars`), tagged with a *shape*: the tuple of its public
 constructor's leading arguments, whose names are the class attribute
 ``SHAPE``.  A shape starts with the arity and ends with the field; series put
-their degree cap and reduced flag in between.  An element stores its shape
-once, and every shape check is one tuple comparison.
+their degree cap in between.  An element stores its shape once, and every
+shape check is one tuple comparison: the arguments of a substitution have
+the shape of the element at the target arity (``_target``).
 
 :class:`Element` owns the linear structure: the public constructor and
 ``from_terms`` (which check coefficients and keys), the internal ``_make``,
 sums, negation, scaling, equality, ``terms``, the counit, ``degrees``,
-``extend_arity`` and the argument checks of ``substitute_linear``.  It also
-owns ``substitute``, the monad multiplication of all three theories: a key,
-read as the product of its (variable, exponent) pairs, becomes the product
-a_1 * (a_2 * (... * a_k)) of the factors ``args[v]^e``, nested from the
-right as the half-shuffle of words needs.  The powers of each argument are
-kept for the call, and all its products share one budget (``_charge``).
-And it owns the differential structure: ``partial_combinator``, the one
-combinator path of every class, the single derivative ``partial(x)`` of the
-non-unital theories (series, whose derivative lowers the cap, keep their
-own) and ``_product``, the checked entry of the product of every class.
-Each element class binds these in its own namespace, so that
-instrumentation which wraps class attributes tells the theories apart.
+``extend_arity`` and the argument checks of ``substitute`` and
+``substitute_linear``.  It also owns ``substitute``, the monad
+multiplication of all three theories: a key, read as the product of its
+(variable, exponent) pairs, becomes the product a_1 * (a_2 * (... * a_k))
+of the factors ``args[v]^e``, nested from the right as the half-shuffle of
+words needs.  The powers of each argument are kept for the call, and all
+its products share one budget (``_charge``).  And it owns the differential
+structure: ``partial_combinator``, the one combinator path of every class,
+the single derivative ``partial(x)`` of the non-unital theories, an
+(element, constant) pair (series, whose derivative lowers the cap, keep
+their own, with the same pair for a capped series), and ``_product``, the
+checked entry of the product of every class.  Each element class binds
+these in its own namespace, so that instrumentation which wraps class
+attributes tells the theories apart.
 
 Checks run at the public edge only.  The public constructor, and so
 ``from_terms`` and the parser, make every coefficient canonical and check
@@ -43,12 +46,8 @@ A subclass supplies these hooks; the first four work on coefficient dicts:
   pairs or interleavings, for ``_charge``;
 * ``_combinator(coeffs, n, p)``: the coefficients of the combinator of an
   element over n variables, with ``p`` the field's modulus (None over Q);
-  series bind a ``partial_combinator`` that checks the capped regime is
-  reduced first, then runs the core's;
 * ``_lower(key, x)`` (divided powers and words): the key of d/dx of the
   basis element ``key``, empty (falsy) for the field unit, None for zero;
-* ``_target(args, arity)``: the shape of a substitution (series add their
-  cap and reduced checks);
 * ``_check_keys()``: validate the keys of ``self.coeffs`` against the shape
   (the per-key work of the public constructor);
 * ``_key(pairs)``: the key of the basis element with the given (variable,
@@ -227,20 +226,21 @@ class Element:
     # -- substitution (the monad multiplication) ---------------------------
 
     def _target(self, args: Sequence["Element"], arity: int | None) -> tuple:
-        """The shape of substituting ``args`` for the variables: the arity
-        of the arguments, which must be elements of this class and agree in
-        arity and field, or ``arity`` when there are none."""
+        """The shape of substituting ``args`` for the variables: this
+        element's shape at the arity of the arguments, which must be elements
+        of this class of that shape, or at ``arity`` when there are none."""
         if len(args) != self.arity:
             raise ShapeMismatch(f"{self.arity} arguments expected, got {len(args)}")
         if args:
             arity = getattr(args[0], "arity", None)
         elif arity is None:
             raise ShapeMismatch("target arity required for nullary substitution")
-        cls, field = type(self), self.field
+        shape = (arity,) + self.shape[1:]
+        cls = type(self)
         for a in args:
-            if type(a) is not cls or (a.arity, a.field) != (arity, field):
+            if type(a) is not cls or a.shape != shape:
                 raise ShapeMismatch("substitution arguments disagree in shape")
-        return (arity,) + self.shape[1:]
+        return shape
 
     def _charge(self, spent: int, a: dict, b: dict) -> int:
         """``spent`` plus the cost of the product of a and b (``_cost``);

@@ -27,10 +27,6 @@ class ShapeMismatch(DiffmonadError):
     """Operands disagree on arity, degree cap, field, or theory."""
 
 
-class NonReducedArgument(DiffmonadError):
-    """A capped series substitution received a constant-bearing argument."""
-
-
 class NotReduced(DiffmonadError):
     """An operation requiring a constant-free element got one with a constant."""
 

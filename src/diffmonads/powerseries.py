@@ -1,18 +1,21 @@
 """Multivariable power series truncated at a degree cap, and bare polynomials.
 
-Two regimes share one representation:
+Two regimes share one representation, told apart by the cap:
 
-* the reduced capped regime (``cap`` an integer, ``reduced`` True): series with
-  no constant term, kept exact modulo monomials of degree > cap.  Substitution
-  of reduced series is a congruence for this quotient, because composite
-  monomial degrees only grow, so composing truncations computes the truncation
-  of the composite.
-* the polynomial regime (``cap`` None, ``reduced`` False): ordinary sparse
-  polynomials, constants allowed, nothing discarded.
+* capped series (``cap`` an integer): reduced series, with no constant term,
+  kept exact modulo monomials of degree > cap.  Substitution of reduced
+  series is a congruence for this quotient, because composite monomial
+  degrees only grow, so composing truncations computes the truncation of the
+  composite.
+* polynomials (``cap`` None): ordinary sparse polynomials, constants allowed,
+  nothing discarded.  ``truncate`` takes a polynomial without a constant
+  term, or a series, to a series at a cap.
 
-Single partial derivatives can produce constant terms, so they lower the cap
-by one and clear the reduced flag; the differential combinator multiplies each
-partial by a fresh dual variable, which keeps everything reduced at full cap.
+A single partial derivative of a capped series is known up to degree
+cap - 1 and may have a constant term, so it is (the series at cap - 1, the
+constant), as in the non-unital theories; the differential combinator
+multiplies each partial by a fresh dual variable, which keeps everything
+reduced at full cap.
 
 Monomial keys are packed exponent vectors (Monagan & Pearce, *Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors*, CASC
@@ -58,14 +61,13 @@ dc.4 also run.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 
 from .element import Element
-from .errors import (NonReducedArgument, NotReduced, ShapeMismatch, TooLarge,
-                     too_many_variables)
-from .scalars import FieldSpec, accumulate, binomial, size_limit
+from .errors import NotReduced, ShapeMismatch, TooLarge, too_many_variables
+from .scalars import FieldSpec, Scalar, accumulate, binomial, size_limit
 
 WIDTH = 16
 MAX_DEGREE = (1 << WIDTH) - 1
@@ -289,10 +291,11 @@ class MonomialElement(Element):
 
     def _check_keys(self) -> None:
         """Canonical keys (``MultiIndex.check``) over the arity, of degree at
-        least 1 in a reduced element and at most a cap; divided powers are
-        reduced and uncapped."""
+        most the cap, and at least 1 but in a polynomial (a series of cap
+        None): capped series and divided powers have no constant term."""
         arity, *regime, _ = self.shape
-        cap, reduced = regime or (None, True)
+        cap = regime[0] if regime else None
+        reduced = regime != [None]
         bound = MultiIndex.bound(arity)
         for key in self.coeffs:
             deg = MultiIndex.check(key) & MAX_DEGREE
@@ -340,26 +343,23 @@ class MonomialElement(Element):
 
 class SeriesElement(MonomialElement):
     """A finitely supported map key -> nonzero raw coefficient, with shape
-    (arity, cap, reduced, field)."""
+    (arity, cap, field): a polynomial when the cap is None, else a series
+    with no constant term."""
 
     __slots__ = ()
 
-    SHAPE = ("arity", "cap", "reduced", "field")
+    SHAPE = ("arity", "cap", "field")
     notation = ("*", "", "")
 
-    def __init__(self, arity: int, cap: int | None, reduced: bool,
-                 field: FieldSpec, coeffs: dict):
+    def __init__(self, arity: int, cap: int | None, field: FieldSpec,
+                 coeffs: dict):
         """Public constructor: keys from MultiIndex, values Scalars of
         ``field`` or ints (or Fractions over Q); zero values are dropped."""
-        self._build((arity, cap, reduced, field), coeffs)
+        self._build((arity, cap, field), coeffs)
 
     @property
     def cap(self) -> int | None:
         return self.shape[1]
-
-    @property
-    def reduced(self) -> bool:
-        return self.shape[2]
 
     @property
     def _tag(self) -> str:
@@ -387,36 +387,14 @@ class SeriesElement(MonomialElement):
         return out
 
     __mul__ = Element._product  # bound per theory: see Element
-
-    def _target(self, args: Sequence["SeriesElement"],
-                arity: int | None) -> tuple:
-        """Capped series require every argument to be reduced; the
-        polynomial regime (cap None) also accepts constant-bearing
-        arguments, and its result is reduced when they all are."""
-        out_arity, cap, reduced, field = super()._target(args, arity)
-        if cap is not None and not reduced:
-            raise NotReduced("capped substitution needs a reduced series")
-        for a in args:
-            _, a_cap, a_reduced, _ = a.shape
-            if a_cap != cap:
-                raise ShapeMismatch("substitution arguments disagree in shape")
-            if cap is not None and not a_reduced:
-                raise NonReducedArgument("capped series composed with a "
-                                         "constant-bearing argument")
-            reduced = reduced and a_reduced
-        return (out_arity, cap, reduced, field)
-
     substitute = Element.substitute  # bound per theory: see Element
-
-    def _linear_shape(self, spec: tuple, arity: int) -> tuple:
-        if self.cap is not None and not self.reduced:
-            raise NotReduced("capped substitution needs a reduced series")
-        return super()._linear_shape(spec, arity)
 
     # -- differentiation ------------------------------------------------------
 
-    def partial(self, i: int) -> "SeriesElement":
-        """Formal partial derivative; caps drop by one, constants may appear."""
+    def partial(self, i: int):
+        """Formal partial derivative d/dx_i.  A polynomial's is a polynomial.
+        A capped series has no constant term, so its derivative is (the
+        series at cap - 1, the constant), as in the non-unital theories."""
         if not 0 <= i < self.arity:
             raise ShapeMismatch(f"variable {i} out of range")
         p = self.field.p
@@ -426,31 +404,24 @@ class SeriesElement(MonomialElement):
             e = MultiIndex.exponent(key, i)
             if e:
                 accumulate(out, key - step, c * e, p)
-        new_cap = None if self.cap is None else self.cap - 1
-        return SeriesElement._make((self.arity, new_cap, False, self.field),
-                                   out)
+        if self.cap is None:
+            return self._like(out)
+        const = out.pop(EMPTY_INDEX, 0)
+        return (self._make((self.arity, self.cap - 1, self.field), out),
+                Scalar(self.field, const))
 
     _combinator = staticmethod(_combinator_coeffs)
-
-    def partial_combinator(self) -> "SeriesElement":
-        """Sum over i of (df/dx_i) * y_i, with y_i the dual variable n+i
-        (:meth:`Element.partial_combinator`), for a capped series once it
-        is shown reduced.
-
-        Each output monomial keeps the total degree of its source and carries
-        exactly one unit of dual degree, so the result is reduced at the same
-        cap.
-        """
-        if self.cap is not None and not self.reduced:
-            raise NotReduced("differential combinator needs a reduced series")
-        return Element.partial_combinator(self)
+    partial_combinator = Element.partial_combinator
 
     # -- shape utilities ------------------------------------------------------
 
     def truncate(self, new_cap: int) -> "SeriesElement":
+        """The series at the lower cap ``new_cap``; NotReduced for a
+        polynomial with a constant term."""
         if self.cap is not None and new_cap > self.cap:
             raise ShapeMismatch("cannot raise a degree cap")
+        if EMPTY_INDEX in self.coeffs:
+            raise NotReduced("a capped series has no constant term")
         out = {key: c for key, c in self.coeffs.items()
                if key & MAX_DEGREE <= new_cap}
-        return SeriesElement._make(
-            (self.arity, new_cap, self.reduced, self.field), out)
+        return self._make((self.arity, new_cap, self.field), out)

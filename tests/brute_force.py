@@ -102,8 +102,7 @@ def naive_substitute_oracle(f: SeriesElement, args) -> SeriesElement:
     if f.cap is not None:
         total = {mi: c for mi, c in total.items()
                  if MultiIndex.degree(mi) <= f.cap}
-    reduced = f.reduced and all(a.reduced for a in args)
-    return SeriesElement(out_arity, f.cap, reduced, f.field, total)
+    return SeriesElement(out_arity, f.cap, f.field, total)
 
 
 def int_power(f: DPElement, n: int) -> DPElement:

@@ -11,20 +11,21 @@ The witnesses are not rows of ``cdc.MUTATIONS``, whose rows are near misses
 that the checker must kill.  Between them they fail 13 of the 18 axioms.
 The planted substitution defect of ``tests/test_golden.py`` fails the three
 monad laws, which never call the combinator.  CD.4 holds for every
-combinator, since ``differentiate`` is componentwise, and du.1 calls only
-``eta`` and ``counit``.
+combinator, since ``differentiate`` is componentwise, so its witness
+replaces ``differentiate`` itself; du.1 calls only ``eta`` and ``counit``,
+so its witness doubles the unit.
 """
 
 import pytest
 
 import diffmonads as dm
 from diffmonads import cdc
-from diffmonads.category import Theory
+from diffmonads.category import Morphism, Theory
 
 
 class _Witness(Theory):
     """The polynomial theory over Q with a witness combinator; its name
-    takes part in equality, as a mutation's does."""
+    tells the witnesses apart in reports and test ids."""
 
     __slots__ = ()
 
@@ -118,6 +119,55 @@ def test_witnesses_leave_only_the_axioms_the_combinator_cannot_reach():
     covered = set().union(*WITNESSES.values())
     assert set(cdc.axiom_ids()) - covered == {
         "CD.4", "monad.assoc", "monad.unit-left", "monad.unit-right", "du.1"}
+
+
+class DoubledUnit(_Witness):
+    """The real combinator, with the monad unit x_i doubled to 2*x_i."""
+
+    __slots__ = ()
+    mutation = "2*eta"
+
+    def eta(self, i, arity):
+        return super().eta(i, arity).scale(2)
+
+
+def test_a_doubled_unit_fails_du1():
+    assert failing_axioms(DoubledUnit()) == {"du.1", "monad.unit-left"}
+
+
+def test_a_differentiate_that_reverses_its_components_fails_cd4(monkeypatch):
+    differentiate = cdc.differentiate
+
+    def reversed_differentiate(p):
+        d = differentiate(p)
+        return Morphism._make(d.theory, d.source, d.target,
+                              d.components[::-1])
+
+    monkeypatch.setattr(cdc, "differentiate", reversed_differentiate)
+    assert failing_axioms(dm.make_theory("poly", dm.rationals())) == {
+        "CD.3", "CD.4", "CD.5", "CD.6"}
+
+
+def test_a_theory_subclass_equals_no_theory_of_another_class():
+    """A subclass with its own combinator and no mutation name is still
+    another theory: its morphisms do not compose with the real theory's."""
+
+    class Doubled(Theory):
+        __slots__ = ()
+
+        def partial(self, f):
+            return f.partial_combinator().scale(2)
+
+    Q = dm.rationals()
+    real, doubled = dm.make_theory("poly", Q), Doubled("poly", Q)
+    assert doubled != real and real != doubled
+    assert len({real, doubled}) == 2
+    assert doubled == Doubled("poly", Q)
+    f = dm.Morphism(real, 1, 1, [dm.parse_element("x1^2", real, 1)])
+    g = dm.Morphism(doubled, 1, 1, [dm.parse_element("x1^2", doubled, 1)])
+    for outer, inner in ((f, g), (g, f), (f, dm.identity(doubled, 1))):
+        with pytest.raises(dm.ShapeMismatch):
+            dm.compose(outer, inner)
 
 
 def test_the_real_combinator_passes_where_the_witnesses_run():

@@ -174,8 +174,8 @@ EXPORTS = {
     "dividedpower": ("DPElement",),
     "element": ("Element",),
     "errors": ("ArityError", "DiffmonadError", "DivisionByZero",
-               "MixedFields", "NonIntegralQuotient", "NonReducedArgument",
-               "NotReduced", "ParseError", "ShapeMismatch", "TooLarge"),
+               "MixedFields", "NonIntegralQuotient", "NotReduced",
+               "ParseError", "ShapeMismatch", "TooLarge"),
     "generators": ("GenConfig", "SplitMix64", "enumerate_basis", "mix",
                    "random_element", "random_morphism", "stable_hash"),
     "powerseries": ("EMPTY_INDEX", "MultiIndex", "SeriesElement"),

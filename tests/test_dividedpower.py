@@ -206,7 +206,7 @@ def _to_series(f: DPElement) -> SeriesElement:
         for _, e in MultiIndex.pairs(mi):
             den *= factorial(e)
         terms[mi] = c * Q.from_fraction(1, den)
-    return SeriesElement(f.arity, None, False, Q, terms)
+    return SeriesElement(f.arity, None, Q, terms)
 
 
 def test_embedding_into_polynomials_over_q():

@@ -3,7 +3,8 @@
 Packed monomial keys are ints and words are tuples, so an operation that
 took an element of another theory would build a result with keys of the
 wrong kind.  Sums, products and substitution raise ShapeMismatch instead,
-for every ordered pair of theories.
+for every ordered pair of theories.  And the single derivative of every
+non-unital theory follows one constant rule.
 """
 
 import itertools
@@ -48,3 +49,23 @@ def test_a_nullary_substitution_needs_a_target_arity(theory):
     with pytest.raises(dm.ShapeMismatch, match="target arity required"):
         nullary.substitute([])
     assert nullary.substitute([], arity=2) == theory.zero(2)
+
+
+NON_UNITAL = [(kind, field) for kind in ("power", "divided", "zinbiel")
+              for field in (Q, dm.prime_field(2), dm.prime_field(3),
+                            dm.prime_field(5))]
+
+
+@pytest.mark.parametrize("kind, field", NON_UNITAL,
+                         ids=[f"{k}-{f!r}" for k, f in NON_UNITAL])
+def test_the_constant_of_a_derivative_is_the_counit(kind, field):
+    """d/dx_i f is (an element, a constant), and the constant is the
+    coefficient of x_i in f: the i-th entry of the counit."""
+    theory = dm.make_theory(kind, field, 4)
+    cfg = dm.GenConfig(seed=17)
+    rng = dm.SplitMix64(17)
+    for _ in range(20):
+        f = dm.random_element(theory, cfg, rng, arity=3)
+        counit = f.counit()
+        for i in range(3):
+            assert f.partial(i)[1] == counit[i]

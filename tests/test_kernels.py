@@ -503,7 +503,7 @@ def test_combinator_equals_the_pairs_loop(theory):
 def test_series_combinator_drops_products_that_vanish_mod_p():
     """Over F5 an exponent divisible by 5 gives c * e = 0: the term goes."""
     key = MultiIndex.make
-    f = SeriesElement(3, 12, True, F5, {
+    f = SeriesElement(3, 12, F5, {
         key([(0, 5), (1, 1)]): 2, key([(0, 10)]): 1, key([(2, 5)]): 3,
         key([(0, 2), (2, 5)]): 4, key([(1, 3)]): 1})
     got = f.partial_combinator()
@@ -511,13 +511,13 @@ def test_series_combinator_drops_products_that_vanish_mod_p():
     # left: x2 of x1^5*x2, x1 of x1^2*x3^5 and x2 of x2^3
     assert len(got.coeffs) == 3
     assert all(type(c) is int and 0 < c < 5 for c in got.coeffs.values())
-    poly = SeriesElement(2, None, False, F5, {key([(0, 5)]): 1})
+    poly = SeriesElement(2, None, F5, {key([(0, 5)]): 1})
     assert poly.partial_combinator().is_zero()
 
 
 def test_series_combinator_makes_integral_rationals_ints():
     key = MultiIndex.make
-    f = SeriesElement(2, None, False, Q, {
+    f = SeriesElement(2, None, Q, {
         key([(0, 2)]): Fraction(1, 2), key([(0, 3), (1, 1)]): Fraction(1, 3),
         key([(1, 4)]): Fraction(3, 4), key([(0, 1), (1, 2)]): Fraction(2, 5),
         key([]): Fraction(7, 2)})
@@ -539,12 +539,12 @@ def test_divided_combinator_keeps_coefficients():
 
 def test_combinator_past_the_arity_limit_is_too_large():
     half = MAX_ARITY // 2
-    for cls_args in ((half + 1, None, False, Q), (half + 1, Q)):
-        cls = SeriesElement if len(cls_args) == 4 else DPElement
+    for cls_args in ((half + 1, None, Q), (half + 1, Q)):
+        cls = SeriesElement if len(cls_args) == 3 else DPElement
         f = cls(*cls_args, {MultiIndex.single(half): 1})
         with pytest.raises(TooLarge):
             f.partial_combinator()
-    f = SeriesElement(half, None, False, Q, {MultiIndex.single(half - 1): 1})
+    f = SeriesElement(half, None, Q, {MultiIndex.single(half - 1): 1})
     assert f.partial_combinator().arity == MAX_ARITY
 
 
@@ -558,12 +558,12 @@ def test_packed_keys_are_bounded_in_arity():
     with pytest.raises(TooLarge):
         MultiIndex.bound(MAX_ARITY + 1)
     with pytest.raises(TooLarge):
-        SeriesElement(MAX_ARITY + 1, None, False, Q, {})
+        SeriesElement(MAX_ARITY + 1, None, Q, {})
     with pytest.raises(TooLarge):
         DPElement(MAX_ARITY + 1, Q, {MultiIndex.single(0): 1})
     top = MultiIndex.single(MAX_ARITY - 1)
     assert MultiIndex.check(top) == top
-    assert SeriesElement(MAX_ARITY, None, False, Q, {top: 1}).arity == \
+    assert SeriesElement(MAX_ARITY, None, Q, {top: 1}).arity == \
         MAX_ARITY
     word = (MAX_ARITY * 4,)
     assert ZinElement(MAX_ARITY * 4 + 1, Q, {word: 1}).coeffs == {word: 1}

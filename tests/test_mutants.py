@@ -61,7 +61,7 @@ def _inputs(kind: str, field, count: int = 40):
         if kind == "zinbiel":
             yield ZinElement(n, field, _random_coeffs(rng, field, n, _word))
         elif kind == "power":
-            yield SeriesElement(n, CAP, True, field,
+            yield SeriesElement(n, CAP, field,
                                 _random_coeffs(rng, field, n, _monomial))
         else:
             yield DPElement(n, field, _random_coeffs(rng, field, n, _monomial))
@@ -89,7 +89,7 @@ def _moved_terms(f, skip: tuple = ()) -> dict:
 
 
 def _drop_first_partial(f: SeriesElement) -> SeriesElement:
-    return SeriesElement(2 * f.arity, f.cap, f.reduced, f.field,
+    return SeriesElement(2 * f.arity, f.cap, f.field,
                          _moved_terms(f, skip=(0,)))
 
 
@@ -157,7 +157,7 @@ def test_binomial_mutant_drops_products_that_vanish_mod_p():
 def test_drop_first_mutant_makes_fraction_coefficients_integral():
     field = FIELDS["Q"]
     theory = cdc.MutatedTheory("powerseries-drop-first-partial", field)
-    f = SeriesElement(2, CAP, True, field,
+    f = SeriesElement(2, CAP, field,
                       {MultiIndex.make(((0, 1), (1, 2))): Fraction(1, 2)})
     for got in (_hook("powerseries-drop-first-partial", f),
                 theory.partial(f).coeffs):

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffmonads as dm
-from diffmonads import (MultiIndex, NonReducedArgument, NotReduced,
-                        SeriesElement, ShapeMismatch, parse_element,
-                        prime_field, rationals)
+from diffmonads import (MultiIndex, NotReduced, SeriesElement, ShapeMismatch,
+                        parse_element, prime_field, rationals)
 
 Q = rationals()
 F3 = prime_field(3)
@@ -55,26 +54,30 @@ def test_substitution_rejects_bad_shapes():
     f = series("x1", 1, cap=3)
     with pytest.raises(ShapeMismatch):
         f.substitute([series("x1", 1, cap=4)])
-    raw = SeriesElement(1, 3, False, Q,
-                        {dm.EMPTY_INDEX: Q.one(), MultiIndex.single(0): Q.one()})
-    with pytest.raises(NonReducedArgument):
-        f.substitute([raw])
+    with pytest.raises(ShapeMismatch):
+        f.substitute([poly("x1 + 1", 1)])
     with pytest.raises(ShapeMismatch):
         f.substitute([series("x1", 1, cap=3), series("x1", 1, cap=3)])
 
 
+def test_a_capped_series_has_no_constant_term():
+    with pytest.raises(NotReduced):
+        SeriesElement(1, 3, Q, {dm.EMPTY_INDEX: Q.one(),
+                                MultiIndex.single(0): Q.one()})
+    assert SeriesElement(1, None, Q, {dm.EMPTY_INDEX: 1}) == poly("1", 1)
+
+
 def test_product_needs_equal_shapes_like_the_sum():
-    """A polynomial built reduced and one that is not differ in shape, so
-    their product raises as their sum does."""
-    reduced = SeriesElement(1, None, True, Q, {MultiIndex.single(0): 1})
+    """A series and a polynomial differ in shape, so their product raises
+    as their sum does."""
+    capped = series("x1", 1, cap=3)
     plain = poly("x1", 1)
-    assert reduced * reduced == SeriesElement(
-        1, None, True, Q, {MultiIndex.single(0, 2): 1})
+    assert capped * capped == series("x1^2", 1, cap=3)
     for op in (lambda a, b: a + b, lambda a, b: a * b):
         with pytest.raises(ShapeMismatch):
-            op(reduced, plain)
+            op(capped, plain)
         with pytest.raises(ShapeMismatch):
-            op(plain, reduced)
+            op(plain, capped)
     with pytest.raises(ShapeMismatch):
         series("x1", 1, cap=3) * series("x1", 1, cap=4)
 
@@ -86,15 +89,16 @@ def test_polynomial_regime_allows_constants():
 
 
 def test_partial_derivative():
-    assert series("x1^2", 1).partial(0) == \
-        SeriesElement(1, 5, False, Q, {MultiIndex.single(0): Q.embed(2)})
+    assert series("x1^2", 1).partial(0) == (
+        SeriesElement(1, 5, Q, {MultiIndex.single(0): Q.embed(2)}), Q.zero())
     xy = series("x1*x2", 2)
-    dxy = xy.partial(1)
-    assert dxy.coeffs == {MultiIndex.single(0): Q.one()}
+    dxy, const = xy.partial(1)
+    assert dxy.coeffs == {MultiIndex.single(0): Q.one()} and not const
     # coefficient 3 vanishes mod 3
     f = series("x1^3 + x1", 1, field=F3)
-    d = f.partial(0)
-    assert d.coeffs == {dm.EMPTY_INDEX: F3.one()}
+    assert f.partial(0) == (SeriesElement(1, 5, F3, {}), F3.one())
+    # a polynomial's derivative is a polynomial, constants included
+    assert poly("x1^3 + x1 + 2", 1).partial(0) == poly("3*x1^2 + 1", 1)
 
 
 def test_partials_commute():
@@ -103,7 +107,7 @@ def test_partials_commute():
     cfg = dm.GenConfig(seed=5)
     for _ in range(30):
         f = dm.random_element(theory, cfg, rng, arity=3)
-        assert f.partial(0).partial(1) == f.partial(1).partial(0)
+        assert f.partial(0)[0].partial(1)[0] == f.partial(1)[0].partial(0)[0]
 
 
 def test_leibniz_rule():
@@ -183,10 +187,37 @@ def test_truncation_congruence_quick():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("field", [Q, prime_field(5)], ids=repr)
+def test_truncation_to_a_cap_is_a_congruence_from_polynomials(field):
+    """Truncating constant-free polynomials at 4 commutes with substitution:
+    the map poly -> power/4 is a morphism of the monads."""
+    theory = dm.make_theory("poly", field)
+    cfg = dm.GenConfig(seed=13)
+    rng = dm.SplitMix64(13)
+
+    def draw():
+        f = dm.random_element(theory, cfg, rng, arity=2)
+        return SeriesElement(2, None, field,
+                             {key: c for key, c in f.coeffs.items() if key})
+
+    for _ in range(20):
+        f, gs = draw(), [draw(), draw()]
+        assert f.substitute(gs).truncate(4) == \
+            f.truncate(4).substitute([g.truncate(4) for g in gs])
+
+
 def test_cap_cannot_be_raised():
     f = series("x1", 1, cap=3)
     with pytest.raises(ShapeMismatch):
         f.truncate(4)
+
+
+def test_a_polynomial_truncates_to_a_series_without_its_constant():
+    assert poly("x1^2 + 3*x1", 1).truncate(3) == series("x1^2 + 3*x1", 1,
+                                                        cap=3)
+    assert poly("x1^4 + x1", 1).truncate(3) == series("x1", 1, cap=3)
+    with pytest.raises(NotReduced):
+        poly("x1^2 + 1", 1).truncate(3)
 
 
 def test_packed_keys_round_trip_and_guard_the_degree():
@@ -225,13 +256,13 @@ def test_cap_above_the_degree_limit_still_guards_the_degree():
 
 def test_public_constructor_rejects_bad_keys():
     with pytest.raises(ShapeMismatch):
-        SeriesElement(2, 4, True, Q, {(0, 1): Q.one()})
+        SeriesElement(2, 4, Q, {(0, 1): Q.one()})
     with pytest.raises(ShapeMismatch):
-        SeriesElement(2, 4, True, Q, {MultiIndex.single(0) + 1: Q.one()})
+        SeriesElement(2, 4, Q, {MultiIndex.single(0) + 1: Q.one()})
     with pytest.raises(ShapeMismatch):
-        SeriesElement(2, 4, True, Q, {MultiIndex.single(2): Q.one()})
+        SeriesElement(2, 4, Q, {MultiIndex.single(2): Q.one()})
     with pytest.raises(dm.MixedFields):
-        SeriesElement(1, 4, True, Q, {MultiIndex.single(0): F3.one()})
+        SeriesElement(1, 4, Q, {MultiIndex.single(0): F3.one()})
 
 
 def test_product_counts_its_term_pairs_up_front():
@@ -260,19 +291,17 @@ def test_substitution_charges_its_products_to_one_budget():
 
 def test_public_constructor_rejects_bool_coefficients():
     with pytest.raises(TypeError):
-        SeriesElement(1, 4, True, Q, {MultiIndex.single(0): True})
+        SeriesElement(1, 4, Q, {MultiIndex.single(0): True})
     with pytest.raises(TypeError):
-        SeriesElement(1, 4, True, F3, {MultiIndex.single(0): False})
+        SeriesElement(1, 4, F3, {MultiIndex.single(0): False})
 
 
-def test_a_series_that_is_not_reduced_has_no_combinator_or_substitution():
-    """A single derivative lowers the cap and may leave a constant, so it is
-    not reduced: d/dx1 of x1^2 at cap 4 is 2*x1 at cap 3."""
-    d = series("x1^2", 1, cap=4).partial(0)
-    assert (d.cap, d.reduced) == (3, False)
-    with pytest.raises(NotReduced, match="combinator"):
-        d.partial_combinator()
-    with pytest.raises(NotReduced, match="capped substitution"):
-        d.substitute([series("x1", 1, cap=3)])
-    with pytest.raises(NotReduced, match="capped substitution"):
-        d.substitute_linear(((0,),), 1)
+def test_the_derivative_of_a_series_is_a_series_and_a_constant():
+    """A single derivative lowers the cap and splits off the constant: d/dx1
+    of x1^2 + 3*x1 at cap 4 is 2*x1 at cap 3 and 3, and the series part has
+    a combinator and substitutes like any series."""
+    d, const = series("x1^2 + 3*x1", 1, cap=4).partial(0)
+    assert (d, const) == (series("2*x1", 1, cap=3), Q.embed(3))
+    assert d.partial_combinator() == series("2*x2", 2, cap=3)
+    assert d.substitute([series("x1", 1, cap=3)]) == d
+    assert d.substitute_linear(((0,),), 1) == d

@@ -17,17 +17,17 @@ PRIMES = (2, 3, 5, 7)
 
 @st.composite
 def regimes(draw):
-    """(field, cap, reduced): polynomials over Q or F_p, or capped series."""
+    """(field, cap): polynomials over Q or F_p, or capped series."""
     p = draw(st.sampled_from((None,) + PRIMES))
     field = rationals() if p is None else prime_field(p)
     if draw(st.booleans()):
-        return field, None, False
-    return field, draw(st.integers(2, 5)), True
+        return field, None
+    return field, draw(st.integers(2, 5))
 
 
 @st.composite
-def elements(draw, field, cap, reduced, arity, max_degree=3):
-    low = 1 if reduced else 0
+def elements(draw, field, cap, arity, max_degree=3):
+    low = 0 if cap is None else 1
     high = max_degree if cap is None else min(max_degree, cap)
     terms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -41,7 +41,7 @@ def elements(draw, field, cap, reduced, arity, max_degree=3):
         else:
             c = field.embed(draw(st.integers(-4, 4)))
         terms.append((MultiIndex.make(enumerate(exps)), c))
-    return SeriesElement.from_terms(arity, cap, reduced, field, terms)
+    return SeriesElement.from_terms(arity, cap, field, terms)
 
 
 def to_sympy(elem, syms):
@@ -82,10 +82,10 @@ def library(elem) -> dict:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_matches_sympy(data):
-    field, cap, reduced = data.draw(regimes())
+    field, cap = data.draw(regimes())
     arity = data.draw(st.integers(1, 3))
-    a = data.draw(elements(field, cap, reduced, arity))
-    b = data.draw(elements(field, cap, reduced, arity))
+    a = data.draw(elements(field, cap, arity))
+    b = data.draw(elements(field, cap, arity))
     xs = sympy.symbols(f"x0:{arity}")
     want = expanded(to_sympy(a, xs) * to_sympy(b, xs), xs, field.p, cap)
     assert library(a * b) == want
@@ -94,11 +94,11 @@ def test_product_matches_sympy(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_substitution_matches_sympy(data):
-    field, cap, reduced = data.draw(regimes())
+    field, cap = data.draw(regimes())
     m = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(1, 3))
-    f = data.draw(elements(field, cap, reduced, m))
-    args = [data.draw(elements(field, cap, reduced, n, max_degree=2))
+    f = data.draw(elements(field, cap, m))
+    args = [data.draw(elements(field, cap, n, max_degree=2))
             for _ in range(m)]
     xs = sympy.symbols(f"x0:{m}")
     ys = sympy.symbols(f"y0:{n}")
