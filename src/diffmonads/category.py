@@ -19,7 +19,7 @@ and dc.2 compose.  A spec with a repeated target (the diagonal), or a summed
 exponent above 1, takes the generic substitution of the memoized
 components.  The generic substitution, which the monad laws, CD.5 and dc.4
 still exercise, is the oracle of the key rewrites.  Differentiation applies
-the theory's combinator componentwise and doubles the source arity.
+each component's ``partial_combinator`` and doubles the source arity.
 
 Theories are interned: :func:`make_theory` returns one theory per kind,
 field and effective cap while :func:`interned_theory` keeps it, so the memos
@@ -97,13 +97,11 @@ class Theory:
     degree.
 
     Theories are equal when they agree in class, kind, field, cap and
-    mutation, so a subclass with a combinator of its own is another theory.
+    element class, so a theory of a near miss's elements is another theory.
     """
 
     __slots__ = ("kind", "spec", "element", "field", "cap", "shapes",
                  "units", "structural", "samplers")
-
-    mutation = None  # in a MutatedTheory, the name of its near-miss combinator
 
     def __init__(self, kind: str, field: FieldSpec, cap: int | None = None):
         spec = THEORIES.get(kind)
@@ -188,10 +186,6 @@ class Theory:
 
     # -- the differential structure ------------------------------------------
 
-    def partial(self, f):
-        """The differential combinator transformation on elements."""
-        return f.partial_combinator()
-
     def eta_counit(self, f):
         """eta after counit: the degree-1 part of an element."""
         degree = self.element._degree
@@ -204,18 +198,17 @@ class Theory:
             return True
         if not isinstance(other, Theory):
             return NotImplemented
-        return (type(self), self.kind, self.field, self.cap, self.mutation) \
+        return (type(self), self.kind, self.field, self.cap, self.element) \
             == (type(other), other.kind, other.field, other.cap,
-                other.mutation)
+                other.element)
 
     def __hash__(self) -> int:
         return hash((type(self), self.kind, self.field, self.cap,
-                     self.mutation))
+                     self.element))
 
     def __repr__(self) -> str:
         cap = f", cap={self.cap}" if self.spec.cap_option else ""
-        mutation = f", mutation={self.mutation!r}" if self.mutation else ""
-        return f"Theory({self.name}, {self.field!r}{cap}{mutation})"
+        return f"Theory({self.name}, {self.field!r}{cap})"
 
 
 # Interned theories, at most this many: the 9 acceptance configurations and
@@ -257,10 +250,10 @@ class Morphism:
     :meth:`Theory.linear_map`) and None for every other morphism.
 
     The public constructor checks the component count and every component's
-    shape.  The operations on morphisms, here and in ``random_morphism``,
-    check their operands and build their results with the unchecked
-    :meth:`_make`, whose components have the right count and shape by
-    construction.
+    shape and element class.  The operations on morphisms, here and in
+    ``random_morphism``, check their operands and build their results with
+    the unchecked :meth:`_make`, whose components have the right count,
+    shape and class by construction.
     """
 
     __slots__ = ("theory", "source", "target", "components", "linear")
@@ -270,9 +263,9 @@ class Morphism:
         if len(components) != target:
             raise ShapeMismatch(f"expected {target} components, "
                                 f"got {len(components)}")
-        shape = theory.shapes[source]
+        shape, element = theory.shapes[source], theory.element
         for c in components:
-            if c.shape != shape:
+            if c.shape != shape or type(c) is not element:
                 raise ShapeMismatch("component shape disagrees with morphism")
         self.theory = theory
         self.source = source
@@ -444,9 +437,9 @@ def interchange_map(theory: Theory, n: int) -> Morphism:
 
 def differentiate(p: Morphism) -> Morphism:
     """Componentwise differential combinator; the source arity doubles."""
-    theory = p.theory
-    return Morphism._make(theory, 2 * p.source, p.target,
-                          tuple(map(theory.partial, p.components)))
+    return Morphism._make(p.theory, 2 * p.source, p.target,
+                          tuple([c.partial_combinator()
+                                 for c in p.components]))
 
 
 def linearize(p: Morphism) -> Morphism:

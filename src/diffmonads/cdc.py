@@ -31,6 +31,7 @@ imports ``syntax`` when it writes an element (:func:`_text`).
 from __future__ import annotations
 
 import time
+from functools import cache
 
 from . import generators
 # What the checker uses, and make_theory, which it does not: bench/tracing.py
@@ -239,14 +240,14 @@ def _cd7(theory, draw):
 def _dc1(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    yield ({"t": t}, along(theory.partial(t), injection(theory, n, n, 0)),
-           theory.zero(n), n)
+    yield ({"t": t}, along(t.partial_combinator(),
+                           injection(theory, n, n, 0)), theory.zero(n), n)
 
 
 def _dc2(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    dt = theory.partial(t)
+    dt = t.partial_combinator()
     one = identity(theory, n)
     yield ({"t": t}, along(dt, product_map(one, codiagonal(theory, n))),
            along(dt, product_map(one, projection(theory, n, n, 0))) +
@@ -256,7 +257,7 @@ def _dc2(theory, draw):
 def _dc3(theory, draw):
     n = draw.arity()
     for i in range(n):
-        yield ({"i": i, "n": n}, theory.partial(theory.eta(i, n)),
+        yield ({"i": i, "n": n}, theory.eta(i, n).partial_combinator(),
                theory.eta(n + i, 2 * n), n)
 
 
@@ -264,23 +265,24 @@ def _dc4(theory, draw):
     n, m = draw.arity(), draw.arity()
     f = draw.element(m)
     gs = [draw.element(n) for _ in range(m)]
-    args = [g.extend_arity(2 * n) for g in gs] + [theory.partial(g) for g in gs]
+    args = [g.extend_arity(2 * n) for g in gs] + \
+        [g.partial_combinator() for g in gs]
     inputs = {"f": f} | {f"g{j + 1}": g for j, g in enumerate(gs)}
-    yield (inputs, theory.partial(f.substitute(gs, arity=n)),
-           theory.partial(f).substitute(args, arity=2 * n), n)
+    yield (inputs, f.substitute(gs, arity=n).partial_combinator(),
+           f.partial_combinator().substitute(args, arity=2 * n), n)
 
 
 def _dc5(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    dt = theory.partial(t)
-    yield {"t": t}, along(theory.partial(dt), lift_map(theory, n)), dt, n
+    dt = t.partial_combinator()
+    yield {"t": t}, along(dt.partial_combinator(), lift_map(theory, n)), dt, n
 
 
 def _dc6(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    ddt = theory.partial(theory.partial(t))
+    ddt = t.partial_combinator().partial_combinator()
     yield {"t": t}, along(ddt, interchange_map(theory, n)), ddt, n
 
 
@@ -323,7 +325,8 @@ def _du1(theory, draw):
 def _du2(theory, draw):
     n = draw.arity()
     t = draw.element(n)
-    yield ({"t": t}, along(theory.partial(t), injection(theory, n, n, 1)),
+    yield ({"t": t}, along(t.partial_combinator(),
+                           injection(theory, n, n, 1)),
            theory.eta_counit(t), n)
 
 
@@ -429,12 +432,11 @@ def check_all(theory: Theory, cfg,
 # can slip past the chain rule by numerical coincidence, so the catch rates
 # rely on multi-term draws.
 #
-# A mutant is a replacement of the ``_combinator(coeffs, n, p)`` hook of its
-# element class, built from the kernels of the real combinators, and the
-# mutated theory builds its result as the core's ``partial_combinator`` does,
-# on the internal path (``_make``).  Its keys are valid by construction, and
-# tests/test_trust_boundary.py checks them.  Their key maps are injective, so
-# each output key takes one canonical value and nothing is summed.
+# A mutant replaces the ``_combinator(coeffs, n, p)`` hook of its element
+# class in a subclass, and is built from the kernels of the real combinators.
+# ``partial_combinator`` then builds its result on the internal path
+# (``_make``), so tests/test_trust_boundary.py checks its keys.  Their key
+# maps are injective: each output key takes one canonical value.
 
 
 def _mutant_zin_last_letter(coeffs: dict, n: int, p: int | None) -> dict:
@@ -459,17 +461,20 @@ MUTATIONS = {
 }
 
 
+@cache  # one class per mutation, so no theory leaves one to the collector
+def _mutant_element(mutation: str, real: type) -> type:
+    """The subclass of ``real`` whose ``_combinator`` hook is the mutant."""
+    return type(f"{real.__name__}[{mutation}]", (real,), {
+        "__slots__": (), "_combinator": staticmethod(MUTATIONS[mutation][1])})
+
+
 class MutatedTheory(Theory):
-    """A theory with the differential combinator replaced by a near miss.
+    """A theory with the differential combinator replaced by a near miss:
+    its elements are instances of a subclass of the real element class
+    whose ``_combinator`` hook is the mutant, so they equal no element of
+    the real theory."""
 
-    The mutant, kept in ``combinator``, stands in for the ``_combinator``
-    hook of the theory's element class, and :meth:`partial` builds its
-    result as :meth:`Element.partial_combinator` does.  The mutation's name
-    takes part in equality, so a mutated theory equals no theory with
-    another combinator.
-    """
-
-    __slots__ = ("mutation", "combinator")
+    __slots__ = ("mutation",)
 
     def __init__(self, mutation: str, field: FieldSpec, cap: int | None = 6):
         row = MUTATIONS.get(mutation)
@@ -477,13 +482,10 @@ class MutatedTheory(Theory):
             raise ShapeMismatch(f"unknown mutation {mutation!r}")
         super().__init__(row[0], field, cap)
         self.mutation = mutation
-        self.combinator = row[1]
+        self.element = _mutant_element(mutation, self.element)
 
-    def partial(self, f):
-        """The near-miss combinator of ``f``, over twice its arity."""
-        n = f.arity
-        return f._make((2 * n,) + f.shape[1:],
-                       self.combinator(f.coeffs, n, f.field.p))
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, mutation={self.mutation!r})"
 
 
 def mutation_is_caught(mutation: str, field: FieldSpec, cfg,

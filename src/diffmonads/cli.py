@@ -141,7 +141,7 @@ def _emit_element(args, elem, arity: int, /, **payload) -> None:
 def _cmd_derive(args) -> int:
     theory = _theory_from_args(args)
     [elem], arity = parse_elements([args.expr], theory, _arity_flag(args))
-    _emit_element(args, theory.partial(elem), arity, arity=2 * arity,
+    _emit_element(args, elem.partial_combinator(), arity, arity=2 * arity,
                   base_arity=arity)
     return 0
 

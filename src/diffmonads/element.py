@@ -36,7 +36,8 @@ arity, words do not) and raises TooLarge past it.  A test runs the axiom
 checks with the key checks put back into ``_make``, so a key that an
 operation builds wrong still shows.
 
-A subclass supplies these hooks; the first four work on coefficient dicts:
+A subclass supplies these hooks, and a near miss is a subclass that
+overrides one of them (``cdc.MutatedTheory``); the first four take dicts:
 
 * ``_times(a, b)``: the product (truncated, divided-power, half-shuffle);
 * ``_power(known, e, spent)``: the e-th power of ``known[1]``, given the

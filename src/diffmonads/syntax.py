@@ -14,7 +14,9 @@ Terms:
 * words: ``x1.x2.x1``;
 * scalars: integers ``-3`` or fractions ``2/5`` (reduced mod p over F_p);
 
-joined with ``+`` and ``-``.  The zero element prints as ``0``.  The
+joined with ``+`` and ``-``.  Bare scalars add up to the constant term,
+which only polynomials have; one zero in the field (``0``, ``3 - 3``, ``5``
+over F5) is none, so the zero element, printed ``0``, reads back.  The
 grammar is ASCII: digits are ``0-9`` and blanks are ASCII whitespace, so
 any other digit or space is an unexpected character.  A variable with no
 digit after its ``x`` reports the character there when it is one the
@@ -91,7 +93,7 @@ def _parse(tokens: list, theory, arity: int, base: int):
     exponent = tuple(filter(None, (opening, "num", closing)))  # after a ^
     key_of = element._key
     terms = []
-    constant = False
+    constant = 0  # the raw sum of the bare scalars
     i = 0
     tag = tokens[0][0]
     while True:
@@ -118,9 +120,10 @@ def _parse(tokens: list, theory, arity: int, base: int):
                 tag = tokens[i][0]
             else:
                 c = field.embed(num)
-            if tag != "*":  # a bare scalar: a constant term
-                terms.append((EMPTY_INDEX, -c if negative else c))
-                constant = True
+            if tag != "*":  # a bare scalar: part of the constant term
+                c = -c if negative else c
+                terms.append((EMPTY_INDEX, c))
+                constant += c.value
                 continue
             i += 1
         else:
@@ -158,7 +161,7 @@ def _parse(tokens: list, theory, arity: int, base: int):
         terms.append((key_of(pairs), -c if negative else c))
     if tag != "end":
         raise ParseError("trailing input", tokens[i][2])
-    if constant and theory.reduced:
+    if theory.reduced and field.raw(constant):
         raise ParseError("constant terms are only allowed in the polynomial "
                          "theory", 0)
     return element.from_terms(*theory.shapes[arity], terms)

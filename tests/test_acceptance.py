@@ -62,8 +62,8 @@ def test_criterion_3_embedding_incompatibility_witness():
     td = dm.make_theory("divided", Q)
     tz = dm.make_theory("zinbiel", Q)
     f = parse_element("x1^[1]*x2^[1]", td, 2)
-    via_divided = dm.divided_to_zinbiel(td.partial(f))
-    via_words = tz.partial(dm.divided_to_zinbiel(f))
+    via_divided = dm.divided_to_zinbiel(f.partial_combinator())
+    via_words = dm.divided_to_zinbiel(f).partial_combinator()
     expected_divided = parse_element("dx1.x2 + x2.dx1 + dx2.x1 + x1.dx2",
                                      tz, 4, base_arity=2)
     expected_words = parse_element("dx1.x2 + dx2.x1", tz, 4, base_arity=2)

@@ -229,7 +229,8 @@ def test_compose_shape_errors():
 
 def test_trivial_theory_is_linear_only():
     t = TR.eta(0, 2) + TR.eta(1, 2).scale(Q.embed(3))
-    assert TR.partial(t) == parse_element("dx1 + 3*dx2", TR, 4, base_arity=2)
+    assert t.partial_combinator() == parse_element("dx1 + 3*dx2", TR, 4,
+                                                   base_arity=2)
     assert is_dlinear(Morphism(TR, 2, 1, [t]))
     with pytest.raises(Exception):
         parse_element("x1^2", TR, 1)  # degree 2 cannot live at cap 1

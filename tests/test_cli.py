@@ -36,6 +36,13 @@ def test_derive_power_series():
     assert out.strip() == "x1*dx2 + x2*dx1"
 
 
+@pytest.mark.parametrize("kind", list(dm.THEORIES))
+def test_derive_of_zero_prints_zero(kind):
+    code, out, err = run_cli("derive", "--theory", kind, "--arity", "1",
+                             "--", "0")
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_compose_divided_structure_constant():
     code, out, _ = run_cli("compose", "--theory", "divided", "--field", "Q",
                            "x1^[2]", "/", "x1^[2]*x2^[1]")

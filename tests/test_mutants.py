@@ -2,13 +2,14 @@
 them.
 
 A mutant replaces the ``_combinator(coeffs, n, p)`` hook of its element
-class.  Each mutant, and the ``partial`` of the theory that carries it, is
-checked against an independent recomputation: the key map written with
-``MultiIndex.pairs`` and sums of ``MultiIndex.single`` keys, summed with
-``accumulate`` and built through the public constructors.
-Inputs are random elements with Fraction coefficients over Q, and with
-coefficients over F2, F3 and F5, where a product c * e that vanishes must
-drop out.
+class: the elements of the mutated theory are instances of a subclass whose
+hook is the mutant.  Each mutant, and the ``partial_combinator`` of the
+mutated theory's elements, is checked against an independent recomputation:
+the key map written with ``MultiIndex.pairs`` and sums of
+``MultiIndex.single`` keys, summed with ``accumulate`` and built through the
+public constructors.  Inputs are random elements of the mutated theory with
+Fraction coefficients over Q, and with coefficients over F2, F3 and F5,
+where a product c * e that vanishes must drop out.
 """
 
 import random
@@ -53,18 +54,19 @@ def _word(rng: random.Random, arity: int) -> tuple:
     return tuple(rng.randrange(arity) for _ in range(rng.randint(1, 5)))
 
 
-def _inputs(kind: str, field, count: int = 40):
-    """Random elements of the mutant's theory, from a fixed seed."""
+def _inputs(theory, count: int = 40):
+    """Random elements of the mutated theory, from a fixed seed."""
+    kind, field, element = theory.kind, theory.field, theory.element
     rng = random.Random(f"{kind}-{field!r}")
     for _ in range(count):
         n = rng.randint(1, 4)
         if kind == "zinbiel":
-            yield ZinElement(n, field, _random_coeffs(rng, field, n, _word))
+            yield element(n, field, _random_coeffs(rng, field, n, _word))
         elif kind == "power":
-            yield SeriesElement(n, CAP, field,
-                                _random_coeffs(rng, field, n, _monomial))
+            yield element(n, CAP, field,
+                          _random_coeffs(rng, field, n, _monomial))
         else:
-            yield DPElement(n, field, _random_coeffs(rng, field, n, _monomial))
+            yield element(n, field, _random_coeffs(rng, field, n, _monomial))
 
 
 def _retag_last_letter(f: ZinElement) -> ZinElement:
@@ -72,7 +74,7 @@ def _retag_last_letter(f: ZinElement) -> ZinElement:
     out: dict = {}
     for w, c in f.coeffs.items():
         accumulate(out, w[:-1] + (n + w[-1],), c, f.field.p)
-    return ZinElement(2 * n, f.field, out)
+    return type(f)(2 * n, f.field, out)
 
 
 def _moved_terms(f, skip: tuple = ()) -> dict:
@@ -89,12 +91,11 @@ def _moved_terms(f, skip: tuple = ()) -> dict:
 
 
 def _drop_first_partial(f: SeriesElement) -> SeriesElement:
-    return SeriesElement(2 * f.arity, f.cap, f.field,
-                         _moved_terms(f, skip=(0,)))
+    return type(f)(2 * f.arity, f.cap, f.field, _moved_terms(f, skip=(0,)))
 
 
 def _binomial_factor(f: DPElement) -> DPElement:
-    return DPElement(2 * f.arity, f.field, _moved_terms(f))
+    return type(f)(2 * f.arity, f.field, _moved_terms(f))
 
 
 ORACLES = {
@@ -127,58 +128,55 @@ def _hook(mutation: str, f) -> dict:
 @pytest.mark.parametrize("field_name", list(FIELDS))
 @pytest.mark.parametrize("mutation", list(cdc.MUTATIONS))
 def test_mutant_matches_independent_recomputation(mutation, field_name):
-    field = FIELDS[field_name]
-    kind = cdc.MUTATIONS[mutation][0]
-    theory = cdc.MutatedTheory(mutation, field)
-    for f in _inputs(kind, field):
+    theory = cdc.MutatedTheory(mutation, FIELDS[field_name])
+    for f in _inputs(theory):
         want = ORACLES[mutation](f)
         _assert_same_coeffs(_hook(mutation, f), want.coeffs)
-        _assert_same(theory.partial(f), want)
+        _assert_same(f.partial_combinator(), want)
 
 
 def test_binomial_mutant_drops_products_that_vanish_mod_p():
     """x1^[5] + 3*x1^[2]*x2^[1] over F5: the factor 5 of x1^[5] is zero."""
     field = FIELDS["F5"]
-    theory = cdc.MutatedTheory("dividedpower-binomial-factor", field)
+    element = cdc.MutatedTheory("dividedpower-binomial-factor", field).element
     x1_5 = MultiIndex.single(0, 5)
     x1_2_x2 = MultiIndex.make(((0, 2), (1, 1)))
-    f = DPElement(2, field, {x1_5: 1, x1_2_x2: 3})
-    want = DPElement(4, field, {
+    f = element(2, field, {x1_5: 1, x1_2_x2: 3})
+    want = element(4, field, {
         MultiIndex.make(((0, 1), (1, 1), (2, 1))): 1,  # 3 * 2 mod 5
         MultiIndex.make(((0, 2), (3, 1))): 3,
     })
     assert _hook("dividedpower-binomial-factor", f) == want.coeffs
-    assert theory.partial(f) == want
-    g = DPElement(1, field, {x1_5: 2})
+    assert f.partial_combinator() == want
+    g = element(1, field, {x1_5: 2})
     assert _hook("dividedpower-binomial-factor", g) == {}
-    assert theory.partial(g) == DPElement(2, field, {})
+    assert g.partial_combinator() == element(2, field, {})
 
 
 def test_drop_first_mutant_makes_fraction_coefficients_integral():
     field = FIELDS["Q"]
     theory = cdc.MutatedTheory("powerseries-drop-first-partial", field)
-    f = SeriesElement(2, CAP, field,
-                      {MultiIndex.make(((0, 1), (1, 2))): Fraction(1, 2)})
+    f = theory.element(2, CAP, field,
+                       {MultiIndex.make(((0, 1), (1, 2))): Fraction(1, 2)})
     for got in (_hook("powerseries-drop-first-partial", f),
-                theory.partial(f).coeffs):
+                f.partial_combinator().coeffs):
         assert got == {MultiIndex.make(((0, 1), (1, 1), (3, 1))): 1}
         assert type(got[next(iter(got))]) is int
 
 
 def test_mutants_call_no_public_constructor(monkeypatch):
     field = FIELDS["F3"]
-    theories = {m: cdc.MutatedTheory(m, field) for m in cdc.MUTATIONS}
-    inputs = {m: list(_inputs(cdc.MUTATIONS[m][0], field, 5))
+    inputs = {m: list(_inputs(cdc.MutatedTheory(m, field), 5))
               for m in cdc.MUTATIONS}
 
     def refuse(self, shape, coeffs):
         raise AssertionError("public constructor called")
 
     monkeypatch.setattr(Element, "_build", refuse)
-    for mutation, theory in theories.items():
-        for f in inputs[mutation]:
+    for mutation, elements in inputs.items():
+        for f in elements:
             _hook(mutation, f)
-            theory.partial(f)
+            f.partial_combinator()
 
 
 # -- the theories that carry them ---------------------------------------------
@@ -199,6 +197,27 @@ def test_mutated_theory_differs_from_its_unmutated_theory():
     assert repr(real) == "Theory(Zinbiel, Q)"
 
 
+@pytest.mark.parametrize("mutation", list(cdc.MUTATIONS))
+def test_a_mutated_theory_swaps_in_an_element_class_with_the_mutant(mutation):
+    """One subclass of the real element class per mutation, whose only own
+    hook is the mutant; its elements equal no element of the real theory."""
+    kind, combinator = cdc.MUTATIONS[mutation]
+    theory = cdc.MutatedTheory(mutation, FIELDS["Q"])
+    real = dm.make_theory(kind, FIELDS["Q"])
+    element = theory.element
+    assert element.__bases__ == (real.element,)
+    assert element.__dict__["_combinator"].__func__ is combinator
+    assert {name for name in vars(element) if not name.startswith("__")} == \
+        {"_combinator"}
+    assert cdc.MutatedTheory(mutation, FIELDS["F5"], 4).element is element
+    x, y = theory.eta(0, 1), real.eta(0, 1)
+    assert type(x) is element and x.coeffs == y.coeffs
+    assert x != y and y != x
+    with pytest.raises(ShapeMismatch):
+        x + y
+    assert not hasattr(theory, "partial") and not hasattr(theory, "combinator")
+
+
 def test_compose_across_a_mutated_and_a_real_theory_raises():
     Q = FIELDS["Q"]
     broken = cdc.MutatedTheory("powerseries-drop-first-partial", Q)
@@ -213,7 +232,8 @@ def test_compose_across_a_mutated_and_a_real_theory_raises():
         dm.compose(q, p)
     with pytest.raises(ShapeMismatch):
         dm.pairing(p, q)
-    assert p != dm.Morphism(real, 2, 2, p.components)
+    with pytest.raises(ShapeMismatch):
+        dm.Morphism(real, 2, 2, p.components)
 
 
 def test_unknown_mutation_raises_shape_mismatch():

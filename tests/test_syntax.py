@@ -81,9 +81,34 @@ def test_zero_renders_and_reparses():
     t = dm.make_theory("power", Q, 5)
     z = t.zero(2)
     assert format_element(z) == "0"
-    # "0" itself is a bare constant, which only the polynomial theory accepts
     tp = dm.make_theory("poly", Q)
     assert parse_element("0", tp, 2).is_zero()
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(2), prime_field(3),
+                                   prime_field(5)], ids=repr)
+@pytest.mark.parametrize("kind", list(dm.THEORIES))
+def test_zero_reads_back_in_every_theory(kind, field):
+    """A constant part that is zero in the field is no constant term."""
+    theory = dm.make_theory(kind, field)
+    for n in (0, 1, 3):
+        zero = theory.zero(n)
+        assert parse_element(format_element(zero), theory, n) == zero
+        assert parse_element("3 - 3", theory, n) == zero
+        assert parse_element(f"{field.characteristic}", theory, n) == zero
+    assert parse_element("2 + x1 - 2", theory, 1) == theory.eta(0, 1)
+
+
+@pytest.mark.parametrize("kind", ["power", "divided", "zinbiel", "trivial"])
+def test_a_nonzero_constant_keeps_its_error(kind):
+    """In F5, 5 is zero and 6 is not; in Q neither is."""
+    for field, text in ((prime_field(5), "x1 + 6"), (Q, "x1 + 5"),
+                        (prime_field(5), "3 - 3 + 1 + x1")):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, dm.make_theory(kind, field), 1)
+        assert str(err.value) == ("constant terms are only allowed in the "
+                                  "polynomial theory (at position 0)")
+        assert err.value.position == 0
 
 
 def test_parse_errors_carry_position():
